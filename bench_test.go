@@ -483,9 +483,10 @@ func BenchmarkRunFlowStreaming(b *testing.B) {
 	}
 }
 
-// BenchmarkRunFlowMaterialized is the legacy pipeline over the same flow as
-// BenchmarkRunFlowStreaming: materialize the full event trace, then run the
-// batch analyzer. Compare the two to see the streaming win.
+// BenchmarkRunFlowMaterialized runs the same flow as
+// BenchmarkRunFlowStreaming but materializes the full event trace first and
+// then streams it through Analyze. The difference between the two is what
+// recording and replaying the event list costs.
 func BenchmarkRunFlowMaterialized(b *testing.B) {
 	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
 	if err != nil {

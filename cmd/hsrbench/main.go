@@ -73,7 +73,6 @@ func run(args []string) error {
 	progress := fs.Bool("progress", false, "print flow and experiment completion progress to stderr")
 	cacheDir := fs.String("cache", "", "flow result cache directory: serve (scenario, seed, version)-keyed flow metrics from disk instead of re-simulating, and store every simulated flow")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "bound the cache directory's entry bytes, evicting oldest entries first (0 = unbounded)")
-	materialize := fs.Bool("materialize", false, "force the legacy materialize-then-analyze flow pipeline (cross-check mode; output must be byte-identical to the streaming default)")
 	metricsPath := fs.String("metrics", "", "write a JSON telemetry report (kernel/TCP/link/fault counters, per-task resources) to this file")
 	benchJSON := fs.String("bench-json", "", "run the performance snapshot (cold/warm quick campaign, single-flow wall and allocations, kernel event rate), write it as JSON to this file, and exit without running experiments")
 	traceOut := fs.String("trace-out", "", "write the run's span trace (task, campaign and flow spans with wall and virtual timelines) to this file in the Perfetto/Chrome trace-event format")
@@ -177,7 +176,6 @@ func run(args []string) error {
 		}
 		cfg.Cache = cache
 	}
-	cfg.Materialize = *materialize
 	// Tracing is host-side instrumentation only: it never perturbs seeds,
 	// flow order or results, so output stays byte-identical with it on.
 	var traceRoot *tracing.Span

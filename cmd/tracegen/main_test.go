@@ -116,6 +116,9 @@ func TestRunFlightRecorder(t *testing.T) {
 	if len(ft.Events) == 0 {
 		t.Fatal("flight-recorder dump is empty despite a blackout")
 	}
+	if err := ft.Validate(); err != nil {
+		t.Fatalf("flight-recorder dump fails trace validation: %v", err)
+	}
 	transition := map[trace.EventType]bool{
 		trace.EvTimeout: true, trace.EvFastRetx: true, trace.EvRecovered: true,
 		trace.EvDataDrop: true, trace.EvAckDrop: true,

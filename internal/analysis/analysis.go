@@ -99,210 +99,22 @@ func (m *FlowMetrics) SpuriousFraction() float64 {
 	return float64(m.SpuriousTimeouts) / float64(m.TimeoutSequences)
 }
 
-// txKey identifies one transmission of one segment.
-type txKey struct {
-	seq  int64
-	txNo int
-}
-
-// Analyze derives FlowMetrics from a packet trace.
+// Analyze derives FlowMetrics from a packet trace by replaying its events
+// through a pooled Incremental, the same analyzer RunFlowMetrics streams
+// into, so a materialized trace and a live flow share one implementation.
+// A trace whose arrivals precede their sends, or that sends one
+// (seq, transmit#) pair twice, cannot come from the simulator; it gets the
+// streaming analyzer's result.
 func Analyze(ft *trace.FlowTrace) (*FlowMetrics, error) {
 	if ft == nil {
 		return nil, fmt.Errorf("analysis: nil trace")
 	}
-	if err := ft.Validate(); err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
-	}
-	m := &FlowMetrics{Meta: ft.Meta, Duration: ft.Meta.Duration}
-
-	recvAt := map[txKey]time.Duration{}   // arrival time per transmission
-	firstRecv := make([]time.Duration, 0) // earliest arrival per segment, -1 = never
+	a := AcquireIncremental(ft.Meta)
+	defer a.Release()
 	for _, ev := range ft.Events {
-		if ev.Type == trace.EvDataRecv {
-			recvAt[txKey{ev.Seq, ev.TransmitNo}] = ev.At
-			firstRecv = growNeg(firstRecv, ev.Seq)
-			if t := firstRecv[ev.Seq]; t < 0 || ev.At < t {
-				firstRecv[ev.Seq] = ev.At
-			}
-		}
+		a.Record(ev)
 	}
-
-	// pend is the unacked-first-transmission queue (sendRec is shared with
-	// the streaming analyzer). First transmissions carry strictly increasing
-	// sequence numbers, and cumulative ACKs evict from the front, so a slice
-	// with a head index replaces the former map — the per-ACK eviction scan
-	// over the whole map dominated Analyze.
-	var (
-		cwndSum      float64
-		rttSum       time.Duration
-		pend         []sendRec
-		pendHead     int
-		delivered    []bool // dense unique-delivery tracker, indexed by seq
-		curPhase     *RecoveryPhase
-		lastActivity time.Duration // last data send or ACK arrival before a timeout
-		prevTOAt     time.Duration
-		prevTOBk     int
-		rtoSum       time.Duration
-		rtoN         int
-	)
-	// findPend binary-searches the live queue for seq, returning its index
-	// or -1 (already evicted or never sent on first transmission).
-	findPend := func(seq int64) int {
-		lo, hi := pendHead, len(pend)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if pend[mid].seq < seq {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(pend) && pend[lo].seq == seq {
-			return lo
-		}
-		return -1
-	}
-	for _, ev := range ft.Events {
-		switch ev.Type {
-		case trace.EvDataSend:
-			m.DataSent++
-			cwndSum += ev.Cwnd
-			if ev.TransmitNo == 1 {
-				pend = append(pend, sendRec{seq: ev.Seq, at: ev.At})
-			} else if i := findPend(ev.Seq); i >= 0 {
-				pend[i].tainted = true
-			}
-			if curPhase != nil {
-				curPhase.Retransmissions++
-				if _, arrived := recvAt[txKey{ev.Seq, ev.TransmitNo}]; !arrived {
-					curPhase.RetransmissionsLost++
-				}
-			} else {
-				lastActivity = ev.At
-			}
-
-		case trace.EvDataDrop:
-			m.DataLost++
-
-		case trace.EvDataRecv:
-			delivered = growBool(delivered, ev.Seq)
-			if !delivered[ev.Seq] {
-				delivered[ev.Seq] = true
-				m.UniqueDelivered++
-			}
-
-		case trace.EvAckSend:
-			m.AcksSent++
-
-		case trace.EvAckDrop:
-			m.AcksLost++
-
-		case trace.EvAckRecv:
-			if i := findPend(ev.Ack - 1); i >= 0 && !pend[i].tainted {
-				rttSum += ev.At - pend[i].at
-				m.RTTSamples++
-			}
-			for pendHead < len(pend) && pend[pendHead].seq < ev.Ack {
-				pend[pendHead] = sendRec{}
-				pendHead++
-			}
-			if curPhase == nil {
-				lastActivity = ev.At
-			}
-
-		case trace.EvTimeout:
-			m.Timeouts++
-			if curPhase == nil {
-				curPhase = &RecoveryPhase{
-					Start:        lastActivity,
-					FirstTimeout: ev.At,
-				}
-				// Spurious iff the timed-out segment had already arrived
-				// (the receiver will see the same payload twice).
-				if int(ev.Seq) < len(firstRecv) && firstRecv[ev.Seq] >= 0 && firstRecv[ev.Seq] <= ev.At {
-					curPhase.Spurious = true
-				}
-			} else {
-				// Consecutive timeout: the gap from the previous one encodes
-				// the base RTO through the backoff exponent.
-				shift := uint(prevTOBk + 1)
-				if shift > 6 {
-					shift = 6
-				}
-				rtoSum += (ev.At - prevTOAt) >> shift
-				rtoN++
-			}
-			prevTOAt, prevTOBk = ev.At, ev.Backoff
-			curPhase.Timeouts++
-
-		case trace.EvFastRetx:
-			m.FastRetransmits++
-
-		case trace.EvRecovered:
-			if curPhase != nil {
-				curPhase.End = ev.At
-				m.Recoveries = append(m.Recoveries, *curPhase)
-				curPhase = nil
-			}
-		}
-	}
-	// A phase still open at the end of the trace never recovered; count it
-	// with End at the trace horizon so its duration is not lost.
-	if curPhase != nil {
-		curPhase.End = ft.Meta.Duration
-		if curPhase.End < curPhase.FirstTimeout {
-			curPhase.End = curPhase.FirstTimeout
-		}
-		m.Recoveries = append(m.Recoveries, *curPhase)
-	}
-
-	m.TimeoutSequences = len(m.Recoveries)
-	var recDur time.Duration
-	var retx, retxLost int
-	for _, r := range m.Recoveries {
-		recDur += r.Duration()
-		retx += r.Retransmissions
-		retxLost += r.RetransmissionsLost
-		if r.Spurious {
-			m.SpuriousTimeouts++
-		}
-	}
-	if len(m.Recoveries) > 0 {
-		m.MeanRecoveryDuration = recDur / time.Duration(len(m.Recoveries))
-	}
-	if retx > 0 {
-		m.RecoveryLossRate = float64(retxLost) / float64(retx)
-	}
-
-	if m.DataSent > 0 {
-		m.DataLossRate = float64(m.DataLost) / float64(m.DataSent)
-		m.MeanWindow = cwndSum / float64(m.DataSent)
-	}
-	if m.AcksSent > 0 {
-		m.AckLossRate = float64(m.AcksLost) / float64(m.AcksSent)
-	}
-	if m.RTTSamples > 0 {
-		m.MeanRTT = rttSum / time.Duration(m.RTTSamples)
-	}
-	if rtoN > 0 {
-		m.BaseRTOEstimate = rtoSum / time.Duration(rtoN)
-	}
-	if d := m.Duration.Seconds(); d > 0 {
-		m.ThroughputPps = float64(m.UniqueDelivered) / d
-		m.ThroughputBps = m.ThroughputPps * float64(ft.Meta.MSS) * 8
-	}
-	if m.MeanRTT > 0 {
-		active := m.Duration - recDur
-		if active < m.MeanRTT {
-			active = m.MeanRTT
-		}
-		m.EstimatedRounds = float64(active) / float64(m.MeanRTT)
-		m.AckBurstRate = float64(m.SpuriousTimeouts) / m.EstimatedRounds
-	}
-	if ind := m.TimeoutSequences + m.FastRetransmits; ind > 0 {
-		m.TimeoutProbability = float64(m.TimeoutSequences) / float64(ind)
-	}
-	return m, nil
+	return a.Finish()
 }
 
 // Summary is a compact aggregate over many flows, used by the campaign
@@ -358,8 +170,7 @@ func Summarize(ms []*FlowMetrics) Summary {
 // beyond the highest index demanded so far. Doubling keeps growth amortized
 // O(1) for the dense sequence spaces real flows produce, while the cap keeps
 // a sparse, high-sequence trace (a hostile input or a long-idle flow) from
-// reserving twice the high-water mark in one jump. Shared by the batch
-// analyzer and the streaming analyzer so both grow identically.
+// reserving twice the high-water mark in one jump.
 const seqTableSlackCap = 1 << 16
 
 // seqTableCap picks the new capacity for a per-sequence table that must hold
@@ -375,30 +186,11 @@ func seqTableCap(oldCap, need int) int {
 	return newCap
 }
 
-// growNeg extends s so index i is valid, filling new slots with -1
-// ("never seen"). Sequence numbers are dense, so a slice beats a map here;
-// growth is geometric (one allocation per doubling) instead of per-index
-// appends, so a sparse high-sequence trace costs one capped allocation
-// rather than a reallocation cascade.
-func growNeg(s []time.Duration, i int64) []time.Duration {
-	need := int(i) + 1
-	if need <= len(s) {
-		return s
-	}
-	if need > cap(s) {
-		ns := make([]time.Duration, len(s), seqTableCap(cap(s), need))
-		copy(ns, s)
-		s = ns
-	}
-	tail := s[len(s):need]
-	for j := range tail {
-		tail[j] = -1
-	}
-	return s[:need]
-}
-
-// growBool extends s so index i is valid (new slots false), with the same
-// capped geometric growth as growNeg.
+// growBool extends s so index i is valid (new slots false). Sequence numbers
+// are dense, so a slice beats a map here; growth is geometric (one
+// allocation per doubling) and slack-capped by seqTableCap, so a sparse
+// high-sequence stream costs one capped allocation rather than a
+// reallocation cascade.
 func growBool(s []bool, i int64) []bool {
 	need := int(i) + 1
 	if need <= len(s) {

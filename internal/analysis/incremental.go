@@ -8,8 +8,13 @@ import (
 	"repro/internal/trace"
 )
 
-// sendRec is one unacked first transmission in the pending-send queue,
-// shared by the batch and streaming analyzers.
+// txKey identifies one transmission of one segment.
+type txKey struct {
+	seq  int64
+	txNo int
+}
+
+// sendRec is one unacked first transmission in the pending-send queue.
 type sendRec struct {
 	seq     int64
 	at      time.Duration
@@ -18,10 +23,9 @@ type sendRec struct {
 
 // spurCheck is a deferred spurious-timeout classification: a recovery phase
 // whose first timeout at time at was not (yet) spurious when it fired. A
-// data arrival for seq at exactly the same virtual timestamp — which the
-// batch analyzer sees in its whole-trace first pass but a streaming consumer
-// has not received yet — still counts, so the check stays pending until the
-// stream's clock moves past at.
+// data arrival for seq at exactly the same virtual timestamp may still be
+// queued behind the timeout in the stream, and it counts, so the check
+// stays pending until the stream's clock moves past at.
 type spurCheck struct {
 	phase int32
 	seq   int64
@@ -31,17 +35,18 @@ type spurCheck struct {
 // Incremental computes FlowMetrics online from a stream of packet events,
 // without ever materializing the event list: attach one as the
 // trace.Recorder of a running flow (dataset.RunFlowMetrics does this) and
-// call Finish when the flow ends. The result is identical to running the
-// batch Analyze over the materialized trace of the same stream — equivalence
-// is tested event-for-event on the hostile corpus and on whole campaigns —
-// for any stream that is causally ordered (a transmission's arrival never
-// precedes its send, and no (seq, transmit#) pair is sent twice; every
+// call Finish when the flow ends. It is the package's only analyzer;
+// Analyze replays a materialized trace through it. A test-only whole-trace
+// batch analyzer is its oracle: the two agree event for event on the
+// hostile corpus, on fuzzed streams and on whole campaigns, for any stream
+// that is causally ordered (a transmission's arrival never precedes its
+// send, and no (seq, transmit#) pair is sent twice; every
 // simulator-produced trace satisfies both).
 //
 // Memory is proportional to the flow's sequence-number range (dense
-// per-segment tables, like the batch analyzer) plus the live recovery state,
-// but never to the event count: a metrics-only campaign holds no event
-// slices at all. All internal tables survive Reset, so a pooled Incremental
+// per-segment tables) plus the live recovery state, but never to the event
+// count: a metrics-only campaign holds no event slices at all. All internal
+// tables survive Reset, so a pooled Incremental
 // (AcquireIncremental / Release) analyzes consecutive flows with near-zero
 // steady-state allocation.
 //
@@ -59,9 +64,10 @@ type Incremental struct {
 	rttSum   time.Duration
 	pend     []sendRec
 	pendHead int
-	// delivered doubles as the batch analyzer's firstRecv existence check:
-	// delivered[seq] is true once any arrival of seq has been processed, and
-	// every processed arrival is at or before the stream's current time.
+	// delivered doubles as the spurious-timeout check's "already arrived"
+	// test: delivered[seq] is true once any arrival of seq has been
+	// processed, and every processed arrival is at or before the stream's
+	// current time.
 	delivered []bool
 
 	// phases accumulates recovery phases in order; openPhase indexes the
@@ -79,8 +85,8 @@ type Incremental struct {
 
 	// retxPending maps an in-recovery transmission counted as lost to the
 	// phase that counted it; the arrival of that exact transmission — always
-	// after the send on a causal stream — refunds the loss, reproducing the
-	// batch analyzer's whole-trace "did it ever arrive" lookup.
+	// after the send on a causal stream — refunds the loss, so a phase
+	// counts a retransmission lost only if it never arrives.
 	retxPending map[txKey]int32
 	spurPending []spurCheck
 }
@@ -133,9 +139,8 @@ func (a *Incremental) findPend(seq int64) int {
 
 // Record implements trace.Recorder: it folds one event into the running
 // metrics. Events must arrive in nondecreasing time order; a malformed
-// event latches an error that Finish returns (matching what the batch
-// analyzer's up-front Validate would have reported) and subsequent events
-// are ignored.
+// event latches an error that Finish returns (the error trace.Validate
+// reports for the same event list) and subsequent events are ignored.
 func (a *Incremental) Record(ev trace.Event) {
 	if a.err != nil {
 		return
@@ -213,9 +218,8 @@ func (a *Incremental) Record(ev trace.Event) {
 			a.pend[a.pendHead] = sendRec{}
 			a.pendHead++
 		}
-		// Unlike the batch analyzer, which drops the whole queue with the
-		// trace, a streaming run compacts the evicted prefix so the queue's
-		// footprint tracks the in-flight window, not the flow length.
+		// Compact the evicted prefix so the queue's footprint tracks the
+		// in-flight window, not the flow length.
 		if a.pendHead >= 4096 && a.pendHead >= len(a.pend)/2 {
 			n := copy(a.pend, a.pend[a.pendHead:])
 			a.pend = a.pend[:n]
@@ -283,7 +287,7 @@ func (a *Incremental) pruneSpur(now time.Duration) {
 // Finish closes the flow and returns its metrics — a fresh FlowMetrics that
 // owns all of its memory, so the analyzer can be Reset or Released
 // immediately. It returns the first validation error the stream produced,
-// wrapped exactly as the batch Analyze wraps it.
+// wrapped as "analysis: <trace error>".
 func (a *Incremental) Finish() (*FlowMetrics, error) {
 	if a.err != nil {
 		return nil, fmt.Errorf("analysis: %w", a.err)

@@ -12,17 +12,27 @@ import (
 	"repro/internal/trace"
 )
 
-// replayCheck runs the batch analyzer and a streaming replay of the same
-// trace and fails unless they produce identical metrics — or, for invalid
-// traces, identical error strings.
+// replayCheck runs the test-only batch oracle and a streaming replay of the
+// same trace — both a fresh Incremental and Analyze, which replays through a
+// pooled one — and fails unless they produce identical metrics or, for
+// invalid traces, identical error strings.
 func replayCheck(t *testing.T, ft *trace.FlowTrace) {
 	t.Helper()
-	want, wantErr := Analyze(ft)
+	want, wantErr := batchAnalyze(ft)
 	inc := NewIncremental(ft.Meta)
 	for _, ev := range ft.Events {
 		inc.Record(ev)
 	}
 	got, gotErr := inc.Finish()
+	sameResult(t, want, wantErr, got, gotErr)
+	got, gotErr = Analyze(ft)
+	sameResult(t, want, wantErr, got, gotErr)
+}
+
+// sameResult fails unless the batch oracle's result and a streaming result
+// are identical metrics or identical error text.
+func sameResult(t *testing.T, want *FlowMetrics, wantErr error, got *FlowMetrics, gotErr error) {
+	t.Helper()
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("error mismatch: batch %v, streaming %v", wantErr, gotErr)
 	}
@@ -49,7 +59,7 @@ func TestIncrementalMatchesBatchEmptyTrace(t *testing.T) {
 
 // TestIncrementalMatchesBatchInvalidTraces feeds both analyzers traces that
 // decode fine but violate event invariants; the streaming analyzer must
-// latch exactly the error the batch analyzer's up-front Validate reports.
+// latch exactly the error the batch oracle's up-front Validate reports.
 func TestIncrementalMatchesBatchInvalidTraces(t *testing.T) {
 	meta := trace.FlowMeta{ID: "bad", MSS: 1000, Duration: time.Second}
 	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
@@ -66,6 +76,11 @@ func TestIncrementalMatchesBatchInvalidTraces(t *testing.T) {
 		},
 		"negative ack": {
 			{At: ms(0), Type: trace.EvAckSend, Seq: -1, Ack: -2},
+		},
+		"negative timeout seq": {
+			{At: ms(0), Type: trace.EvDataSend, Seq: 0, Ack: -1, TransmitNo: 1, Cwnd: 1},
+			{At: ms(30), Type: trace.EvDataRecv, Seq: 0, Ack: -1, TransmitNo: 1},
+			{At: ms(400), Type: trace.EvTimeout, Seq: -1, Ack: -1},
 		},
 		"invalid mid-stream": {
 			{At: ms(0), Type: trace.EvDataSend, Seq: 0, Ack: -1, TransmitNo: 1, Cwnd: 2},
@@ -140,7 +155,7 @@ func TestIncrementalPoolReuse(t *testing.T) {
 			{At: ms(461), Type: trace.EvRecovered, Seq: -1, Ack: 5},
 		},
 	}
-	want, err := Analyze(second)
+	want, err := batchAnalyze(second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +235,11 @@ func TestSeqTableGrowth(t *testing.T) {
 	}
 }
 
-// TestIncrementalSparseHighSequence is the regression test for the grow
-// policy end to end: a trace whose sequence numbers jump to five million
-// must analyze identically in both pipelines and must not pin more than
-// need+slack table capacity in the streaming analyzer.
+// TestIncrementalSparseHighSequence feeds a trace whose sequence numbers
+// jump to five million after four events. No causal capture or excerpt
+// looks like that, so trace validation rejects the jump: the batch oracle,
+// Analyze and a fresh Incremental must all report the same error, and the
+// streaming analyzer must not have grown its delivered table for it.
 func TestIncrementalSparseHighSequence(t *testing.T) {
 	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
 	const high = 5_000_000
@@ -246,10 +262,48 @@ func TestIncrementalSparseHighSequence(t *testing.T) {
 	for _, ev := range ft.Events {
 		inc.Record(ev)
 	}
-	if _, err := inc.Finish(); err != nil {
-		t.Fatal(err)
+	_, err := inc.Finish()
+	if err == nil || !strings.Contains(err.Error(), "event 4 (data-send) has seq 5000000") {
+		t.Fatalf("Finish error = %v, want the seq jump at event 4 rejected", err)
 	}
-	if got, max := cap(inc.delivered), high+1+seqTableSlackCap; got > max {
-		t.Errorf("delivered table cap %d after sparse flow, want <= %d", got, max)
+	if got := cap(inc.delivered); got > 1 {
+		t.Errorf("delivered table cap %d after a rejected jump, want <= 1", got)
+	}
+}
+
+// TestAnalyzeRejectsSeqFarBeyondIndex is the out-of-memory regression: a
+// one-event trace whose data arrival claims sequence number 2^36 used to
+// make the analyzer allocate a 2^36-entry table. Trace validation now
+// rejects it, and Analyze and Incremental must report the same error
+// without allocating any per-sequence table.
+func TestAnalyzeRejectsSeqFarBeyondIndex(t *testing.T) {
+	ft := &trace.FlowTrace{
+		Meta: trace.FlowMeta{ID: "huge-seq", MSS: 1000, Duration: time.Second},
+		Events: []trace.Event{
+			{At: time.Millisecond, Type: trace.EvDataRecv, Seq: 1 << 36, Ack: -1, TransmitNo: 1},
+		},
+	}
+	_, aerr := Analyze(ft)
+	if aerr == nil {
+		t.Fatal("Analyze accepted a data arrival at seq 2^36 as event 0")
+	}
+	inc := NewIncremental(ft.Meta)
+	inc.Record(ft.Events[0])
+	_, ierr := inc.Finish()
+	if ierr == nil || ierr.Error() != aerr.Error() {
+		t.Fatalf("Incremental error %v, Analyze error %v: want identical", ierr, aerr)
+	}
+	if cap(inc.delivered) != 0 {
+		t.Errorf("delivered table cap %d, want 0: the rejected event reached the analyzer", cap(inc.delivered))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Analyze(ft); err == nil {
+			t.Fatal("accepted")
+		}
+	})
+	// The error itself costs a handful of small allocations; a per-sequence
+	// table for 2^36 segments would not fit in memory at all.
+	if allocs > 16 {
+		t.Errorf("rejecting the trace took %v allocs, want a handful", allocs)
 	}
 }

@@ -19,8 +19,10 @@ func (s span) contains(t time.Duration) bool { return t >= s.start && t < s.end 
 // Channel is the time-varying radio channel seen by one flow: given the
 // operator profile, the trip, and the offset of the flow's start within the
 // trip, it precomputes the handoff outages and coverage-gap windows the flow
-// will traverse and exposes loss probabilities and delay inflation as
-// functions of flow-local virtual time.
+// will traverse, compiles them into a segment timeline, and exposes loss
+// probabilities and delay inflation as functions of flow-local virtual time
+// through the timeline cursors (DataLossCursor, AckLossCursor,
+// DelayCursor).
 //
 // All randomness (handoff durations, gap placement) is drawn once at
 // construction from the supplied rng, so a Channel is deterministic
@@ -31,8 +33,8 @@ type Channel struct {
 	geo        railway.Geometry // trip kinematics compiled once (bit-identical to trip methods)
 	tripOffset time.Duration
 
-	handoffs []span // flow-local time, sorted
-	gaps     []span // flow-local time, sorted
+	handoffs []span // flow-local time, sorted; compile input
+	gaps     []span // flow-local time, sorted; compile input
 
 	timeline []tlSeg // compiled piecewise-constant view of the spans above
 	gen      uint64  // bumped on every compile; cursors re-sync on mismatch
@@ -221,16 +223,9 @@ func (c *Channel) AddOutages(outages []Outage) {
 	c.compile()
 }
 
-// InHandoff reports whether flow time t falls inside a handoff outage.
-func (c *Channel) InHandoff(t time.Duration) bool { return inSpans(c.handoffs, t) }
-
-// InGap reports whether flow time t falls inside a coverage gap.
-func (c *Channel) InGap(t time.Duration) bool { return inSpans(c.gaps, t) }
-
 // spanBefore returns the index of the last span starting at or before t, or
-// -1. It is an open-coded binary search: the per-packet loss and delay
-// lookups call it several times per packet, and sort.Search's func argument
-// would put a closure construction on that hot path.
+// -1. compile calls it for every timeline boundary; it is open-coded
+// because sort.Search's func argument would construct a closure per call.
 func spanBefore(spans []span, t time.Duration) int {
 	lo, hi := 0, len(spans)
 	for lo < hi {
@@ -248,77 +243,6 @@ func spanBefore(spans []span, t time.Duration) int {
 func inSpans(spans []span, t time.Duration) bool {
 	i := spanBefore(spans, t)
 	return i >= 0 && spans[i].contains(t)
-}
-
-// HandoffCount returns the number of handoffs within the precomputed horizon.
-func (c *Channel) HandoffCount() int { return len(c.handoffs) }
-
-// DataLossProb returns the downlink (data) loss probability for a packet
-// whose whole transit happens at flow time t. It is the single-epoch view
-// of DataTransitProb, kept for channel inspection and plotting.
-func (c *Channel) DataLossProb(t time.Duration) float64 {
-	return c.DataTransitProb(t, t)
-}
-
-// DataTransitProb returns the downlink loss probability for a packet sent
-// at flow time sent and arriving at flow time arrival. A packet sent while
-// the bearer is down is a retransmission probe and faces HandoffProbeLoss;
-// one that was already in flight and arrives into the outage faces
-// HandoffDataLoss (partial flush of the old cell's queue).
-func (c *Channel) DataTransitProb(sent, arrival time.Duration) float64 {
-	p := c.op.BaseDataLoss + c.op.SpeedDataLoss*c.speedFraction(sent)
-	switch {
-	case c.InHandoff(sent):
-		p += c.op.HandoffProbeLoss
-	case c.InHandoff(arrival):
-		p += c.op.HandoffDataLoss
-	}
-	if c.InGap(sent) {
-		p += c.op.GapLoss
-	}
-	return clampProb(p)
-}
-
-// AckLossProb returns the uplink (ACK) loss probability at flow time t —
-// the single-epoch view of AckTransitProb.
-func (c *Channel) AckLossProb(t time.Duration) float64 {
-	return c.AckTransitProb(t, t)
-}
-
-// AckTransitProb returns the uplink loss probability for an ACK sent at
-// flow time sent. The radio segment sits at the start of an ACK's journey
-// (the phone), so only the sent epoch matters.
-func (c *Channel) AckTransitProb(sent, _ time.Duration) float64 {
-	p := c.op.BaseAckLoss + c.op.SpeedAckLoss*c.speedFraction(sent)
-	if c.InHandoff(sent) {
-		p += c.op.HandoffAckLoss
-	}
-	if c.InGap(sent) {
-		p += c.op.GapLoss
-	}
-	return clampProb(p)
-}
-
-// ExtraDelay returns the one-way delay inflation at flow time t. During a
-// handoff the radio bearer is interrupted and the link layer buffers
-// traffic: a packet entering the link mid-outage is held until the outage
-// ends (plus the handoff signalling cost). This buffering is what turns
-// handoffs into spurious retransmission timeouts — the original packets are
-// not lost, they arrive after the sender's RTO has already fired.
-func (c *Channel) ExtraDelay(t time.Duration) time.Duration {
-	if rem := c.handoffRemaining(t); rem > 0 {
-		return rem + c.op.HandoffDelay
-	}
-	return 0
-}
-
-// handoffRemaining returns how much of the surrounding handoff outage is
-// left at flow time t, or 0 when t is outside any outage.
-func (c *Channel) handoffRemaining(t time.Duration) time.Duration {
-	if i := spanBefore(c.handoffs, t); i >= 0 && c.handoffs[i].contains(t) {
-		return c.handoffs[i].end - t
-	}
-	return 0
 }
 
 // Operator returns the profile this channel was built from.

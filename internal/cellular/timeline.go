@@ -3,8 +3,8 @@ package cellular
 import "time"
 
 // This file holds the compiled channel timeline: the piecewise-constant view
-// of the channel that the per-packet hot path queries instead of binary
-// searching the handoff and gap span lists on every lookup.
+// of the channel that every per-packet loss and delay lookup queries. The
+// handoff and gap span lists are only its compile input.
 //
 // At construction (and again after AddOutages) the channel compiles its
 // handoff spans, gap spans, and the trip's speed-phase breakpoints into one
@@ -13,8 +13,8 @@ import "time"
 // and — whenever the train speed is constant over the segment (cruise,
 // stationary, or past the end of the trip) — the loss probabilities are
 // fully precomputed at compile time using the exact same sequence of
-// floating-point operations as the span-based DataTransitProb /
-// AckTransitProb, so a timeline answer is bit-identical to the legacy one.
+// floating-point operations as the per-query evaluation in dataProbAt /
+// ackProbAt, so a precomputed answer is bit-identical to an evaluated one.
 // Accel/decel segments only pin the handoff/gap flags and evaluate the
 // speed-dependent term per query through the railway.Geometry memo (which is
 // itself the single implementation behind Trip.SpeedKmh).
@@ -190,10 +190,10 @@ func speedFrac(v float64) float64 {
 }
 
 // precomputeProbs fills the segment's loss probabilities, replicating the
-// exact floating-point operation order of DataTransitProb/AckTransitProb:
-// p := Base + Speed*f, then += the handoff term, then += the gap term, then
-// clamp. Associativity is not assumed anywhere — each variant repeats the
-// same left-to-right additions the per-packet code performs.
+// exact floating-point operation order of the per-query path in dataProbAt
+// and ackProbAt: p := Base + Speed*f, then += the handoff term, then += the
+// gap term, then clamp. Associativity is not assumed anywhere — each variant
+// repeats the same left-to-right additions the per-query code performs.
 func (c *Channel) precomputeProbs(s *tlSeg) {
 	base := c.op.BaseDataLoss + c.op.SpeedDataLoss*s.speedF
 	probe := base + c.op.HandoffProbeLoss
@@ -278,8 +278,8 @@ func (cur *tlCursor) seg(t time.Duration) *tlSeg {
 
 // dataProbAt evaluates the downlink transit loss probability given the
 // already-resolved sent segment, deferring the arrival lookup to the
-// supplied function so the arrival cursor only moves when the legacy code
-// would actually have consulted the arrival spans.
+// supplied function so the arrival cursor only moves when the answer
+// depends on it (the packet was not sent into an outage).
 func (c *Channel) dataProbAt(ss *tlSeg, sent time.Duration, arrivalSeg func() *tlSeg) float64 {
 	if ss.constSpeed {
 		if ss.inHandoff {
@@ -330,11 +330,14 @@ func (c *Channel) extraDelayAt(s *tlSeg, t time.Duration) time.Duration {
 	return 0
 }
 
-// DataLossCursor returns a cursor-backed equivalent of DataTransitProb for
-// one flow direction: bit-identical answers, O(1) amortized lookups. The
-// sent and arrival time series each get their own cursor (arrivals jitter,
-// so they fall back to binary search occasionally; sent times are
-// nondecreasing).
+// DataLossCursor returns the downlink loss probability of a packet sent at
+// flow time sent and arriving at flow time arrival, for one flow direction.
+// A packet sent while the bearer is down is a retransmission probe and faces
+// HandoffProbeLoss; one that was already in flight and arrives into the
+// outage faces HandoffDataLoss (partial flush of the old cell's queue).
+// Lookups are O(1) amortized: the sent and arrival time series each get
+// their own cursor (arrivals jitter, so they fall back to binary search
+// occasionally; sent times are nondecreasing).
 func (c *Channel) DataLossCursor() func(sent, arrival time.Duration) float64 {
 	sc := &tlCursor{c: c}
 	ac := &tlCursor{c: c}
@@ -343,7 +346,9 @@ func (c *Channel) DataLossCursor() func(sent, arrival time.Duration) float64 {
 	}
 }
 
-// AckLossCursor returns a cursor-backed equivalent of AckTransitProb.
+// AckLossCursor returns the uplink loss probability of an ACK sent at flow
+// time sent. The radio segment sits at the start of an ACK's journey (the
+// phone), so only the sent epoch matters.
 func (c *Channel) AckLossCursor() func(sent, arrival time.Duration) float64 {
 	sc := &tlCursor{c: c}
 	return func(sent, _ time.Duration) float64 {
@@ -351,41 +356,15 @@ func (c *Channel) AckLossCursor() func(sent, arrival time.Duration) float64 {
 	}
 }
 
-// DelayCursor returns a cursor-backed equivalent of ExtraDelay.
+// DelayCursor returns the one-way delay inflation at flow time t. During a
+// handoff the radio bearer is interrupted and the link layer buffers
+// traffic: a packet entering the link mid-outage is held until the outage
+// ends (plus the handoff signalling cost). This buffering is what turns
+// handoffs into spurious retransmission timeouts — the original packets are
+// not lost, they arrive after the sender's RTO has already fired.
 func (c *Channel) DelayCursor() func(t time.Duration) time.Duration {
 	cur := &tlCursor{c: c}
 	return func(t time.Duration) time.Duration {
 		return c.extraDelayAt(cur.seg(t), t)
 	}
 }
-
-// TimelinePoint is the channel state at one instant, as answered by the
-// compiled timeline. DataLossProb/AckLossProb take the single-epoch view
-// (sent == arrival), matching Channel.DataLossProb/AckLossProb.
-type TimelinePoint struct {
-	InHandoff    bool
-	InGap        bool
-	DataLossProb float64
-	AckLossProb  float64
-	ExtraDelay   time.Duration
-}
-
-// TimelineAt answers the channel state at flow time t from the compiled
-// timeline with a stateless binary search (no cursor). It is the
-// inspection/verification surface: TimelineAt(t) must agree exactly with
-// the legacy span-based InHandoff/InGap/DataLossProb/AckLossProb/ExtraDelay
-// for every t, which the property and fuzz tests assert.
-func (c *Channel) TimelineAt(t time.Duration) TimelinePoint {
-	cur := tlCursor{c: c, gen: c.gen}
-	s := cur.seg(t)
-	return TimelinePoint{
-		InHandoff:    s.inHandoff && t >= 0,
-		InGap:        s.inGap && t >= 0,
-		DataLossProb: c.dataProbAt(s, t, func() *tlSeg { return s }),
-		AckLossProb:  c.ackProbAt(s, t),
-		ExtraDelay:   c.extraDelayAt(s, t),
-	}
-}
-
-// TimelineSegments returns the number of segments in the compiled timeline.
-func (c *Channel) TimelineSegments() int { return len(c.timeline) }

@@ -71,10 +71,6 @@ type CampaignConfig struct {
 	// contribute nothing to the Telemetry campaign totals (the cache's own
 	// hit/miss counters record them).
 	Cache *FlowCache
-	// Materialize forces the legacy materialize-then-analyze pipeline (full
-	// event list, batch analyzer) instead of the streaming analyzer, for
-	// byte-identity cross-checks; it bypasses the cache.
-	Materialize bool
 	// Telemetry, when non-nil, aggregates every flow's telemetry bundle into
 	// campaign totals. Flows are merged in campaign order after the parallel
 	// phase completes, so the totals (including float distributions) are
@@ -291,22 +287,14 @@ func RunFlowFull(sc Scenario) (CachedFlow, error) {
 }
 
 // runCampaignFlow produces one campaign flow's metrics through the
-// configured pipeline: cache lookup first (unless materializing), then the
-// streaming (or legacy materialized) simulation, then cache write-back.
+// configured pipeline: cache lookup first, then the streaming simulation,
+// then cache write-back.
 // Concurrent campaigns sharing one cache deduplicate identical misses
 // through FlowCache.GetOrCompute: the flow simulates once, everyone shares
 // the result. hit reports whether the result came from the cache or another
 // worker's in-flight simulation (either way, this call simulated nothing
 // itself, so its telemetry bundle stays empty).
 func runCampaignFlow(cfg CampaignConfig, sc Scenario) (m *analysis.FlowMetrics, hit bool, err error) {
-	if cfg.Materialize {
-		ft, _, err := RunFlow(sc)
-		if err != nil {
-			return nil, false, err
-		}
-		m, err = analysis.Analyze(ft)
-		return m, false, err
-	}
 	if cfg.Cache != nil {
 		ent, shared, err := cfg.Cache.GetOrCompute(sc, func() (CachedFlow, error) {
 			m, st, err := RunFlowMetrics(sc)

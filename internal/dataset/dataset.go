@@ -84,9 +84,8 @@ func BuildPath(simulator *sim.Simulator, sc Scenario) (*netem.Path, *cellular.Ch
 		ch.AddOutages(sc.Faults.StormOutages(sc.Seed))
 	}
 	op := sc.Operator
-	// Each per-packet consumer gets its own timeline cursor (bit-identical
-	// to the span-based Channel methods, O(1) amortized for the mostly
-	// monotone query series a flow produces).
+	// Each per-packet consumer gets its own timeline cursor (O(1) amortized
+	// for the mostly monotone query series a flow produces).
 	dataLoss := netem.LossModel(netem.NewTransitLossFunc(ch.DataLossCursor(), sim.NewRand(sc.Seed, sim.StreamDataLoss)))
 	ackLoss := netem.LossModel(netem.NewTransitLossFunc(ch.AckLossCursor(), sim.NewRand(sc.Seed, sim.StreamAckLoss)))
 	fwdDelay := netem.DelayModel(netem.NewSumDelay(
@@ -342,17 +341,11 @@ func AnalyzeFlow(sc Scenario) (*analysis.FlowMetrics, error) {
 }
 
 // RunOptions selects how a flow's metrics are produced: through the result
-// cache (skip simulation on a hit, populate on a miss), and through which
-// analysis pipeline.
+// cache (skip simulation on a hit, populate on a miss) or by simulating.
 type RunOptions struct {
 	// Cache, when non-nil, is consulted before simulating and populated
 	// after; nil always simulates.
 	Cache *FlowCache
-	// Materialize forces the legacy materialize-then-analyze path (the full
-	// event list is built and handed to the batch analyzer). It exists to
-	// cross-check the streaming pipeline — output must be byte-identical —
-	// and bypasses the cache entirely.
-	Materialize bool
 }
 
 // AnalyzeFlowOpts is AnalyzeFlow with pipeline options. Cache hits skip the
@@ -360,13 +353,6 @@ type RunOptions struct {
 // untouched, since no simulation work happened (the cache's own counters
 // record the hit).
 func AnalyzeFlowOpts(opt RunOptions, sc Scenario) (*analysis.FlowMetrics, error) {
-	if opt.Materialize {
-		ft, _, err := RunFlow(sc)
-		if err != nil {
-			return nil, err
-		}
-		return analysis.Analyze(ft)
-	}
 	if opt.Cache != nil {
 		// GetOrCompute additionally deduplicates concurrent misses of the
 		// same key (e.g. identical jobs racing in a server): the flow

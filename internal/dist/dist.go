@@ -349,12 +349,8 @@ func (c *Coordinator) complete(r *run, u *unit, flows []serve.UnitFlow, err erro
 // results and telemetry (merged in global flow order) are byte-identical in
 // the Counters() sense to dataset.RunCampaign without a cache — every flow
 // simulates exactly once logically, wherever it physically ran, and
-// wall-clock resource fields are host measurements by design. Materialize
-// runs are a local cross-check pipeline and stay local.
+// wall-clock resource fields are host measurements by design.
 func (c *Coordinator) RunCampaign(cfg dataset.CampaignConfig) (*dataset.Campaign, error) {
-	if cfg.Materialize {
-		return dataset.RunCampaign(cfg)
-	}
 	plan, err := dataset.PlanCampaign(cfg)
 	if err != nil {
 		return nil, err

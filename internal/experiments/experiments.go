@@ -56,10 +56,6 @@ type Config struct {
 	// afterwards (hsrbench -cache). Results are bit-identical either way;
 	// a warm cache only changes the wall clock.
 	Cache *dataset.FlowCache
-	// Materialize forces the legacy materialize-then-analyze flow pipeline
-	// everywhere, for byte-identity cross-checks against the streaming
-	// default; it bypasses the cache.
-	Materialize bool
 	// Telemetry, when non-nil, aggregates telemetry from both shared
 	// campaigns (HSR and stationary) into one collector; totals are
 	// deterministic for a given seed at any Parallelism.
@@ -186,7 +182,7 @@ func NewContextWith(ctx context.Context, cfg Config) (*Context, error) {
 		Seed: cfg.Seed, FlowDuration: cfg.FlowDuration,
 		FlowsPerRow: cfg.FlowsPerRow, Parallelism: cfg.Parallelism,
 		Ctx: ctx, Telemetry: cfg.Telemetry, Progress: cfg.Progress,
-		Cache: cfg.Cache, Materialize: cfg.Materialize,
+		Cache: cfg.Cache,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: hsr campaign: %w", err)
@@ -195,7 +191,7 @@ func NewContextWith(ctx context.Context, cfg Config) (*Context, error) {
 		Seed: cfg.Seed + 5000, FlowDuration: cfg.FlowDuration,
 		FlowsPerRow: cfg.FlowsPerRow, Parallelism: cfg.Parallelism,
 		Stationary: true, Ctx: ctx, Telemetry: cfg.Telemetry, Progress: cfg.Progress,
-		Cache: cfg.Cache, Materialize: cfg.Materialize,
+		Cache: cfg.Cache,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: stationary campaign: %w", err)
@@ -206,11 +202,9 @@ func NewContextWith(ctx context.Context, cfg Config) (*Context, error) {
 // defaultTCP returns the endpoint configuration experiments use.
 func defaultTCP() tcp.Config { return tcp.DefaultConfig() }
 
-// analyzeFlow reduces one scenario to metrics through the configured
-// pipeline: the shared result cache (if any) and either the streaming
-// analyzer (default) or the materialized cross-check path. Every
-// metrics-only sweep funnels through here so -cache and -materialize
-// apply uniformly.
+// analyzeFlow reduces one scenario to metrics through the shared result
+// cache (if any) and the streaming analyzer. Every metrics-only sweep
+// funnels through here so -cache applies uniformly.
 func (c Config) analyzeFlow(sc dataset.Scenario) (*analysis.FlowMetrics, error) {
-	return dataset.AnalyzeFlowOpts(dataset.RunOptions{Cache: c.Cache, Materialize: c.Materialize}, sc)
+	return dataset.AnalyzeFlowOpts(dataset.RunOptions{Cache: c.Cache}, sc)
 }

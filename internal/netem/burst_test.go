@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -19,11 +20,105 @@ type burstRun struct {
 	rngTail    [8]int64
 }
 
+// scalarBurst is the per-packet sampler, the test oracle for
+// FuzzBurstSampling: it resolves each packet's queue admission, delay draw
+// and loss draw when that packet is sent, where prime samples them all up
+// front.
+type scalarBurst struct {
+	l      *Link
+	now    time.Duration
+	size   int
+	txTime time.Duration // resolved on first send; 0 while unresolved or rate-unlimited
+}
+
+func (b *scalarBurst) send(deliver Handler) (bool, DropKind) {
+	l := b.l
+	now := b.now
+	if l.simulator.Now() != now {
+		panic(fmt.Sprintf("netem: Burst begun at %v used at %v", now, l.simulator.Now()))
+	}
+	l.stats.Offered++
+
+	departure := now
+	if l.cfg.Rate > 0 {
+		txTime := b.txTime
+		if txTime == 0 {
+			// First packet of the burst: resolve the effective line rate at
+			// this instant. RateScale is a pure function of virtual time, so
+			// one evaluation serves the whole burst.
+			rate := l.cfg.Rate
+			if l.cfg.RateScale != nil {
+				f := l.cfg.RateScale(now)
+				if f < minRateScale {
+					f = minRateScale
+				}
+				rate *= f
+			}
+			txTime = time.Duration(float64(b.size*8) / rate * float64(time.Second))
+			if txTime <= 0 {
+				txTime = time.Nanosecond
+			}
+			b.txTime = txTime
+		}
+		start := now
+		if l.nextFree > start {
+			start = l.nextFree
+		}
+		if l.cfg.MaxQueue > 0 {
+			// backlog counts packets ahead of this one (including the one in
+			// service); only the waiting ones occupy queue slots.
+			backlog := int((start - now) / txTime)
+			if backlog > l.stats.PeakBacklog {
+				l.stats.PeakBacklog = backlog
+			}
+			if backlog > l.cfg.MaxQueue {
+				l.stats.QueueDrops++
+				return false, DropQueue
+			}
+		}
+		departure = start + txTime
+		l.nextFree = departure
+	}
+
+	// The arrival epoch (before FIFO clamping) is computed first so the loss
+	// model can expose the packet to the channel conditions of both transit
+	// ends; the model is consulted once per packet so burst-state evolution
+	// stays per-packet.
+	arrival := departure + l.cfg.Delay.Sample(now)
+	if l.cfg.Loss.Drop(now, arrival) {
+		l.stats.ChannelDrops++
+		return false, DropChannel
+	}
+	if arrival < l.lastDelivery {
+		arrival = l.lastDelivery // preserve FIFO delivery
+	}
+	l.lastDelivery = arrival
+	ev := l.free
+	if ev == nil {
+		ev = &linkEvent{l: l}
+	} else {
+		l.free = ev.next
+		ev.next = nil
+	}
+	ev.deliver = deliver
+	l.simulator.AtFire(arrival, ev)
+	return true, 0
+}
+
+// submitMode selects how runBurstSchedule offers each burst's packets.
+type submitMode int
+
+const (
+	submitOracle  submitMode = iota // scalarBurst, the per-packet oracle
+	submitPrimed                    // one BeginBurstN per burst
+	submitPerSend                   // n one-packet Link.Send calls
+)
+
 // runBurstSchedule executes bursts of the given sizes back to back on a
-// fresh link, advancing virtual time between bursts. vectorized selects
-// BeginBurstN vs the scalar BeginBurst + n Sends.
+// fresh link, advancing virtual time between bursts, submitting each burst
+// as mode selects.
 func runBurstSchedule(seed int64, rate float64, maxQueue int, jitter time.Duration,
-	lossP float64, counts []int, vectorized bool) burstRun {
+	lossP float64, counts []int, mode submitMode) burstRun {
 
 	s := sim.New()
 	delayRng := rand.New(rand.NewSource(seed))
@@ -50,16 +145,25 @@ func runBurstSchedule(seed int64, rate float64, maxQueue int, jitter time.Durati
 		at += 10 * time.Millisecond
 		n := n
 		s.At(at, func() {
+			oracle := scalarBurst{l: l, now: s.Now(), size: 1400}
 			var b Burst
-			if vectorized {
+			if mode == submitPrimed {
 				b = l.BeginBurstN(1400, n)
-			} else {
-				b = l.BeginBurst(1400)
 			}
 			for i := 0; i < n; i++ {
-				ok, kind := b.Send(HandlerFunc(func() {
+				h := HandlerFunc(func() {
 					run.deliveries = append(run.deliveries, s.Now())
-				}))
+				})
+				var ok bool
+				var kind DropKind
+				switch mode {
+				case submitOracle:
+					ok, kind = oracle.send(h)
+				case submitPrimed:
+					ok, kind = b.Send(h)
+				case submitPerSend:
+					ok, kind = l.Send(1400, h)
+				}
 				if ok {
 					kind = 0
 				}
@@ -75,46 +179,54 @@ func runBurstSchedule(seed int64, rate float64, maxQueue int, jitter time.Durati
 	return run
 }
 
-func diffBurstRuns(t *testing.T, scalar, vector burstRun) {
+// diffBurstRuns fails unless two runs of one schedule are observably
+// identical; the vector counters are exempt, since only BeginBurstN accrues
+// them.
+func diffBurstRuns(t *testing.T, oracle, got burstRun) {
 	t.Helper()
-	if len(scalar.verdicts) != len(vector.verdicts) {
-		t.Fatalf("verdict counts differ: scalar %d, vector %d", len(scalar.verdicts), len(vector.verdicts))
+	if len(oracle.verdicts) != len(got.verdicts) {
+		t.Fatalf("verdict counts differ: oracle %d, got %d", len(oracle.verdicts), len(got.verdicts))
 	}
-	for i := range scalar.verdicts {
-		if scalar.verdicts[i] != vector.verdicts[i] {
-			t.Fatalf("packet %d verdict: scalar %v, vector %v", i, scalar.verdicts[i], vector.verdicts[i])
+	for i := range oracle.verdicts {
+		if oracle.verdicts[i] != got.verdicts[i] {
+			t.Fatalf("packet %d verdict: oracle %v, got %v", i, oracle.verdicts[i], got.verdicts[i])
 		}
 	}
-	if len(scalar.deliveries) != len(vector.deliveries) {
-		t.Fatalf("delivery counts differ: scalar %d, vector %d", len(scalar.deliveries), len(vector.deliveries))
+	if len(oracle.deliveries) != len(got.deliveries) {
+		t.Fatalf("delivery counts differ: oracle %d, got %d", len(oracle.deliveries), len(got.deliveries))
 	}
-	for i := range scalar.deliveries {
-		if scalar.deliveries[i] != vector.deliveries[i] {
-			t.Fatalf("delivery %d at %v scalar vs %v vector", i, scalar.deliveries[i], vector.deliveries[i])
+	for i := range oracle.deliveries {
+		if oracle.deliveries[i] != got.deliveries[i] {
+			t.Fatalf("delivery %d at %v oracle vs %v got", i, oracle.deliveries[i], got.deliveries[i])
 		}
 	}
-	// Stats must match except the vector counters, which only the
-	// vectorized run accrues.
-	sv, vv := scalar.stats, vector.stats
-	sv.VectorBursts, sv.VectorPackets = 0, 0
-	vv.VectorBursts, vv.VectorPackets = 0, 0
-	if sv != vv {
-		t.Fatalf("stats differ: scalar %+v, vector %+v", sv, vv)
+	ov, gv := oracle.stats, got.stats
+	ov.VectorBursts, ov.VectorPackets = 0, 0
+	gv.VectorBursts, gv.VectorPackets = 0, 0
+	if ov != gv {
+		t.Fatalf("stats differ: oracle %+v, got %+v", ov, gv)
 	}
-	if scalar.rngTail != vector.rngTail {
-		t.Fatalf("RNG state diverged: scalar tail %v, vector tail %v", scalar.rngTail, vector.rngTail)
+	if oracle.rngTail != got.rngTail {
+		t.Fatalf("RNG state diverged: oracle tail %v, got tail %v", oracle.rngTail, got.rngTail)
 	}
 }
 
 // TestBurstVectorizedMatchesScalar pins the headline contract on a fixed
-// schedule mixing queue pressure, jitter, and loss.
+// schedule mixing queue pressure, jitter, and loss: BeginBurstN and
+// per-packet Link.Send both match the per-packet oracle, and only
+// BeginBurstN moves the vector counters.
 func TestBurstVectorizedMatchesScalar(t *testing.T) {
 	counts := []int{1, 4, 28, 2, 16, 0, 9, 28, 28, 3}
-	scalar := runBurstSchedule(7, 50e6, 8, 3*time.Millisecond, 0.3, counts, false)
-	vector := runBurstSchedule(7, 50e6, 8, 3*time.Millisecond, 0.3, counts, true)
+	scalar := runBurstSchedule(7, 50e6, 8, 3*time.Millisecond, 0.3, counts, submitOracle)
+	vector := runBurstSchedule(7, 50e6, 8, 3*time.Millisecond, 0.3, counts, submitPrimed)
+	perSend := runBurstSchedule(7, 50e6, 8, 3*time.Millisecond, 0.3, counts, submitPerSend)
 	diffBurstRuns(t, scalar, vector)
+	diffBurstRuns(t, scalar, perSend)
 	if vector.stats.VectorBursts == 0 || vector.stats.VectorPackets == 0 {
 		t.Fatalf("vector counters did not move: %+v", vector.stats)
+	}
+	if perSend.stats.VectorBursts != 0 || perSend.stats.VectorPackets != 0 {
+		t.Fatalf("Link.Send moved the vector counters: %+v", perSend.stats)
 	}
 }
 
@@ -128,10 +240,10 @@ func TestBurstUnderconsumedPanics(t *testing.T) {
 	b.Send(HandlerFunc(func() {}))
 	defer func() {
 		if recover() == nil {
-			t.Fatal("BeginBurst after underconsumed vectorized burst did not panic")
+			t.Fatal("Link.Send after underconsumed vectorized burst did not panic")
 		}
 	}()
-	l.BeginBurst(1000)
+	l.Send(1000, HandlerFunc(func() {}))
 }
 
 // TestBurstOverconsumedPanics: the (n+1)th Send on a vectorized burst must
@@ -179,11 +291,12 @@ func TestBurstPrimedZeroAlloc(t *testing.T) {
 	}
 }
 
-// FuzzBurstSampling is the differential target for burst vectorization: a
-// fuzzed link shape and burst schedule is run through the scalar and the
-// vectorized submission paths, and every observable — per-packet verdicts,
-// delivery times, final stats, and the RNG stream positions afterwards —
-// must match exactly. Run in CI's fuzz smoke step.
+// FuzzBurstSampling is the differential target for burst priming: a fuzzed
+// link shape and burst schedule is run through the test-only per-packet
+// oracle, through BeginBurstN, and through one-packet Link.Send calls, and
+// every observable — per-packet verdicts, delivery times, final stats, and
+// the RNG stream positions afterwards — must match exactly. Run in CI's
+// fuzz smoke step.
 func FuzzBurstSampling(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint16(0), uint16(300), []byte{1, 4, 28})
 	f.Add(int64(9), uint8(50), uint8(8), uint16(3000), uint16(900), []byte{28, 0, 2, 28, 16})
@@ -205,8 +318,10 @@ func FuzzBurstSampling(f *testing.F) {
 		}
 		jitter := time.Duration(jitterUS) * time.Microsecond
 		lossP := float64(lossPM%1001) / 1000
-		scalar := runBurstSchedule(seed, rate, int(maxQueue), jitter, lossP, counts, false)
-		vector := runBurstSchedule(seed, rate, int(maxQueue), jitter, lossP, counts, true)
+		scalar := runBurstSchedule(seed, rate, int(maxQueue), jitter, lossP, counts, submitOracle)
+		vector := runBurstSchedule(seed, rate, int(maxQueue), jitter, lossP, counts, submitPrimed)
+		perSend := runBurstSchedule(seed, rate, int(maxQueue), jitter, lossP, counts, submitPerSend)
 		diffBurstRuns(t, scalar, vector)
+		diffBurstRuns(t, scalar, perSend)
 	})
 }

@@ -14,9 +14,9 @@ import (
 // channel (queue tail drops never sample), in submission order, with the
 // packet's entry epoch as now. Time-invariant models may ignore now, but
 // models that consume randomness must draw the same RNG sequence regardless
-// of its value — the vectorized burst path (Link.BeginBurstN) replays the
-// per-packet call sequence verbatim and the FuzzBurstSampling differential
-// target asserts draw-order stability against the scalar path.
+// of its value — a primed burst (Link.BeginBurstN) samples a whole burst at
+// one instant and the FuzzBurstSampling differential target asserts
+// draw-order stability against a test-only per-packet sampler.
 type DelayModel interface {
 	Sample(now time.Duration) time.Duration
 }

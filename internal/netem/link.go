@@ -110,11 +110,14 @@ type Link struct {
 	lastDelivery time.Duration // monotone delivery horizon (no reordering)
 	free         *linkEvent    // pooled in-flight delivery events
 
-	scratch     []burstOutcome // reused vectorized-burst outcome buffer
+	scratch     []burstOutcome // reused primed-burst outcome buffer
 	scratchLive int            // primed outcomes not yet consumed by Send
+	// one backs scratch until a burst needs more room, so a link that only
+	// ever sends one packet at a time (an ACK path) allocates no buffer.
+	one [1]burstOutcome
 }
 
-// burstOutcome is the precomputed fate of one packet of a vectorized burst:
+// burstOutcome is the precomputed fate of one packet of a primed burst:
 // its drop verdict and, for survivors, the pre-FIFO-clamp arrival epoch.
 type burstOutcome struct {
 	arrival time.Duration
@@ -154,7 +157,9 @@ func NewLink(simulator *sim.Simulator, cfg LinkConfig) *Link {
 	if cfg.Loss == nil {
 		cfg.Loss = NoLoss{}
 	}
-	return &Link{simulator: simulator, cfg: cfg}
+	l := &Link{simulator: simulator, cfg: cfg}
+	l.scratch = l.one[:]
+	return l
 }
 
 // Stats returns a copy of the link's counters.
@@ -175,58 +180,63 @@ func (l *Link) QueueDepth() time.Duration {
 // and Send returns (delivered-eventually=true, 0). Otherwise deliver is
 // never called and Send reports the drop cause. The caller observes drops
 // synchronously, which the trace recorder uses to log ground-truth losses.
+// It is a one-packet primed burst: the link has a single sampler.
 func (l *Link) Send(size int, deliver Handler) (bool, DropKind) {
-	b := l.BeginBurst(size)
+	if deliver == nil {
+		panic("netem: Send with nil deliver callback")
+	}
+	b := l.prime(size, 1)
 	return b.Send(deliver)
 }
 
-// Burst is a batched submission handle: it amortizes the per-packet
-// admission arithmetic of Send — the clock read and the (possibly
-// fault-scaled) serialization time — across a run of same-size packets
+// Burst is a batched submission handle for a run of same-size packets
 // offered at a single virtual instant, the shape the TCP sender's window
-// fill produces. Everything statefully per-packet (queue admission, delay
-// sampling, channel loss draws, FIFO clamping, delivery scheduling) still
-// happens per Send in submission order, so a burst of n packets is
-// byte-identical to n plain Sends. A Burst is only valid at the instant it
-// was begun; Send panics if virtual time has moved on.
+// fill produces. Every packet's fate — queue admission, propagation delay,
+// channel loss — is sampled when the burst is begun; Send consumes one
+// precomputed outcome per packet in submission order, leaving only the FIFO
+// delivery clamp and event scheduling per packet. A Burst is only valid at
+// the instant it was begun; Send panics if virtual time has moved on.
 type Burst struct {
-	l      *Link
-	now    time.Duration
-	size   int
-	txTime time.Duration // resolved on first Send; 0 while unresolved or rate-unlimited
+	l   *Link
+	now time.Duration
 
-	outcomes []burstOutcome // primed by BeginBurstN; nil on the scalar path
+	outcomes []burstOutcome // primed at begin
 	i        int            // next primed outcome to consume
 }
 
-// BeginBurst starts a batched submission of size-byte packets at the current
-// virtual time. The serialization time is resolved lazily on the first Send,
-// so beginning a burst that submits nothing costs two field reads.
-func (l *Link) BeginBurst(size int) Burst {
+// BeginBurstN starts a burst whose packet count is known up front and
+// samples every packet's fate in one vectorized pass over a link-owned
+// scratch buffer (see prime). The pass consumes the RNG streams in the same
+// order as n consecutive one-packet Sends, so the outcomes are bit-identical
+// to them; the differential fuzz target FuzzBurstSampling proves it against
+// a test-only per-packet sampler. Only BeginBurstN submissions count towards
+// LinkStats.VectorBursts and VectorPackets.
+//
+// Contract: the caller must invoke Send exactly n times before beginning
+// the next burst (or calling Link.Send) on this link. The serializer and RNG
+// state advance during priming, so consuming fewer (or attempting more)
+// would desynchronize them; both are detected and panic.
+func (l *Link) BeginBurstN(size, n int) Burst {
+	b := l.prime(size, n)
+	if n > 0 {
+		l.stats.VectorBursts++
+		l.stats.VectorPackets += n
+	}
+	return b
+}
+
+// prime begins a burst of n size-byte packets at the current virtual time
+// and samples each packet's fate in submission order: queue-dropped packets
+// consume no RNG draws, survivors draw delay then loss.
+func (l *Link) prime(size, n int) Burst {
 	if size <= 0 {
 		panic(fmt.Sprintf("netem: Send with non-positive size %d", size))
 	}
 	if l.scratchLive != 0 {
 		panic(fmt.Sprintf("netem: new burst begun with %d primed packets unconsumed", l.scratchLive))
 	}
-	return Burst{l: l, now: l.simulator.Now(), size: size}
-}
-
-// BeginBurstN starts a burst whose packet count is known up front and
-// samples every packet's fate — queue admission, propagation delay, channel
-// loss — in one vectorized pass over a link-owned scratch buffer. The pass
-// replicates the scalar Send sequence exactly, packet by packet in
-// submission order (queue-dropped packets consume no RNG draws, survivors
-// draw delay then loss), so the RNG stream and every outcome are
-// bit-identical to n plain Sends; the differential fuzz target
-// FuzzBurstSampling proves it.
-//
-// Contract: the caller must invoke Send exactly n times before beginning
-// the next burst on this link. The serializer and RNG state advance during
-// priming, so consuming fewer (or attempting more) would diverge from the
-// scalar path; both are detected and panic.
-func (l *Link) BeginBurstN(size, n int) Burst {
-	b := l.BeginBurst(size)
+	now := l.simulator.Now()
+	b := Burst{l: l, now: now}
 	if n <= 0 {
 		return b
 	}
@@ -234,14 +244,12 @@ func (l *Link) BeginBurstN(size, n int) Burst {
 		l.scratch = make([]burstOutcome, n)
 	}
 	out := l.scratch[:n]
-	now := b.now
 
 	rateLimited := l.cfg.Rate > 0
 	var txTime time.Duration
 	if rateLimited {
-		// Same effective-rate resolution the scalar path performs on the
-		// first Send: RateScale is a pure function of virtual time, so one
-		// evaluation serves the whole burst.
+		// RateScale is a pure function of virtual time, so one evaluation
+		// serves the whole burst.
 		rate := l.cfg.Rate
 		if l.cfg.RateScale != nil {
 			f := l.cfg.RateScale(now)
@@ -254,7 +262,6 @@ func (l *Link) BeginBurstN(size, n int) Burst {
 		if txTime <= 0 {
 			txTime = time.Nanosecond
 		}
-		b.txTime = txTime
 	}
 
 	delay, loss := l.cfg.Delay, l.cfg.Loss
@@ -269,13 +276,14 @@ func (l *Link) BeginBurstN(size, n int) Burst {
 				start = nextFree
 			}
 			if maxQueue > 0 {
+				// backlog counts packets ahead of this one (including the
+				// one in service); only the waiting ones occupy queue slots.
 				backlog := int((start - now) / txTime)
 				if backlog > peak {
 					peak = backlog
 				}
 				if backlog > maxQueue {
-					// Tail drop before the channel: no delay or loss draw,
-					// exactly like the scalar path's early return.
+					// Tail drop before the channel: no delay or loss draw.
 					out[i] = burstOutcome{kind: DropQueue}
 					continue
 				}
@@ -283,6 +291,10 @@ func (l *Link) BeginBurstN(size, n int) Burst {
 			departure = start + txTime
 			nextFree = departure
 		}
+		// The arrival epoch (before FIFO clamping) is computed first so the
+		// loss model can expose the packet to the channel conditions of both
+		// transit ends; the model is consulted once per packet so burst-state
+		// evolution stays per-packet.
 		arrival := departure + delay.Sample(now)
 		if loss.Drop(now, arrival) {
 			out[i] = burstOutcome{kind: DropChannel}
@@ -292,109 +304,38 @@ func (l *Link) BeginBurstN(size, n int) Burst {
 	}
 	l.nextFree = nextFree
 	l.stats.PeakBacklog = peak
-	l.stats.VectorBursts++
-	l.stats.VectorPackets += n
 	l.scratchLive = n
 	b.outcomes = out
 	return b
 }
 
-// Send offers one packet of the burst; semantics match Link.Send. On a
-// vectorized burst it consumes the next precomputed outcome; only the FIFO
-// delivery clamp and event scheduling remain per packet.
+// Send offers one packet of the burst; semantics match Link.Send. It
+// consumes the next precomputed outcome; only the FIFO delivery clamp and
+// event scheduling remain per packet.
 func (b *Burst) Send(deliver Handler) (bool, DropKind) {
 	if deliver == nil {
 		panic("netem: Send with nil deliver callback")
 	}
 	l := b.l
-	now := b.now
-	if l.simulator.Now() != now {
-		panic(fmt.Sprintf("netem: Burst begun at %v used at %v", now, l.simulator.Now()))
+	if l.simulator.Now() != b.now {
+		panic(fmt.Sprintf("netem: Burst begun at %v used at %v", b.now, l.simulator.Now()))
 	}
-	if b.outcomes != nil {
-		if b.i >= len(b.outcomes) {
-			panic(fmt.Sprintf("netem: vectorized burst of %d overconsumed", len(b.outcomes)))
-		}
-		o := b.outcomes[b.i]
-		b.i++
-		l.scratchLive--
-		l.stats.Offered++
-		switch o.kind {
-		case DropQueue:
-			l.stats.QueueDrops++
-			return false, DropQueue
-		case DropChannel:
-			l.stats.ChannelDrops++
-			return false, DropChannel
-		}
-		arrival := o.arrival
-		if arrival < l.lastDelivery {
-			arrival = l.lastDelivery // preserve FIFO delivery
-		}
-		l.lastDelivery = arrival
-		ev := l.free
-		if ev == nil {
-			ev = &linkEvent{l: l}
-		} else {
-			l.free = ev.next
-			ev.next = nil
-		}
-		ev.deliver = deliver
-		l.simulator.AtFire(arrival, ev)
-		return true, 0
+	if b.i >= len(b.outcomes) {
+		panic(fmt.Sprintf("netem: burst of %d overconsumed", len(b.outcomes)))
 	}
+	o := b.outcomes[b.i]
+	b.i++
+	l.scratchLive--
 	l.stats.Offered++
-
-	departure := now
-	if l.cfg.Rate > 0 {
-		txTime := b.txTime
-		if txTime == 0 {
-			// First packet of the burst: resolve the effective line rate at
-			// this instant. RateScale is a pure function of virtual time, so
-			// one evaluation serves the whole burst.
-			rate := l.cfg.Rate
-			if l.cfg.RateScale != nil {
-				f := l.cfg.RateScale(now)
-				if f < minRateScale {
-					f = minRateScale
-				}
-				rate *= f
-			}
-			txTime = time.Duration(float64(b.size*8) / rate * float64(time.Second))
-			if txTime <= 0 {
-				txTime = time.Nanosecond
-			}
-			b.txTime = txTime
-		}
-		start := now
-		if l.nextFree > start {
-			start = l.nextFree
-		}
-		if l.cfg.MaxQueue > 0 {
-			// backlog counts packets ahead of this one (including the one in
-			// service); only the waiting ones occupy queue slots.
-			backlog := int((start - now) / txTime)
-			if backlog > l.stats.PeakBacklog {
-				l.stats.PeakBacklog = backlog
-			}
-			if backlog > l.cfg.MaxQueue {
-				l.stats.QueueDrops++
-				return false, DropQueue
-			}
-		}
-		departure = start + txTime
-		l.nextFree = departure
-	}
-
-	// The arrival epoch (before FIFO clamping) is computed first so the loss
-	// model can expose the packet to the channel conditions of both transit
-	// ends; the model is consulted once per packet so burst-state evolution
-	// stays per-packet.
-	arrival := departure + l.cfg.Delay.Sample(now)
-	if l.cfg.Loss.Drop(now, arrival) {
+	switch o.kind {
+	case DropQueue:
+		l.stats.QueueDrops++
+		return false, DropQueue
+	case DropChannel:
 		l.stats.ChannelDrops++
 		return false, DropChannel
 	}
+	arrival := o.arrival
 	if arrival < l.lastDelivery {
 		arrival = l.lastDelivery // preserve FIFO delivery
 	}

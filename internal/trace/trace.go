@@ -145,6 +145,15 @@ func (f *FlowTrace) Validate() error {
 	return nil
 }
 
+// maxSeqLead bounds how far a data event's sequence number may run ahead of
+// its position in the trace. A whole capture never needs any lead: segment k
+// is first sent after segments 0..k-1, so its events sit at index k or
+// later. Excerpts that start mid-flow, such as flight-recorder dumps, do
+// need one; 1<<20 segments is over 25 minutes of the fastest profile's
+// line rate. The bound keeps a hostile trace from making an analyzer's
+// per-sequence tables larger than the trace itself plus maxSeqLead entries.
+const maxSeqLead = 1 << 20
+
 // ValidateEvent checks one event against the structural rules Validate
 // enforces: i is the event's position in the stream and prev the timestamp
 // of the event before it (zero for the first). Streaming consumers apply the
@@ -161,6 +170,14 @@ func ValidateEvent(i int, ev Event, prev time.Duration) error {
 		}
 		if ev.TransmitNo < 1 {
 			return fmt.Errorf("trace: event %d (%v) has TransmitNo %d < 1", i, ev.Type, ev.TransmitNo)
+		}
+		if ev.Seq > int64(i)+maxSeqLead {
+			return fmt.Errorf("trace: event %d (%v) has seq %d, more than %d past its index", i, ev.Type, ev.Seq, maxSeqLead)
+		}
+	case EvTimeout:
+		// The timed-out segment indexes the analyzer's arrival table.
+		if ev.Seq < 0 {
+			return fmt.Errorf("trace: event %d (%v) has negative seq", i, ev.Type)
 		}
 	case EvAckSend, EvAckRecv, EvAckDrop:
 		if ev.Ack < 0 {

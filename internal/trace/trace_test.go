@@ -98,6 +98,35 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative ack accepted")
 	}
+
+	bad = sampleTrace()
+	bad.Events[6].Seq = -1 // the timeout
+	if err := bad.Validate(); err == nil {
+		t.Error("negative timeout seq accepted")
+	}
+}
+
+// TestValidateBoundsSeqLead pins the sequence-number bound: a data event may
+// run at most maxSeqLead past its index, which admits excerpts that start
+// mid-flow and rejects a one-event trace claiming segment 2^36 before any
+// analyzer could size a table for it.
+func TestValidateBoundsSeqLead(t *testing.T) {
+	for _, typ := range []EventType{EvDataSend, EvDataRecv, EvDataDrop} {
+		ft := sampleTrace()
+		ft.Events[4].Type, ft.Events[4].Seq = typ, 4+maxSeqLead
+		if err := ft.Validate(); err != nil {
+			t.Errorf("%v at seq index+maxSeqLead rejected: %v", typ, err)
+		}
+		ft.Events[4].Seq++
+		if err := ft.Validate(); err == nil {
+			t.Errorf("%v at seq index+maxSeqLead+1 accepted", typ)
+		}
+	}
+	huge := &FlowTrace{Events: []Event{{At: time.Millisecond, Type: EvDataRecv, Seq: 1 << 36, Ack: -1, TransmitNo: 1}}}
+	err := huge.Validate()
+	if err == nil || err.Error() != "trace: event 0 (data-recv) has seq 68719476736, more than 1048576 past its index" {
+		t.Errorf("seq 2^36 as event 0: err = %v", err)
+	}
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
