@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,8 +27,9 @@ import (
 // cacheSchema names the on-disk entry layout. It participates in the
 // content-addressed key, so bumping it orphans (never corrupts) every entry
 // written under the previous layout. Schema 2 added the congestion-control
-// variant name to the key.
-const cacheSchema = 2
+// variant name to the key; schema 3 added the checksummed completeness flag
+// and virtual duration to the entry header.
+const cacheSchema = 3
 
 // entryMagic is the first token of every cache entry file.
 const entryMagic = "hsrflowcache"
@@ -41,10 +43,11 @@ const entryMagic = "hsrflowcache"
 // deterministic for a key, a hit is byte-equivalent to re-running it.
 //
 // Entries are written atomically (temp file + rename) and carry a SHA-256
-// checksum of their payload; a truncated, corrupted or stale-schema entry is
-// detected on read, counted in Errors, deleted best-effort, and treated as a
-// miss — the flow simply simulates again and rewrites the entry. All methods
-// are safe for concurrent use by campaign workers.
+// checksum covering their header flags and payload; a truncated, corrupted
+// or stale-schema entry is detected on read, counted in Errors, deleted
+// best-effort, and treated as a miss — the flow simply simulates again and
+// rewrites the entry. All methods are safe for concurrent use by campaign
+// workers.
 type FlowCache struct {
 	dir     string
 	version string
@@ -73,8 +76,8 @@ type FlowCache struct {
 
 // flightCall is one in-flight computation shared by concurrent misses.
 type flightCall struct {
-	done chan struct{} // closed when ent/err are final
-	ent  CachedFlow
+	done chan struct{} // closed when val/err are final
+	val  any           // CachedFlow (GetOrCompute) or FlowPayload (GetOrComputeFull)
 	err  error
 }
 
@@ -109,6 +112,29 @@ type CachedFlow struct {
 	Metrics   *analysis.FlowMetrics `json:"metrics"`
 	Stats     tcp.Stats             `json:"stats"`
 	Telemetry *telemetry.FlowState  `json:"telemetry,omitempty"`
+}
+
+// FlowPayload is a telemetry-complete flow result in wire form: JSON holds
+// the CachedFlow encoded exactly as a cache entry stores it, and VirtualNS
+// the flow's simulated duration, so callers can ship the bytes on and still
+// time the flow without decoding them.
+type FlowPayload struct {
+	JSON      json.RawMessage
+	VirtualNS int64
+}
+
+// EncodeFlowPayload encodes a telemetry-complete result with the encoder
+// the cache uses, so an uncached result and a cached one carry the same
+// bytes.
+func EncodeFlowPayload(ent CachedFlow) (FlowPayload, error) {
+	if ent.Metrics == nil || ent.Telemetry == nil {
+		return FlowPayload{}, fmt.Errorf("dataset: flow payload needs metrics and telemetry")
+	}
+	js, err := json.Marshal(ent)
+	if err != nil {
+		return FlowPayload{}, err
+	}
+	return FlowPayload{JSON: js, VirtualNS: ent.Telemetry.Kernel.VirtualNS}, nil
 }
 
 // cacheKey is the canonical serialization hashed into an entry's address.
@@ -178,23 +204,63 @@ func (c *FlowCache) Get(sc Scenario) (CachedFlow, bool) {
 
 // getKey is Get below the key computation.
 func (c *FlowCache) getKey(key string) (CachedFlow, bool) {
-	raw, err := os.ReadFile(c.path(key))
-	if err != nil {
-		c.misses.Add(1)
+	raw, ok := c.read(key)
+	if !ok {
 		return CachedFlow{}, false
 	}
 	ent, err := decodeEntry(raw)
 	if err != nil {
-		// Detected corruption: drop the bad entry so the rewrite after the
-		// fallback simulation starts clean.
-		os.Remove(c.path(key))
-		c.errors.Add(1)
-		c.misses.Add(1)
+		c.reject(key)
 		return CachedFlow{}, false
 	}
+	c.served(raw)
+	return ent, true
+}
+
+// getFull serves a telemetry-complete entry's verified payload bytes
+// without decoding them. A metrics-only entry is a plain miss (the caller
+// recomputes and upgrades it); a damaged one is rejected like in getKey.
+func (c *FlowCache) getFull(key string) (FlowPayload, bool) {
+	raw, ok := c.read(key)
+	if !ok {
+		return FlowPayload{}, false
+	}
+	h, payload, err := verifyEntry(raw)
+	if err == nil && !h.full {
+		c.misses.Add(1)
+		return FlowPayload{}, false
+	}
+	if err != nil || !json.Valid(payload) {
+		c.reject(key)
+		return FlowPayload{}, false
+	}
+	c.served(raw)
+	return FlowPayload{JSON: payload, VirtualNS: h.virtualNS}, true
+}
+
+// read loads an entry file, counting a miss when there is none.
+func (c *FlowCache) read(key string) ([]byte, bool) {
+	raw, err := os.ReadFile(c.path(key))
+	if err != nil {
+		c.misses.Add(1)
+		return nil, false
+	}
+	return raw, true
+}
+
+// reject handles detected corruption: the bad entry is dropped so the
+// rewrite after the fallback simulation starts clean, and the read counts as
+// an error and a miss.
+func (c *FlowCache) reject(key string) {
+	os.Remove(c.path(key))
+	c.errors.Add(1)
+	c.misses.Add(1)
+}
+
+// served counts a hit on an entry of len(raw) bytes.
+func (c *FlowCache) served(raw []byte) {
 	c.bytesRead.Add(int64(len(raw)))
 	c.hits.Add(1)
-	return ent, true
 }
 
 // GetOrCompute returns the scenario's result, serving it from disk when
@@ -218,63 +284,69 @@ func (c *FlowCache) GetOrCompute(sc Scenario, compute func() (CachedFlow, error)
 	if ent, ok := c.getKey(key); ok {
 		return ent, true, nil
 	}
-	c.flightMu.Lock()
-	if call, inflight := c.flight[key]; inflight {
-		c.flightMu.Unlock()
-		<-call.done
-		if call.err != nil {
-			return CachedFlow{}, false, call.err
+	return share(c, key, func() (CachedFlow, error) {
+		ent, err := compute()
+		if err == nil {
+			c.putKey(key, ent)
 		}
-		c.dedups.Add(1)
-		return call.ent, true, nil
-	}
-	call := &flightCall{done: make(chan struct{})}
-	if c.flight == nil {
-		c.flight = make(map[string]*flightCall)
-	}
-	c.flight[key] = call
-	c.flightMu.Unlock()
-
-	call.ent, call.err = compute()
-	if call.err == nil {
-		c.putKey(key, call.ent)
-	}
-	c.flightMu.Lock()
-	delete(c.flight, key)
-	c.flightMu.Unlock()
-	close(call.done)
-	return call.ent, false, call.err
+		return ent, err
+	})
 }
 
 // GetOrComputeFull is GetOrCompute for callers that need a telemetry-bearing
-// entry (distributed work-unit execution): a cached entry without a Telemetry
-// section is treated as a miss — compute runs and its (telemetry-complete)
-// result overwrites the thinner entry, upgrading it for future unit runs.
-// Because entries are content-addressed over everything that determines the
-// flow's outcome, the recompute is bit-identical to the original, so the
-// overwrite changes nothing a metrics-only reader can observe. In-flight
-// dedup is namespaced apart from GetOrCompute's so a full computation never
-// adopts a concurrent metrics-only result (which would lack telemetry).
-func (c *FlowCache) GetOrComputeFull(sc Scenario, compute func() (CachedFlow, error)) (CachedFlow, bool, error) {
+// entry (distributed work-unit execution), in wire form: a hit returns the
+// entry's checksum-verified payload bytes and header duration without
+// decoding them. A cached entry without a Telemetry section is treated as a
+// miss — compute runs and its (telemetry-complete) result overwrites the
+// thinner entry, upgrading it for future unit runs. Because entries are
+// content-addressed over everything that determines the flow's outcome, the
+// recompute is bit-identical to the original, so the overwrite changes
+// nothing a metrics-only reader can observe. compute's result must carry
+// metrics and telemetry; it is encoded once, and the stored entry and the
+// returned payload share those bytes. In-flight dedup is namespaced apart
+// from GetOrCompute's so a full computation never adopts a concurrent
+// metrics-only result (which would lack telemetry).
+func (c *FlowCache) GetOrComputeFull(sc Scenario, compute func() (CachedFlow, error)) (FlowPayload, bool, error) {
+	encode := func() (FlowPayload, error) {
+		ent, err := compute()
+		if err != nil {
+			return FlowPayload{}, err
+		}
+		return EncodeFlowPayload(ent)
+	}
 	key, err := c.key(sc)
 	if err != nil {
 		c.errors.Add(1)
-		ent, cerr := compute()
-		return ent, false, cerr
+		p, cerr := encode()
+		return p, false, cerr
 	}
-	if ent, ok := c.getKey(key); ok && ent.Telemetry != nil {
-		return ent, true, nil
+	if p, ok := c.getFull(key); ok {
+		return p, true, nil
 	}
-	flightKey := "full:" + key
+	return share(c, "full:"+key, func() (FlowPayload, error) {
+		p, err := encode()
+		if err == nil {
+			c.writeEntry(key, sealEntry(entryHeader{full: true, virtualNS: p.VirtualNS}, p.JSON))
+		}
+		return p, err
+	})
+}
+
+// share runs compute as flightKey's only in-flight computation: the first
+// caller (the leader) runs it, concurrent callers with the same flightKey
+// block and adopt its result (shared = true, counted in Dedups) or its
+// error.
+func share[T any](c *FlowCache, flightKey string, compute func() (T, error)) (T, bool, error) {
 	c.flightMu.Lock()
 	if call, inflight := c.flight[flightKey]; inflight {
 		c.flightMu.Unlock()
 		<-call.done
 		if call.err != nil {
-			return CachedFlow{}, false, call.err
+			var zero T
+			return zero, false, call.err
 		}
 		c.dedups.Add(1)
-		return call.ent, true, nil
+		return call.val.(T), true, nil
 	}
 	call := &flightCall{done: make(chan struct{})}
 	if c.flight == nil {
@@ -283,15 +355,13 @@ func (c *FlowCache) GetOrComputeFull(sc Scenario, compute func() (CachedFlow, er
 	c.flight[flightKey] = call
 	c.flightMu.Unlock()
 
-	call.ent, call.err = compute()
-	if call.err == nil {
-		c.putKey(key, call.ent)
-	}
+	v, err := compute()
+	call.val, call.err = v, err
 	c.flightMu.Lock()
 	delete(c.flight, flightKey)
 	c.flightMu.Unlock()
 	close(call.done)
-	return call.ent, false, call.err
+	return v, false, err
 }
 
 // Put stores the flow's result under the scenario's key. Writes are atomic
@@ -315,6 +385,11 @@ func (c *FlowCache) putKey(key string, ent CachedFlow) {
 		c.errors.Add(1)
 		return
 	}
+	c.writeEntry(key, raw)
+}
+
+// writeEntry atomically stores a sealed entry file under key.
+func (c *FlowCache) writeEntry(key string, raw []byte) {
 	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
 	if err != nil {
 		c.errors.Add(1)
@@ -468,38 +543,96 @@ func (c *FlowCache) Counters() telemetry.Cache {
 	}
 }
 
-// encodeEntry renders an entry file: a header line carrying the magic and
-// the SHA-256 of the payload, then the JSON payload.
+// An entry file is one header line, then the JSON payload:
+//
+//	hsrflowcache <sha256> <full|thin> <virtual_ns>\n<payload>
+//
+// The flag says whether the payload carries telemetry ("full") or metrics
+// only ("thin"); virtual_ns is the flow's simulated duration from its
+// telemetry (0 for thin entries). The checksum covers every byte after it
+// (flag, duration and payload), so a tampered flag fails verification like a
+// damaged payload.
+
+// entryHeader is the checksummed part of an entry's header line.
+type entryHeader struct {
+	full      bool
+	virtualNS int64
+}
+
+// checksumOffset is where the checksummed bytes begin: after the magic, the
+// hex digest and their separating spaces.
+const checksumOffset = len(entryMagic) + 1 + 2*sha256.Size + 1
+
+// sealEntry renders an entry file from its header fields and payload.
+func sealEntry(h entryHeader, payload []byte) []byte {
+	flag := "thin"
+	if h.full {
+		flag = "full"
+	}
+	raw := make([]byte, checksumOffset, checksumOffset+32+len(payload))
+	raw = fmt.Appendf(raw, "%s %d\n", flag, h.virtualNS)
+	raw = append(raw, payload...)
+	sum := sha256.Sum256(raw[checksumOffset:])
+	copy(raw, entryMagic+" ")
+	hex.Encode(raw[len(entryMagic)+1:], sum[:])
+	raw[checksumOffset-1] = ' '
+	return raw
+}
+
+// encodeEntry renders a decoded result as an entry file, flagged by whether
+// it carries telemetry.
 func encodeEntry(ent CachedFlow) ([]byte, error) {
 	payload, err := json.Marshal(ent)
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(payload)
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %s\n", entryMagic, hex.EncodeToString(sum[:]))
-	buf.Write(payload)
-	return buf.Bytes(), nil
+	var h entryHeader
+	if ent.Telemetry != nil {
+		h = entryHeader{full: true, virtualNS: ent.Telemetry.Kernel.VirtualNS}
+	}
+	return sealEntry(h, payload), nil
 }
 
-// decodeEntry parses and checksum-verifies an entry file.
-func decodeEntry(raw []byte) (CachedFlow, error) {
-	nl := bytes.IndexByte(raw, '\n')
+// verifyEntry checks an entry file's magic, checksum and header flags and
+// returns the header and the (unparsed) JSON payload. Both read paths start
+// here.
+func verifyEntry(raw []byte) (entryHeader, []byte, error) {
+	if len(raw) < checksumOffset || string(raw[:len(entryMagic)+1]) != entryMagic+" " || raw[checksumOffset-1] != ' ' {
+		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: bad header")
+	}
+	var want [sha256.Size]byte
+	if _, err := hex.Decode(want[:], raw[len(entryMagic)+1:checksumOffset-1]); err != nil {
+		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: bad checksum encoding")
+	}
+	body := raw[checksumOffset:]
+	if sha256.Sum256(body) != want {
+		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: checksum mismatch (truncated or corrupted)")
+	}
+	nl := bytes.IndexByte(body, '\n')
 	if nl < 0 {
-		return CachedFlow{}, fmt.Errorf("dataset: cache entry: missing header")
+		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: missing header flags")
 	}
-	header, payload := raw[:nl], raw[nl+1:]
-	fields := bytes.Fields(header)
-	if len(fields) != 2 || string(fields[0]) != entryMagic {
-		return CachedFlow{}, fmt.Errorf("dataset: cache entry: bad header")
+	flag, vns, _ := strings.Cut(string(body[:nl]), " ")
+	var h entryHeader
+	var err error
+	if h.virtualNS, err = strconv.ParseInt(vns, 10, 64); err != nil {
+		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: bad virtual duration %q", vns)
 	}
-	want, err := hex.DecodeString(string(fields[1]))
-	if err != nil || len(want) != sha256.Size {
-		return CachedFlow{}, fmt.Errorf("dataset: cache entry: bad checksum encoding")
+	switch flag {
+	case "full":
+		h.full = true
+	case "thin":
+	default:
+		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: bad completeness flag %q", flag)
 	}
-	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], want) {
-		return CachedFlow{}, fmt.Errorf("dataset: cache entry: checksum mismatch (truncated or corrupted)")
+	return h, body[nl+1:], nil
+}
+
+// decodeEntry verifies and decodes an entry file.
+func decodeEntry(raw []byte) (CachedFlow, error) {
+	_, payload, err := verifyEntry(raw)
+	if err != nil {
+		return CachedFlow{}, err
 	}
 	var ent CachedFlow
 	if err := json.Unmarshal(payload, &ent); err != nil {

@@ -10,13 +10,13 @@ import (
 	"repro/internal/faults"
 )
 
-// TestStreamingMatchesBatchFlows runs the same scenarios through RunFlow,
-// analyzing the materialized trace afterwards, and through RunFlowMetrics,
-// which analyzes while simulating, and requires bit-identical metrics and
-// endpoint stats: materializing only attaches a trace recorder, it never
-// changes the simulation. (The analysis package checks both against its
+// TestRunFlowAnalyzeMatchesRunFlowMetrics runs the same scenarios through
+// RunFlow, analyzing the materialized trace afterwards, and through
+// RunFlowMetrics, which analyzes while simulating, and requires
+// bit-identical metrics and endpoint stats: materializing only attaches a
+// trace recorder, it never changes the simulation. (The analysis package checks both against its
 // test-only batch oracle.)
-func TestStreamingMatchesBatchFlows(t *testing.T) {
+func TestRunFlowAnalyzeMatchesRunFlowMetrics(t *testing.T) {
 	scenarios := []Scenario{
 		hsrScenario(t, cellular.ChinaMobileLTE, 1, 45*time.Second),
 		hsrScenario(t, cellular.ChinaUnicom3G, 2, 30*time.Second),

@@ -5,14 +5,36 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 
+	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/serve"
 	"repro/internal/tracing"
 )
+
+// unitFlow is one flow of a unit result, decoded: the wire form of
+// serve.UnitFlow with its payload bytes read straight into a CachedFlow.
+type unitFlow struct {
+	Index int                `json:"index"`
+	Flow  dataset.CachedFlow `json:"flow"`
+}
+
+// unitEvent is the part of a serve.Event line the coordinator reads from a
+// unit job's stream. Decoding into it (rather than serve.Event, whose unit
+// flows are raw bytes) decodes every flow in the same single pass as the
+// line itself.
+type unitEvent struct {
+	Event string `json:"event"`
+	Error string `json:"error"`
+	Unit  *struct {
+		Flows []unitFlow `json:"flows"`
+	} `json:"unit"`
+	Spans []tracing.SpanRecord `json:"spans"`
+}
 
 // runUnitOn executes one unit on one worker: a unit job POSTed to the
 // worker's /v1/jobs, the NDJSON stream read to its terminal line, the
@@ -23,9 +45,9 @@ import (
 // When the campaign is traced, parentSpanID (the coordinator-side attempt
 // span) rides along as the job's trace context; the worker then records its
 // own job/flow/cache spans into the same trace and ships the batch back on
-// the terminal event — returned here for stitching, and empty on error
-// (a failed or timed-out exchange has no batch to ship).
-func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string) ([]serve.UnitFlow, []tracing.SpanRecord, error) {
+// the terminal event — returned here for stitching, and empty when no
+// terminal event arrived.
+func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string) ([]unitFlow, []tracing.SpanRecord, error) {
 	ctx, cancel := context.WithTimeout(r.ctx, c.cfg.UnitTimeout)
 	defer cancel()
 
@@ -63,14 +85,28 @@ func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string)
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
 		return nil, nil, fmt.Errorf("dist: worker %s: status %d: %s", w.url, resp.StatusCode, bytes.TrimSpace(msg))
 	}
+	flows, spans, err := readUnitResult(resp.Body, u.start, u.end)
+	if err != nil {
+		return nil, spans, fmt.Errorf("dist: worker %s: %w", w.url, err)
+	}
+	return flows, spans, nil
+}
 
-	sc := bufio.NewScanner(resp.Body)
+// readUnitResult reads a unit job's NDJSON stream up to its terminal line
+// and validates the result for the plan range [start, end): one flow per
+// index, in order, each with metrics and telemetry. Every defect — an
+// undecodable line, a missing terminal event, a worker error or a
+// malformed result — is an error, so the unit takes the coordinator's
+// retry path instead of reaching campaign assembly. The terminal event's
+// span batch is returned whenever one arrived.
+func readUnitResult(r io.Reader, start, end int) ([]unitFlow, []tracing.SpanRecord, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	var terminal *serve.Event
+	var terminal *unitEvent
 	for sc.Scan() {
-		var e serve.Event
+		var e unitEvent
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, nil, fmt.Errorf("dist: worker %s: bad event line: %w", w.url, err)
+			return nil, nil, fmt.Errorf("bad event line: %w", err)
 		}
 		if e.Event == "result" || e.Event == "error" {
 			terminal = &e
@@ -78,16 +114,26 @@ func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("dist: worker %s: stream: %w", w.url, err)
+		return nil, nil, fmt.Errorf("stream: %w", err)
 	}
 	if terminal == nil {
-		return nil, nil, fmt.Errorf("dist: worker %s: stream ended without a terminal event", w.url)
+		return nil, nil, fmt.Errorf("stream ended without a terminal event")
 	}
 	if terminal.Event == "error" {
-		return nil, terminal.Spans, fmt.Errorf("dist: worker %s: %s", w.url, terminal.Error)
+		return nil, terminal.Spans, errors.New(terminal.Error)
 	}
-	if terminal.Unit == nil || len(terminal.Unit.Flows) != u.end-u.start {
-		return nil, terminal.Spans, fmt.Errorf("dist: worker %s: malformed unit result for [%d, %d)", w.url, u.start, u.end)
+	if terminal.Unit == nil || len(terminal.Unit.Flows) != end-start {
+		return nil, terminal.Spans, fmt.Errorf("malformed unit result for [%d, %d)", start, end)
+	}
+	for i, f := range terminal.Unit.Flows {
+		switch {
+		case f.Index != start+i:
+			return nil, terminal.Spans, fmt.Errorf("unit [%d, %d) shipped index %d at offset %d", start, end, f.Index, i)
+		case f.Flow.Metrics == nil:
+			return nil, terminal.Spans, fmt.Errorf("flow %d arrived without metrics", f.Index)
+		case f.Flow.Telemetry == nil:
+			return nil, terminal.Spans, fmt.Errorf("flow %d arrived without telemetry", f.Index)
+		}
 	}
 	return terminal.Unit.Flows, terminal.Spans, nil
 }

@@ -292,7 +292,7 @@ type unit struct {
 	// reassignment counter. Guarded by the dispatch loop (benign racing:
 	// it only feeds a counter).
 	lastWorker atomic.Value // string
-	flows      []serve.UnitFlow
+	flows      []unitFlow
 	err        error
 	mu         sync.Mutex // guards flows/err writes before the CAS publishes
 	// span is the unit's trace span (nil when the campaign is untraced),
@@ -318,7 +318,7 @@ type run struct {
 
 // complete publishes a unit result (first writer wins) and unblocks the
 // campaign when it was the last open unit.
-func (c *Coordinator) complete(r *run, u *unit, flows []serve.UnitFlow, err error) bool {
+func (c *Coordinator) complete(r *run, u *unit, flows []unitFlow, err error) bool {
 	u.mu.Lock()
 	if !u.state.CompareAndSwap(0, 1) {
 		u.mu.Unlock()
@@ -447,7 +447,9 @@ func (c *Coordinator) RunCampaign(cfg dataset.CampaignConfig) (*dataset.Campaign
 	}
 
 	// Reassemble in global flow order — the coordinator's half of the
-	// byte-identity contract.
+	// byte-identity contract. Every completed unit was validated on arrival
+	// (readUnitResult) or computed here (runUnitLocal), so its flows are
+	// in plan order and telemetry-complete.
 	results := make([]dataset.FlowResult, len(plan))
 	var flows []*telemetry.Flow
 	if cfg.Telemetry != nil {
@@ -457,14 +459,8 @@ func (c *Coordinator) RunCampaign(cfg dataset.CampaignConfig) (*dataset.Campaign
 		if u.err != nil {
 			return nil, u.err
 		}
-		for i, uf := range u.flows {
-			idx := u.start + i
-			if uf.Index != idx {
-				return nil, fmt.Errorf("dist: unit [%d, %d) shipped index %d at offset %d", u.start, u.end, uf.Index, i)
-			}
-			if uf.Flow.Telemetry == nil {
-				return nil, fmt.Errorf("dist: flow %d arrived without telemetry", idx)
-			}
+		for _, uf := range u.flows {
+			idx := uf.Index
 			results[idx] = dataset.FlowResult{Row: plan[idx].Row, Metrics: uf.Flow.Metrics}
 			if flows != nil {
 				flows[idx] = uf.Flow.Telemetry.Restore()
@@ -603,7 +599,7 @@ func (c *Coordinator) runUnitLocal(r *run, u *unit) {
 		asp.SetAttr("worker", "local")
 		asp.SetAttr("local", "true")
 	}
-	flows := make([]serve.UnitFlow, 0, u.end-u.start)
+	flows := make([]unitFlow, 0, u.end-u.start)
 	for i := u.start; i < u.end; i++ {
 		if r.ctx.Err() != nil {
 			asp.SetAttr("outcome", "canceled")
@@ -624,11 +620,11 @@ func (c *Coordinator) runUnitLocal(r *run, u *unit) {
 			c.complete(r, u, nil, fmt.Errorf("dist: local flow %s: %w", r.plan[i].Scenario.ID, err))
 			return
 		}
-		if fsp != nil && ent.Telemetry != nil {
+		if fsp != nil {
 			fsp.SetVirtual(0, ent.Telemetry.Kernel.VirtualNS)
 		}
 		fsp.End()
-		flows = append(flows, serve.UnitFlow{Index: i, Flow: ent})
+		flows = append(flows, unitFlow{Index: i, Flow: ent})
 	}
 	asp.SetAttr("outcome", "ok")
 	asp.End()

@@ -494,7 +494,9 @@ func (s *Server) runFlowJob(spec *JobSpec, meta *jobMeta) Event {
 // simulates the unit's index range with telemetry attached to every flow.
 // Results go through the telemetry-complete cache path when a cache is
 // configured, so a reassigned or hedged duplicate of this unit re-serves
-// bit-identical payloads from disk instead of simulating again.
+// bit-identical payloads from disk instead of simulating again. Either way
+// each flow ships as encoded payload bytes: a hit forwards the verified
+// entry bytes without decoding them, a computed flow is encoded once.
 func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta *jobMeta) Event {
 	cfg, err := spec.Unit.campaignConfig()
 	if err != nil {
@@ -541,7 +543,7 @@ func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta
 				fsp.SetAttr("index", strconv.Itoa(j.Index))
 				fsp.SetAttr("operator", j.Row.Operator.Name)
 			}
-			var ent dataset.CachedFlow
+			var p dataset.FlowPayload
 			var hit bool
 			var err error
 			if s.cfg.Cache != nil {
@@ -549,14 +551,14 @@ func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta
 				if fsp != nil {
 					csp = meta.tr.StartSpan(fsp.ID(), "cache", j.Scenario.ID)
 				}
-				ent, hit, err = s.cfg.Cache.GetOrComputeFull(j.Scenario, func() (dataset.CachedFlow, error) {
+				p, hit, err = s.cfg.Cache.GetOrComputeFull(j.Scenario, func() (dataset.CachedFlow, error) {
 					var ksp *tracing.Span
 					if fsp != nil {
 						ksp = meta.tr.StartSpan(csp.ID(), "compute", j.Scenario.ID)
 					}
 					full, err := dataset.RunFlowFull(j.Scenario)
 					if ksp != nil {
-						if err == nil && full.Telemetry != nil {
+						if err == nil {
 							ksp.SetVirtual(0, full.Telemetry.Kernel.VirtualNS)
 						}
 						ksp.End()
@@ -572,12 +574,16 @@ func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta
 				if fsp != nil {
 					ksp = meta.tr.StartSpan(fsp.ID(), "compute", j.Scenario.ID)
 				}
-				ent, err = dataset.RunFlowFull(j.Scenario)
+				var full dataset.CachedFlow
+				full, err = dataset.RunFlowFull(j.Scenario)
 				if ksp != nil {
-					if err == nil && ent.Telemetry != nil {
-						ksp.SetVirtual(0, ent.Telemetry.Kernel.VirtualNS)
+					if err == nil {
+						ksp.SetVirtual(0, full.Telemetry.Kernel.VirtualNS)
 					}
 					ksp.End()
+				}
+				if err == nil {
+					p, err = dataset.EncodeFlowPayload(full)
 				}
 			}
 			if err != nil {
@@ -593,12 +599,10 @@ func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta
 			}
 			if fsp != nil {
 				fsp.SetAttr("cached", strconv.FormatBool(hit))
-				if ent.Telemetry != nil {
-					fsp.SetVirtual(0, ent.Telemetry.Kernel.VirtualNS)
-				}
+				fsp.SetVirtual(0, p.VirtualNS)
 				fsp.End()
 			}
-			res.Flows[j.Index-start] = UnitFlow{Index: j.Index, Flow: ent, Cached: hit}
+			res.Flows[j.Index-start] = UnitFlow{Index: j.Index, Flow: p.JSON, Cached: hit}
 			st.tryEmit(Event{Event: "flows", Done: int(done.Add(1)), Total: end - start})
 		}()
 	}

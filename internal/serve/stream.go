@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"sync"
 
 	"repro/internal/dataset"
@@ -63,11 +64,14 @@ type UnitResult struct {
 }
 
 // UnitFlow is one flow of a unit result: its global plan index and the full
-// cache-entry payload (metrics, endpoint stats, exact telemetry state).
+// cache-entry payload (a dataset.CachedFlow with metrics, endpoint stats and
+// exact telemetry state) as the encoded bytes a cache entry stores — a
+// cached flow ships its verified entry bytes unchanged, an uncached one the
+// same bytes encoded once.
 type UnitFlow struct {
-	Index  int                `json:"index"`
-	Flow   dataset.CachedFlow `json:"flow"`
-	Cached bool               `json:"cached,omitempty"`
+	Index  int             `json:"index"`
+	Flow   json.RawMessage `json:"flow"`
+	Cached bool            `json:"cached,omitempty"`
 }
 
 // Summary counts a scheduled job's task outcomes.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/buildinfo"
+	"repro/internal/dataset"
 	"repro/internal/tracing"
 )
 
@@ -105,6 +106,60 @@ func TestServerUnitJobTrace(t *testing.T) {
 	for _, c := range byKind["compute"] {
 		if !c.Virtual || c.VStartNS != 0 {
 			t.Fatalf("compute span virtual interval %+v", c)
+		}
+	}
+}
+
+// TestServerUnitJobTraceCacheHit replays a traced unit against a warm cache:
+// the flows are served from entry bytes without being decoded, yet each
+// flow span still carries the flow's virtual interval (from the entry
+// header), matching the cold run's, and no compute span is recorded.
+func TestServerUnitJobTraceCacheHit(t *testing.T) {
+	cache, err := dataset.OpenFlowCacheVersion(t.TempDir(), "test")
+	if err != nil {
+		t.Fatalf("open cache: %v", err)
+	}
+	srv := New(Config{Workers: 1, QueueDepth: 4, Trace: true, Cache: cache})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	run := func() map[string][]tracing.SpanRecord {
+		resp := postJob(t, ts.Client(), ts.URL,
+			`{"kind":"unit","unit":{"seed":5,"duration":"2s","flows_per_row":1,"start":0,"end":2}}`)
+		defer resp.Body.Close()
+		jobID := resp.Header.Get("X-Job-Id")
+		if last := terminal(t, readEvents(t, resp.Body)); last.Status != "ok" {
+			t.Fatalf("terminal %+v", last)
+		}
+		spans := fetchTrace(t, ts, jobID)
+		if err := tracing.Validate(spans); err != nil {
+			t.Fatalf("trace not well formed: %v", err)
+		}
+		return kindSet(spans)
+	}
+	cold, warm := run(), run()
+	if n := len(warm["compute"]); n != 0 {
+		t.Fatalf("%d compute spans on a warm replay, want 0", n)
+	}
+	for _, c := range warm["cache"] {
+		if c.Attrs["hit"] != "true" {
+			t.Fatalf("warm cache span %+v, want a hit", c)
+		}
+	}
+	coldByName := map[string]tracing.SpanRecord{}
+	for _, f := range cold["flow"] {
+		coldByName[f.Name] = f
+	}
+	if len(warm["flow"]) != 2 {
+		t.Fatalf("%d warm flow spans, want 2", len(warm["flow"]))
+	}
+	for _, f := range warm["flow"] {
+		if f.Attrs["cached"] != "true" || !f.Virtual || f.VStartNS != 0 || f.VEndNS <= 0 {
+			t.Fatalf("cached flow span without its virtual interval: %+v", f)
+		}
+		if c := coldByName[f.Name]; c.VEndNS != f.VEndNS {
+			t.Fatalf("flow %s virtual end %d on the hit, %d computed", f.Name, f.VEndNS, c.VEndNS)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -86,11 +87,15 @@ func TestUnitJobByteIdentity(t *testing.T) {
 		if uf.Index != i {
 			t.Fatalf("flow %d shipped with index %d", i, uf.Index)
 		}
-		if uf.Flow.Telemetry == nil {
+		var ent dataset.CachedFlow
+		if err := json.Unmarshal(uf.Flow, &ent); err != nil {
+			t.Fatalf("flow %d payload: %v", i, err)
+		}
+		if ent.Telemetry == nil {
 			t.Fatalf("flow %d shipped without telemetry", i)
 		}
-		merged.AddFlow(uf.Flow.Telemetry.Restore())
-		if a, _ := json.Marshal(uf.Flow.Metrics); true {
+		merged.AddFlow(ent.Telemetry.Restore())
+		if a, _ := json.Marshal(ent.Metrics); true {
 			b, _ := json.Marshal(refCamp.Results[i].Metrics)
 			if string(a) != string(b) {
 				t.Fatalf("flow %d metrics diverged:\n%s\nvs\n%s", i, a, b)
@@ -106,19 +111,23 @@ func TestUnitJobByteIdentity(t *testing.T) {
 // TestUnitJobCachedReplayIdentical re-runs a unit against a shared cache:
 // the second run must be served from telemetry-complete entries and carry
 // byte-identical flow payloads — the property reassignment and hedging
-// lean on for their at-most-once effect.
+// lean on for their at-most-once effect. A worker without a cache ships the
+// same encoding (host wall time aside): cached and computed flows share one
+// encoder.
 func TestUnitJobCachedReplayIdentical(t *testing.T) {
 	cache, err := dataset.OpenFlowCacheVersion(t.TempDir(), "test")
 	if err != nil {
 		t.Fatalf("open cache: %v", err)
 	}
-	srv := New(Config{Workers: 1, QueueDepth: 2, Cache: cache})
-	defer srv.Drain()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	cached := New(Config{Workers: 1, QueueDepth: 2, Cache: cache})
+	defer cached.Drain()
+	uncached := New(Config{Workers: 1, QueueDepth: 2})
+	defer uncached.Drain()
 
 	spec := `{"kind":"unit","unit":{"seed":3,"duration":"2s","flows_per_row":1,"start":0,"end":2}}`
-	run := func() *UnitResult {
+	run := func(srv *Server) *UnitResult {
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
 		resp := postJob(t, ts.Client(), ts.URL, spec)
 		defer resp.Body.Close()
 		last := terminal(t, readEvents(t, resp.Body))
@@ -127,15 +136,31 @@ func TestUnitJobCachedReplayIdentical(t *testing.T) {
 		}
 		return last.Unit
 	}
-	first, second := run(), run()
-	if second.CacheHits != 2 {
-		t.Fatalf("replayed unit hit %d of 2 cached flows", second.CacheHits)
+	first, second, plain := run(cached), run(cached), run(uncached)
+	if first.CacheHits != 0 || second.CacheHits != 2 {
+		t.Fatalf("cold unit hit %d, replayed unit hit %d of 2 cached flows", first.CacheHits, second.CacheHits)
 	}
 	for i := range first.Flows {
-		a, _ := json.Marshal(first.Flows[i].Flow)
-		b, _ := json.Marshal(second.Flows[i].Flow)
-		if string(a) != string(b) {
+		a, b, c := first.Flows[i].Flow, second.Flows[i].Flow, plain.Flows[i].Flow
+		if !bytes.Equal(a, b) {
 			t.Fatalf("cached replay of flow %d diverged:\n%s\nvs\n%s", i, a, b)
+		}
+		// The uncached flow was simulated again, so only its host wall time
+		// may differ; with that aligned, the encodings must agree byte for
+		// byte, and each must be what the encoder writes for its value.
+		var ca, cc dataset.CachedFlow
+		if err := json.Unmarshal(a, &ca); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(c, &cc); err != nil {
+			t.Fatal(err)
+		}
+		if enc, _ := json.Marshal(cc); !bytes.Equal(enc, c) {
+			t.Fatalf("uncached flow %d is not the encoder's bytes for its value", i)
+		}
+		cc.Telemetry.WallNS = ca.Telemetry.WallNS
+		if enc, _ := json.Marshal(cc); !bytes.Equal(enc, a) {
+			t.Fatalf("uncached flow %d diverged from the cached one:\n%s\nvs\n%s", i, enc, a)
 		}
 	}
 }
