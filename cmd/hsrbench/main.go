@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -52,13 +53,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hsrbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run executes one hsrbench invocation, printing the rendered sections to
+// stdout and progress, failures and file notes to stderr.
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hsrbench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "reduced campaign (4 flows per Table I row, 45s flows)")
 	seed := fs.Int64("seed", 1, "base seed for all campaigns")
@@ -69,7 +72,7 @@ func run(args []string) error {
 	runList := fs.String("run", "all", "comma-separated experiments to run (\"all\" = the paper suite; opt-in experiments like fairness/ccmix must be named)")
 	list := fs.Bool("list", false, "list every catalog experiment with its description and exit")
 	csvDir := fs.String("csv", "", "also write figure series as CSV files into this directory")
-	reportPath := fs.String("report", "", "write a markdown reproduction report to this file (runs the full suite)")
+	reportPath := fs.String("report", "", "also write the selected experiments as a markdown report to this file, from the same results stdout prints")
 	progress := fs.Bool("progress", false, "print flow and experiment completion progress to stderr")
 	cacheDir := fs.String("cache", "", "flow result cache directory: serve (scenario, seed, version)-keyed flow metrics from disk instead of re-simulating, and store every simulated flow")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "bound the cache directory's entry bytes, evicting oldest entries first (0 = unbounded)")
@@ -83,11 +86,11 @@ func run(args []string) error {
 		return err
 	}
 	if *version {
-		fmt.Println(buildinfo.Line("hsrbench"))
+		fmt.Fprintln(stdout, buildinfo.Line("hsrbench"))
 		return nil
 	}
 	if *list {
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 		for _, e := range experiments.CatalogList() {
 			note := ""
 			if e.OptIn {
@@ -228,7 +231,6 @@ func run(args []string) error {
 	}
 
 	opt := experiments.CatalogOptions{
-		ForceCampaigns: *reportPath != "",
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -257,20 +259,6 @@ func run(args []string) error {
 		tasks = append(tasks, experiments.Task{Name: "panic-dependent", Deps: []string{"panic"},
 			Run: func() (string, error) {
 				return "must never render\n", nil
-			}})
-	}
-	if *reportPath != "" {
-		tasks = append(tasks, experiments.Task{Name: "report", Deps: []string{experiments.CampaignsTaskName},
-			Run: func() (string, error) {
-				md, err := experiments.BuildReport(cat.Context())
-				if err != nil {
-					return "", err
-				}
-				if err := os.WriteFile(*reportPath, []byte(md), 0o644); err != nil {
-					return "", fmt.Errorf("write report: %w", err)
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *reportPath)
-				return "", nil
 			}})
 	}
 
@@ -313,7 +301,7 @@ func run(args []string) error {
 	// order even when other branches failed or the deadline hit.
 	for _, r := range results {
 		if r.Output != "" {
-			fmt.Print(r.Output)
+			fmt.Fprint(stdout, r.Output)
 		}
 	}
 	var failed, skipped int
@@ -331,6 +319,18 @@ func run(args []string) error {
 				fmt.Fprintf(os.Stderr, "hsrbench: task %s failed: %v\n", r.Name, r.Err)
 			}
 		}
+	}
+	if *reportPath != "" {
+		// The report prints the sections stdout just printed, as markdown.
+		md := fmt.Sprintf("# Reproduction report\n\nGenerated by `hsrbench -report` — seed %d, %v flows, %d per Table I row (0 = paper counts).\n\n",
+			cfg.Seed, cfg.FlowDuration, cfg.FlowsPerRow)
+		for _, sec := range cat.Sections() {
+			md += export.Markdown(sec)
+		}
+		if err := os.WriteFile(*reportPath, []byte(md), 0o644); err != nil {
+			return fmt.Errorf("report: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *reportPath)
 	}
 	if cache != nil {
 		cc := cache.Counters()

@@ -1,19 +1,23 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/export"
 	"repro/internal/telemetry"
 )
 
 func TestRunQuickSubset(t *testing.T) {
 	// A tiny campaign exercising the context-dependent experiments.
 	err := run([]string{"-quick", "-flows", "1", "-duration", "20s",
-		"-run", "table1,scalars,fig3,fig4,fig6,fig10,ablation"})
+		"-run", "table1,scalars,fig3,fig4,fig6,fig10,ablation"}, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -21,14 +25,14 @@ func TestRunQuickSubset(t *testing.T) {
 
 func TestRunFigure1Only(t *testing.T) {
 	// fig1/fig2 need no campaign context.
-	err := run([]string{"-quick", "-duration", "30s", "-run", "fig1,fig2"})
+	err := run([]string{"-quick", "-duration", "30s", "-run", "fig1,fig2"}, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-nonsense"}); err == nil {
+	if err := run([]string{"-nonsense"}, io.Discard); err == nil {
 		t.Error("unknown flag accepted")
 	}
 }
@@ -36,7 +40,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 func TestRunUnknownExperimentIsNoop(t *testing.T) {
 	// Unknown names simply select nothing (documented behaviour): the run
 	// must not fail.
-	if err := run([]string{"-quick", "-run", "doesnotexist"}); err != nil {
+	if err := run([]string{"-quick", "-run", "doesnotexist"}, io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
@@ -44,7 +48,7 @@ func TestRunUnknownExperimentIsNoop(t *testing.T) {
 func TestRunWritesCSV(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{"-quick", "-flows", "1", "-duration", "20s",
-		"-run", "fig3,fig4", "-csv", dir})
+		"-run", "fig3,fig4", "-csv", dir}, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -59,7 +63,7 @@ func TestRunPanicSelfTestIsIsolated(t *testing.T) {
 	// The hidden "panic" experiment deliberately panics; run must survive it
 	// (no crash), report a nonzero-exit error, and still render the
 	// independent fig1 section — with the panicking task's dependent skipped.
-	err := run([]string{"-quick", "-duration", "20s", "-run", "fig1,panic"})
+	err := run([]string{"-quick", "-duration", "20s", "-run", "fig1,panic"}, io.Discard)
 	if err == nil {
 		t.Fatal("run with a panicking task reported success")
 	}
@@ -74,7 +78,7 @@ func TestRunTimeoutCancelsCleanly(t *testing.T) {
 	// hanging.
 	start := time.Now()
 	err := run([]string{"-quick", "-duration", "45s", "-timeout", "1ms",
-		"-run", "table1,scalars"})
+		"-run", "table1,scalars"}, io.Discard)
 	if err == nil {
 		t.Fatal("run under a 1ms deadline reported success")
 	}
@@ -88,7 +92,7 @@ func TestRunTimeoutCancelsCleanly(t *testing.T) {
 }
 
 func TestRunVersionFlag(t *testing.T) {
-	if err := run([]string{"-version"}); err != nil {
+	if err := run([]string{"-version"}, io.Discard); err != nil {
 		t.Fatalf("-version: %v", err)
 	}
 }
@@ -96,7 +100,7 @@ func TestRunVersionFlag(t *testing.T) {
 func TestRunWritesMetricsReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	err := run([]string{"-quick", "-flows", "1", "-duration", "20s",
-		"-run", "table1", "-metrics", path})
+		"-run", "table1", "-metrics", path}, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -139,7 +143,7 @@ func TestRunProfilesAndProgress(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	err := run([]string{"-quick", "-duration", "20s", "-run", "fig1",
-		"-progress", "-cpuprofile", cpu, "-memprofile", mem})
+		"-progress", "-cpuprofile", cpu, "-memprofile", mem}, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -155,11 +159,82 @@ func TestRunProfilesAndProgress(t *testing.T) {
 
 func TestRunFaultSweep(t *testing.T) {
 	dir := t.TempDir()
-	err := run([]string{"-quick", "-duration", "15s", "-run", "faults", "-csv", dir})
+	err := run([]string{"-quick", "-duration", "15s", "-run", "faults", "-csv", dir}, io.Discard)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "fault_sweep.csv")); err != nil {
 		t.Errorf("missing fault_sweep.csv: %v", err)
+	}
+}
+
+// markdownTables parses every GitHub-flavored table in a markdown document.
+func markdownTables(md string) []*export.Table {
+	cells := func(line string) []string {
+		line = strings.TrimSuffix(strings.TrimPrefix(line, "| "), " |")
+		out := strings.Split(line, " | ")
+		for i := range out {
+			out[i] = strings.ReplaceAll(out[i], `\|`, "|")
+		}
+		return out
+	}
+	var tables []*export.Table
+	lines := strings.Split(md, "\n")
+	for i := 0; i+1 < len(lines); i++ {
+		if !strings.HasPrefix(lines[i], "|") || !strings.HasPrefix(lines[i+1], "| --- |") {
+			continue
+		}
+		t := export.NewTable(cells(lines[i])...)
+		for i += 2; i < len(lines) && strings.HasPrefix(lines[i], "|"); i++ {
+			t.Rows = append(t.Rows, cells(lines[i]))
+		}
+		tables = append(tables, t)
+	}
+	return tables
+}
+
+// TestReportHasEveryTerminalTable checks -report against stdout of the same
+// run: one heading per printed section header, in order, and every table
+// the terminal printed, with the same cells.
+func TestReportHasEveryTerminalTable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.md")
+	var out bytes.Buffer
+	if err := run([]string{"-quick", "-flows", "1", "-duration", "20s", "-jobs", "4", "-run", "all", "-report", path}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, stdout := string(data), out.String()
+
+	var headers, headings []string
+	termTables := 0
+	separator := regexp.MustCompile(`^-+(  -+)*\s*$`)
+	lines := strings.Split(stdout, "\n")
+	for i, line := range lines {
+		if line == strings.Repeat("=", 90) && i+1 < len(lines) {
+			headers = append(headers, lines[i+1])
+		}
+		if separator.MatchString(line) {
+			termTables++
+		}
+	}
+	for _, line := range strings.Split(md, "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			headings = append(headings, h)
+		}
+	}
+	if len(headers) == 0 || strings.Join(headings, "\n") != strings.Join(headers, "\n") {
+		t.Errorf("report headings %q, want the printed section headers %q", headings, headers)
+	}
+	tables := markdownTables(md)
+	if len(tables) != termTables {
+		t.Errorf("report has %d tables, stdout printed %d", len(tables), termTables)
+	}
+	for _, tab := range tables {
+		if !strings.Contains(stdout, tab.Render()) {
+			t.Errorf("report table %q is not one stdout printed", tab.Headers)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"repro/internal/experiments"
+	"repro/internal/export"
 )
 
 func main() {
@@ -23,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(res.Render())
+	fmt.Print(export.Text(res.Section()))
 
 	fmt.Println("Interpretation: as b grows the receiver emits fewer, heavier ACKs; losing")
 	fmt.Println("one round's worth of them stalls the sender into a (often spurious) RTO.")

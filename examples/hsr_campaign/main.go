@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/export"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 	fmt.Printf("simulated %d HSR + %d stationary flows in %v\n\n",
 		len(ctx.HSR.Results), len(ctx.Stationary.Results), time.Since(start).Round(time.Millisecond))
 
-	fmt.Println(experiments.Table1(ctx).Render())
-	fmt.Println(experiments.Scalars(ctx).Render())
-	fmt.Println(experiments.Figure6(ctx).Render())
+	fmt.Print(export.Text(experiments.Table1(ctx).Section()))
+	fmt.Print(export.Text(experiments.Scalars(ctx).Section()))
+	fmt.Print(export.Text(experiments.Figure6(ctx).Section()))
 }

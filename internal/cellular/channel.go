@@ -56,8 +56,8 @@ func NewChannel(op Operator, trip railway.Trip, tripOffset, horizon time.Duratio
 		// Even a stationary phone occasionally loses the channel for a few
 		// hundred milliseconds (interference, cell congestion transients).
 		// These rare micro-outages are what give stationary flows their
-		// occasional — and quickly recovered — timeouts, the paper's 0.65 s
-		// baseline against the 5.05 s HSR recoveries.
+		// occasional — and quickly recovered — timeouts, the paper's short
+		// stationary recoveries against the long HSR ones.
 		c.handoffs = mergeSpans(c.computeStationaryOutages(horizon, rng))
 	} else {
 		c.handoffs = mergeSpans(c.computeHandoffs(horizon, rng))

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -21,12 +23,14 @@ const (
 )
 
 // catalogSections is the canonical experiment catalog: every named
-// experiment the CLI and the service can schedule, in render order. needCtx
-// marks sections consuming the shared campaigns Context, needFig1 those
-// consuming the exemplar flow.
+// experiment the CLI and the service can schedule, in render order, with the
+// header its section prints under and the run that builds the section.
+// needCtx marks sections consuming the shared campaigns Context, needFig1
+// those consuming the exemplar flow.
 var catalogSections = []struct {
 	name     string
 	desc     string
+	header   string
 	needCtx  bool
 	needFig1 bool
 	// optIn marks experiments "all" does not expand to: they are scheduled
@@ -34,28 +38,76 @@ var catalogSections = []struct {
 	// experiments are opt-in so the default suite's output stays exactly
 	// the paper reproduction.
 	optIn bool
+	run   func(c *Catalog) (export.Section, error)
 }{
-	{name: "table1", desc: "Table I: per-operator HSR vs stationary campaign summary", needCtx: true},
-	{name: "fig1", desc: "Figure 1: exemplar HSR flow delivery timeline", needFig1: true},
-	{name: "fig2", desc: "Figure 2: exemplar flow RTT evolution", needFig1: true},
-	{name: "window", desc: "Window evolution of the exemplar flow (live Figs 7-9)", needFig1: true},
-	{name: "fig3", desc: "Figure 3: packet-loss-rate comparison across campaigns", needCtx: true},
-	{name: "fig4", desc: "Figure 4: ACK-loss versus timeout correlation", needCtx: true},
-	{name: "fig6", desc: "Figure 6: ACK loss rates by operator and mobility", needCtx: true},
-	{name: "fig10", desc: "Figure 10: throughput-model fits against campaign data", needCtx: true},
-	{name: "fig12", desc: "Figure 12: MPTCP subflow comparison"},
-	{name: "scalars", desc: "Headline scalar claims from the paper's measurement study", needCtx: true},
-	{name: "delack", desc: "Delayed-ACK parameter sweep (Section V-A)"},
-	{name: "ablation", desc: "Throughput-model term ablation", needCtx: true},
-	{name: "backupq", desc: "MPTCP backup-mode handoff mitigation (Section V-B)"},
-	{name: "eifel", desc: "Eifel-style spurious-RTO detection and response"},
-	{name: "sensitivity", desc: "Channel ablation: handoff-duration sensitivity sweep"},
-	{name: "variants", desc: "Reno vs NewReno loss-recovery comparison"},
-	{name: "speed", desc: "Train-speed sweep from 0 to 300 km/h"},
-	{name: "validation", desc: "Pipeline validation on a static Bernoulli channel"},
-	{name: "faults", desc: "Fault-injection severity sweep (storms, blackouts, bursts)"},
-	{name: "fairness", desc: "Intra-variant fairness: same-CC flows sharing one bottleneck cell", optIn: true},
-	{name: "ccmix", desc: "Mixed congestion control: one flow per variant on a shared cell", optIn: true},
+	{name: "table1", desc: "Table I: per-operator HSR vs stationary campaign summary", header: "TABLE I", needCtx: true,
+		run: func(c *Catalog) (export.Section, error) { return Table1(c.ectx).Section(), nil }},
+	{name: "fig1", desc: "Figure 1: exemplar HSR flow delivery timeline", header: "FIGURE 1", needFig1: true,
+		run: func(c *Catalog) (export.Section, error) { return c.fig1.Section(), nil }},
+	{name: "fig2", desc: "Figure 2: exemplar flow RTT evolution", header: "FIGURE 2", needFig1: true,
+		run: func(c *Catalog) (export.Section, error) { return section(Figure2(c.fig1)) }},
+	{name: "window", desc: "Window evolution of the exemplar flow (live Figs 7-9)", header: "WINDOW EVOLUTION (the live Figs 7-9)", needFig1: true,
+		run: func(c *Catalog) (export.Section, error) { return section(WindowTrace(c.fig1)) }},
+	{name: "fig3", desc: "Figure 3: packet-loss-rate comparison across campaigns", header: "FIGURE 3", needCtx: true,
+		run: func(c *Catalog) (export.Section, error) { return Figure3(c.ectx).Section(), nil }},
+	{name: "fig4", desc: "Figure 4: ACK-loss versus timeout correlation", header: "FIGURE 4", needCtx: true,
+		run: func(c *Catalog) (export.Section, error) { return Figure4(c.ectx).Section(), nil }},
+	{name: "fig6", desc: "Figure 6: ACK loss rates by operator and mobility", header: "FIGURE 6", needCtx: true,
+		run: func(c *Catalog) (export.Section, error) { return Figure6(c.ectx).Section(), nil }},
+	{name: "fig10", desc: "Figure 10: throughput-model fits against campaign data", header: "FIGURE 10", needCtx: true,
+		run: func(c *Catalog) (export.Section, error) { return section(Figure10(c.ectx)) }},
+	{name: "fig12", desc: "Figure 12: MPTCP subflow comparison", header: "FIGURE 12",
+		run: func(c *Catalog) (export.Section, error) { return section(Figure12(c.cfg)) }},
+	{name: "scalars", desc: "Headline scalar claims from the paper's measurement study", header: "HEADLINE CLAIMS", needCtx: true,
+		run: func(c *Catalog) (export.Section, error) { return Scalars(c.ectx).Section(), nil }},
+	{name: "delack", desc: "Delayed-ACK parameter sweep (Section V-A)", header: "DELAYED-ACK SWEEP (Section V-A)",
+		run: func(c *Catalog) (export.Section, error) { return section(DelayedAck(c.cfg)) }},
+	{name: "ablation", desc: "Throughput-model term ablation", header: "MODEL ABLATION", needCtx: true,
+		run: func(c *Catalog) (export.Section, error) { return section(ModelAblation(c.ectx)) }},
+	{name: "backupq", desc: "MPTCP backup-mode handoff mitigation (Section V-B)", header: "MPTCP BACKUP MODE (Section V-B)",
+		run: func(c *Catalog) (export.Section, error) { return section(BackupQ(c.cfg)) }},
+	{name: "eifel", desc: "Eifel-style spurious-RTO detection and response", header: "EIFEL-STYLE SPURIOUS-RTO RESPONSE",
+		run: func(c *Catalog) (export.Section, error) { return section(Eifel(c.cfg)) }},
+	{name: "sensitivity", desc: "Channel ablation: handoff-duration sensitivity sweep", header: "CHANNEL ABLATION — HANDOFF DURATION SWEEP",
+		run: func(c *Catalog) (export.Section, error) { return section(ChannelSensitivity(c.cfg)) }},
+	{name: "variants", desc: "Reno vs NewReno loss-recovery comparison", header: "VARIANT COMPARISON — RENO VS NEWRENO",
+		run: func(c *Catalog) (export.Section, error) { return section(Variants(c.cfg)) }},
+	{name: "speed", desc: "Train-speed sweep from 0 to 300 km/h", header: "SPEED SWEEP — 0 TO 300 KM/H",
+		run: func(c *Catalog) (export.Section, error) { return section(SpeedSweep(c.cfg)) }},
+	{name: "validation", desc: "Pipeline validation on a static Bernoulli channel", header: "PIPELINE VALIDATION — STATIC BERNOULLI CHANNEL",
+		run: func(c *Catalog) (export.Section, error) { return section(ModelValidation(c.cfg)) }},
+	{name: "faults", desc: "Fault-injection severity sweep (storms, blackouts, bursts)", header: "FAULT-INJECTION SEVERITY SWEEP",
+		run: func(c *Catalog) (export.Section, error) { return section(FaultSweep(c.cfg)) }},
+	{name: "fairness", desc: "Intra-variant fairness: same-CC flows sharing one bottleneck cell", header: "SHARED-BOTTLENECK FAIRNESS", optIn: true,
+		run: func(c *Catalog) (export.Section, error) {
+			r, err := Fairness(c.cfg)
+			if err != nil {
+				return export.Section{}, err
+			}
+			for i := range r.Groups {
+				c.addCCGroups(r.Groups[i].telemetryGroup("fairness"))
+			}
+			return r.Section(), nil
+		}},
+	{name: "ccmix", desc: "Mixed congestion control: one flow per variant on a shared cell", header: "MIXED CONGESTION CONTROL ON ONE CELL", optIn: true,
+		run: func(c *Catalog) (export.Section, error) {
+			r, err := CCMix(c.cfg)
+			if err != nil {
+				return export.Section{}, err
+			}
+			for i := range r.Groups {
+				c.addCCGroups(r.Groups[i].telemetryGroup("ccmix"))
+			}
+			return r.Section(), nil
+		}},
+}
+
+// section adapts an experiment's (result, error) return to a run.
+func section[R interface{ Section() export.Section }](r R, err error) (export.Section, error) {
+	if err != nil {
+		return export.Section{}, err
+	}
+	return r.Section(), nil
 }
 
 // CatalogNames returns every experiment name in canonical render order.
@@ -111,13 +163,12 @@ func IsCatalogName(name string) bool {
 
 // CatalogOptions customizes a catalog build.
 type CatalogOptions struct {
-	// WriteCSV, when non-nil, additionally receives each figure experiment's
-	// CSV series (name, table) from inside the experiment's task; an error
+	// WriteCSV, when non-nil, additionally receives each section's CSV
+	// series (name, table) from inside the experiment's task; an error
 	// fails that task.
 	WriteCSV func(name string, t *export.Table) error
 	// ForceCampaigns schedules the shared campaigns task even when no
-	// selected experiment consumes it (used by report generation and
-	// campaign-only jobs).
+	// selected experiment consumes it (used by campaign-only jobs).
 	ForceCampaigns bool
 	// Logf, when non-nil, receives human-oriented progress notes (campaign
 	// start/finish). It may be called from worker goroutines.
@@ -125,26 +176,23 @@ type CatalogOptions struct {
 }
 
 // Catalog is a buildable schedule over the named experiments: the dependency
-// tasks for shared state plus one task per requested experiment, wired
-// exactly like cmd/hsrbench's sections. Run the Tasks with RunDAGProgress;
-// after the campaigns task completed, Context returns the shared campaigns.
+// tasks for shared state plus one task per requested experiment. Run the
+// Tasks with RunDAGProgress; once the run returned, Sections returns every
+// completed experiment's section.
 type Catalog struct {
 	// Tasks is the dependency-aware schedule, in canonical render order.
 	Tasks []Task
 
 	cfg  Config
-	opt  CatalogOptions
 	ectx *Context
 	fig1 *Figure1Result
+	// sections holds each completed experiment's section by catalog index;
+	// every task writes only its own slot.
+	sections []*export.Section
 
 	ccMu sync.Mutex
 	cc   []telemetry.CCGroup
 }
-
-// Context returns the shared campaigns Context. It is only non-nil after
-// the catalog's campaigns task has run (schedule a dependent task on
-// CampaignsTaskName to consume it safely).
-func (c *Catalog) Context() *Context { return c.ectx }
 
 // addCCGroups records shared-bottleneck group results from an experiment
 // task (tasks may run concurrently under RunDAG).
@@ -174,8 +222,17 @@ func (c *Catalog) CCReport() *telemetry.CCReport {
 	return &telemetry.CCReport{Groups: groups}
 }
 
-// sectionHeader renders an hsrbench output section heading.
-func sectionHeader(s string) string { return strings.Repeat("=", 90) + "\n" + s + "\n\n" }
+// Sections returns the section of every experiment task that completed, in
+// canonical render order. Call it only after the Tasks' run returned.
+func (c *Catalog) Sections() []export.Section {
+	var out []export.Section
+	for _, s := range c.sections {
+		if s != nil {
+			out = append(out, *s)
+		}
+	}
+	return out
+}
 
 // NewCatalog builds the experiment schedule for the requested names under
 // cfg. Unknown names are an error (callers that want to ignore them filter
@@ -205,7 +262,7 @@ func NewCatalog(ctx context.Context, cfg Config, names []string, opt CatalogOpti
 		}
 	}
 
-	cat := &Catalog{cfg: cfg, opt: opt}
+	cat := &Catalog{cfg: cfg, sections: make([]*export.Section, len(catalogSections))}
 	// addSpanned registers a task wrapped in a task span (a no-op when
 	// cfg.Trace is nil); the task body receives its own span ID so shared-
 	// state producers can parent their campaign spans beneath the task.
@@ -257,207 +314,48 @@ func NewCatalog(ctx context.Context, cfg Config, names []string, opt CatalogOpti
 		})
 	}
 
-	writeCSV := func(name string, t *export.Table) error {
-		if opt.WriteCSV == nil {
-			return nil
+	for i, e := range catalogSections {
+		if !want[e.name] {
+			continue
 		}
-		return opt.WriteCSV(name, t)
-	}
-
-	if want["table1"] {
-		add("table1", ctxDep, func() (string, error) {
-			return sectionHeader("TABLE I") + Table1(cat.ectx).Render() + "\n", nil
-		})
-	}
-	if want["fig1"] {
-		add("fig1", fig1Dep, func() (string, error) {
-			if err := writeCSV("fig1_delivery", cat.fig1.CSVTable()); err != nil {
-				return "", err
-			}
-			return sectionHeader("FIGURE 1") + cat.fig1.Render() + "\n", nil
-		})
-	}
-	if want["fig2"] {
-		add("fig2", fig1Dep, func() (string, error) {
-			f2, err := Figure2(cat.fig1)
+		var deps []string
+		switch {
+		case e.needCtx:
+			deps = ctxDep
+		case e.needFig1:
+			deps = fig1Dep
+		}
+		add(e.name, deps, func() (string, error) {
+			sec, err := e.run(cat)
 			if err != nil {
 				return "", err
 			}
-			return sectionHeader("FIGURE 2") + f2.Render() + "\n", nil
-		})
-	}
-	if want["window"] {
-		add("window", fig1Dep, func() (string, error) {
-			w, err := WindowTrace(cat.fig1)
-			if err != nil {
-				return "", err
+			sec.Heading = e.header
+			if sec.CSV != nil && opt.WriteCSV != nil {
+				if err := opt.WriteCSV(sec.CSVName, sec.CSV); err != nil {
+					return "", err
+				}
 			}
-			return sectionHeader("WINDOW EVOLUTION (the live Figs 7-9)") + w.Render() + "\n", nil
-		})
-	}
-	if want["fig3"] {
-		add("fig3", ctxDep, func() (string, error) {
-			f3 := Figure3(cat.ectx)
-			if err := writeCSV("fig3_loss_rates", f3.CSVTable()); err != nil {
-				return "", err
-			}
-			return sectionHeader("FIGURE 3") + f3.Render() + "\n", nil
-		})
-	}
-	if want["fig4"] {
-		add("fig4", ctxDep, func() (string, error) {
-			f4 := Figure4(cat.ectx)
-			if err := writeCSV("fig4_ack_vs_timeouts", f4.CSVTable()); err != nil {
-				return "", err
-			}
-			return sectionHeader("FIGURE 4") + f4.Render() + "\n", nil
-		})
-	}
-	if want["fig6"] {
-		add("fig6", ctxDep, func() (string, error) {
-			f6 := Figure6(cat.ectx)
-			if err := writeCSV("fig6_ack_loss", f6.CSVTable()); err != nil {
-				return "", err
-			}
-			return sectionHeader("FIGURE 6") + f6.Render() + "\n", nil
-		})
-	}
-	if want["fig10"] {
-		add("fig10", ctxDep, func() (string, error) {
-			f10, err := Figure10(cat.ectx)
-			if err != nil {
-				return "", err
-			}
-			if err := writeCSV("fig10_model_fits", f10.CSVTable()); err != nil {
-				return "", err
-			}
-			return sectionHeader("FIGURE 10") + f10.Render() + "\n", nil
-		})
-	}
-	if want["fig12"] {
-		add("fig12", nil, func() (string, error) {
-			f12, err := Figure12(cfg)
-			if err != nil {
-				return "", err
-			}
-			if err := writeCSV("fig12_mptcp", f12.CSVTable()); err != nil {
-				return "", err
-			}
-			return sectionHeader("FIGURE 12") + f12.Render() + "\n", nil
-		})
-	}
-	if want["scalars"] {
-		add("scalars", ctxDep, func() (string, error) {
-			return sectionHeader("HEADLINE CLAIMS") + Scalars(cat.ectx).Render() + "\n", nil
-		})
-	}
-	if want["delack"] {
-		add("delack", nil, func() (string, error) {
-			d, err := DelayedAck(cfg)
-			if err != nil {
-				return "", err
-			}
-			return sectionHeader("DELAYED-ACK SWEEP (Section V-A)") + d.Render() + "\n", nil
-		})
-	}
-	if want["ablation"] {
-		add("ablation", ctxDep, func() (string, error) {
-			a, err := ModelAblation(cat.ectx)
-			if err != nil {
-				return "", err
-			}
-			return sectionHeader("MODEL ABLATION") + a.Render() + "\n", nil
-		})
-	}
-	if want["backupq"] {
-		add("backupq", nil, func() (string, error) {
-			bq, err := BackupQ(cfg)
-			if err != nil {
-				return "", err
-			}
-			return sectionHeader("MPTCP BACKUP MODE (Section V-B)") + bq.Render() + "\n", nil
-		})
-	}
-	if want["eifel"] {
-		add("eifel", nil, func() (string, error) {
-			e, err := Eifel(cfg)
-			if err != nil {
-				return "", err
-			}
-			return sectionHeader("EIFEL-STYLE SPURIOUS-RTO RESPONSE") + e.Render() + "\n", nil
-		})
-	}
-	if want["sensitivity"] {
-		add("sensitivity", nil, func() (string, error) {
-			s, err := ChannelSensitivity(cfg)
-			if err != nil {
-				return "", err
-			}
-			return sectionHeader("CHANNEL ABLATION — HANDOFF DURATION SWEEP") + s.Render() + "\n", nil
-		})
-	}
-	if want["variants"] {
-		add("variants", nil, func() (string, error) {
-			v, err := Variants(cfg)
-			if err != nil {
-				return "", err
-			}
-			return sectionHeader("VARIANT COMPARISON — RENO VS NEWRENO") + v.Render() + "\n", nil
-		})
-	}
-	if want["speed"] {
-		add("speed", nil, func() (string, error) {
-			sp, err := SpeedSweep(cfg)
-			if err != nil {
-				return "", err
-			}
-			return sectionHeader("SPEED SWEEP — 0 TO 300 KM/H") + sp.Render() + "\n", nil
-		})
-	}
-	if want["validation"] {
-		add("validation", nil, func() (string, error) {
-			v, err := ModelValidation(cfg)
-			if err != nil {
-				return "", err
-			}
-			return sectionHeader("PIPELINE VALIDATION — STATIC BERNOULLI CHANNEL") + v.Render() + "\n", nil
-		})
-	}
-	if want["faults"] {
-		add("faults", nil, func() (string, error) {
-			f, err := FaultSweep(cfg)
-			if err != nil {
-				return "", err
-			}
-			if err := writeCSV("fault_sweep", f.CSVTable()); err != nil {
-				return "", err
-			}
-			return sectionHeader("FAULT-INJECTION SEVERITY SWEEP") + f.Render() + "\n", nil
-		})
-	}
-	if want["fairness"] {
-		add("fairness", nil, func() (string, error) {
-			r, err := Fairness(cfg)
-			if err != nil {
-				return "", err
-			}
-			for i := range r.Groups {
-				cat.addCCGroups(r.Groups[i].telemetryGroup("fairness"))
-			}
-			return sectionHeader("SHARED-BOTTLENECK FAIRNESS") + r.Render() + "\n", nil
-		})
-	}
-	if want["ccmix"] {
-		add("ccmix", nil, func() (string, error) {
-			r, err := CCMix(cfg)
-			if err != nil {
-				return "", err
-			}
-			for i := range r.Groups {
-				cat.addCCGroups(r.Groups[i].telemetryGroup("ccmix"))
-			}
-			return sectionHeader("MIXED CONGESTION CONTROL ON ONE CELL") + r.Render() + "\n", nil
+			cat.sections[i] = &sec
+			return export.Text(sec), nil
 		})
 	}
 	return cat, nil
+}
+
+// WriteCSV writes one section's CSV series into dir as <name>.csv.
+func WriteCSV(dir, name string, t *export.Table) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("experiments: create csv dir: %w", err)
+	}
+	path := filepath.Join(dir, name+".csv")
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("experiments: create %s: %w", path, err)
+	}
+	if err := t.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"repro/internal/export"
 	"strings"
 	"testing"
 	"time"
@@ -40,8 +41,8 @@ func TestNewCatalogRejectsUnknownName(t *testing.T) {
 }
 
 // TestCatalogRunsSelection runs a small context-backed selection end to end
-// and checks the dependency task ran, the context is exposed, and the
-// rendered sections come back in canonical order.
+// and checks the dependency task built the shared context and the rendered
+// sections come back in canonical order.
 func TestCatalogRunsSelection(t *testing.T) {
 	cfg := Quick()
 	cfg.FlowsPerRow = 1
@@ -57,7 +58,7 @@ func TestCatalogRunsSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cat.Context() == nil {
+	if cat.ectx == nil {
 		t.Error("Context nil after the campaigns task ran")
 	}
 	if !logged {
@@ -81,6 +82,16 @@ func TestCatalogRunsSelection(t *testing.T) {
 	}
 	if !strings.Contains(results[1].Output, "TABLE I") {
 		t.Error("table1 section not rendered")
+	}
+	// The kept sections are what the tasks printed, in canonical order.
+	secs := cat.Sections()
+	if len(secs) != 2 || secs[0].Heading != "TABLE I" || secs[1].Heading != "HEADLINE CLAIMS" {
+		t.Fatalf("Sections = %d sections, want TABLE I then HEADLINE CLAIMS", len(secs))
+	}
+	for i, sec := range secs {
+		if got := export.Text(sec); got != results[i+1].Output {
+			t.Errorf("section %q prints differently from its task output", sec.Heading)
+		}
 	}
 }
 

@@ -11,22 +11,22 @@ import (
 func TestCSVTables(t *testing.T) {
 	ctx := testContext(t)
 	f3 := Figure3(ctx)
-	if tab := f3.CSVTable(); len(tab.Rows) != len(f3.RecoveryLoss)+len(f3.LifetimeLoss) {
-		t.Errorf("fig3 csv rows = %d", len(tab.Rows))
+	if s := f3.Section(); s.CSVName != "fig3_loss_rates" || len(s.CSV.Rows) != len(f3.RecoveryLoss)+len(f3.LifetimeLoss) {
+		t.Errorf("fig3 csv %q rows = %d", s.CSVName, len(s.CSV.Rows))
 	}
 	f4 := Figure4(ctx)
-	if tab := f4.CSVTable(); len(tab.Rows) != len(f4.AckLoss) {
-		t.Errorf("fig4 csv rows = %d, want %d", len(tab.Rows), len(f4.AckLoss))
+	if s := f4.Section(); s.CSVName != "fig4_ack_vs_timeouts" || len(s.CSV.Rows) != len(f4.AckLoss) {
+		t.Errorf("fig4 csv %q rows = %d, want %d", s.CSVName, len(s.CSV.Rows), len(f4.AckLoss))
 	}
 	f6 := Figure6(ctx)
-	if tab := f6.CSVTable(); len(tab.Rows) != len(f6.HSR)+len(f6.Stationary) {
-		t.Errorf("fig6 csv rows = %d", len(tab.Rows))
+	if s := f6.Section(); s.CSVName != "fig6_ack_loss" || len(s.CSV.Rows) != len(f6.HSR)+len(f6.Stationary) {
+		t.Errorf("fig6 csv %q rows = %d", s.CSVName, len(s.CSV.Rows))
 	}
 	f10, err := Figure10(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := f10.CSVTable()
+	tab := f10.Section().CSV
 	var flows int
 	for _, op := range f10.Operators {
 		flows += len(op.Flows)
@@ -46,7 +46,7 @@ func TestCSVTables(t *testing.T) {
 func TestWriteCSVCreatesFile(t *testing.T) {
 	ctx := testContext(t)
 	dir := t.TempDir()
-	if err := WriteCSV(dir, "fig4", Figure4(ctx).CSVTable()); err != nil {
+	if err := WriteCSV(dir, "fig4", Figure4(ctx).Section().CSV); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig4.csv"))

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cellular"
@@ -82,8 +81,8 @@ func Eifel(cfg Config) (*EifelResult, error) {
 	return res, nil
 }
 
-// Render prints the study.
-func (r *EifelResult) Render() string {
+// Section prints the study.
+func (r *EifelResult) Section() export.Section {
 	t := export.NewTable("flow", "plain pps", "eifel pps", "gain", "timeouts", "undone")
 	for i, p := range r.Points {
 		gain := 0.0
@@ -95,12 +94,12 @@ func (r *EifelResult) Render() string {
 			export.Percent(gain), fmt.Sprintf("%d", p.Timeouts),
 			fmt.Sprintf("%d", p.SpuriousRecoveries))
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Eifel-style spurious-RTO response on %s HSR\n", r.Operator)
-	b.WriteString(t.Render())
-	fmt.Fprintf(&b, "mean throughput gain %s; %d spurious recoveries undone\n",
+	var s export.Section
+	s.Linef("Eifel-style spurious-RTO response on %s HSR", r.Operator)
+	s.AddTable(t)
+	s.Linef("mean throughput gain %s; %d spurious recoveries undone",
 		export.Percent(r.MeanGain), r.TotalUndo)
-	return b.String()
+	return s
 }
 
 // SensitivityLevel is one handoff-duration scale factor's outcome.
@@ -186,8 +185,8 @@ func ChannelSensitivity(cfg Config) (*ChannelSensitivityResult, error) {
 	return res, nil
 }
 
-// Render prints the sweep.
-func (r *ChannelSensitivityResult) Render() string {
+// Section prints the sweep.
+func (r *ChannelSensitivityResult) Section() export.Section {
 	t := export.NewTable("handoff scale", "mean recovery", "mean pps", "mean D Padhye", "mean D enhanced")
 	for _, l := range r.Levels {
 		t.AddRow(fmt.Sprintf("%.1fx", l.Scale),
@@ -195,9 +194,9 @@ func (r *ChannelSensitivityResult) Render() string {
 			fmt.Sprintf("%.1f", l.MeanTputPps),
 			export.Percent(l.MeanDPadhye), export.Percent(l.MeanDEnh))
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Channel ablation — handoff outage duration sweep (%s)\n", r.Operator)
-	b.WriteString(t.Render())
-	b.WriteString("longer outages lengthen recoveries and widen Padhye's error; the enhanced model tracks\n")
-	return b.String()
+	var s export.Section
+	s.Linef("Channel ablation — handoff outage duration sweep (%s)", r.Operator)
+	s.AddTable(t)
+	s.Linef("longer outages lengthen recoveries and widen Padhye's error; the enhanced model tracks")
+	return s
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/export"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ func TestEifelExperiment(t *testing.T) {
 	if res.MeanGain <= 0 {
 		t.Errorf("mean gain = %v, want positive (most HSR timeouts are spurious)", res.MeanGain)
 	}
-	if !strings.Contains(res.Render(), "Eifel") {
+	if !strings.Contains(export.Text(res.Section()), "Eifel") {
 		t.Error("render missing title")
 	}
 }
@@ -48,7 +49,7 @@ func TestChannelSensitivityExperiment(t *testing.T) {
 		t.Errorf("at 2x outages enhanced D (%v) should beat Padhye (%v)",
 			last.MeanDEnh, last.MeanDPadhye)
 	}
-	if !strings.Contains(res.Render(), "handoff") {
+	if !strings.Contains(export.Text(res.Section()), "handoff") {
 		t.Error("render missing title")
 	}
 }

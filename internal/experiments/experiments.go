@@ -1,9 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation, plus the extension studies DESIGN.md calls out. Each
 // experiment is a function from a Config (or a shared Context holding the
-// synthetic measurement campaigns) to a typed result with a Render method;
-// cmd/hsrbench prints the renders and bench_test.go reports the headline
-// numbers as benchmark metrics.
+// synthetic measurement campaigns) to a typed result whose Section method
+// returns its lines, tables, plots and CSV series (export.Section); the
+// catalog runs them, cmd/hsrbench prints the sections to the terminal and
+// to -report, and bench_test.go reports the headline numbers as benchmark
+// metrics. The paper's reference values live in one table (paper.go).
 //
 // Per-experiment index (see DESIGN.md for the full mapping):
 //
@@ -15,7 +17,7 @@
 //	Figure6       — CDFs of ACK loss, HSR vs stationary
 //	Figure10      — model deviation D: Padhye vs the enhanced model
 //	Figure12      — MPTCP (two subflows) vs TCP throughput by carrier
-//	Scalars       — headline numbers (5.05 s vs 0.65 s, 49.24% spurious, ...)
+//	Scalars       — headline numbers (recovery durations, spurious share, loss rates)
 //	DelayedAck    — Section V-A: the delayed-ACK window sweep
 //	ModelAblation — Section IV ablations (P_a source, consistent variant, sensitivity)
 //	BackupQ       — Section V-B: MPTCP backup-mode double retransmission

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/export"
 	"strings"
 	"sync"
 	"testing"
@@ -61,7 +62,7 @@ func TestTable1(t *testing.T) {
 	if res.TotalSimGB <= 0 {
 		t.Error("no simulated payload")
 	}
-	out := res.Render()
+	out := export.Text(res.Section())
 	for _, want := range []string{"China Mobile", "China Unicom", "China Telecom", "January 2015", "October 2015"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -89,7 +90,7 @@ func TestFigure1And2(t *testing.T) {
 	if lost == 0 {
 		t.Error("no lost packets in the scatter")
 	}
-	out := res.Render()
+	out := export.Text(res.Section())
 	if !strings.Contains(out, "Fig 1") || !strings.Contains(out, "timeout sequences") {
 		t.Errorf("Figure1 render incomplete:\n%s", out)
 	}
@@ -104,7 +105,7 @@ func TestFigure1And2(t *testing.T) {
 	if len(f2.Events) == 0 {
 		t.Error("Figure2 has no events")
 	}
-	out2 := f2.Render()
+	out2 := export.Text(f2.Section())
 	if !strings.Contains(out2, "timeout") || !strings.Contains(out2, "backoff") {
 		t.Errorf("Figure2 render incomplete:\n%s", out2)
 	}
@@ -127,7 +128,7 @@ func TestFigure3(t *testing.T) {
 	if res.MeanRecovery < 5*res.MeanLifetime {
 		t.Errorf("mean q (%v) should dwarf lifetime loss (%v)", res.MeanRecovery, res.MeanLifetime)
 	}
-	if !strings.Contains(res.Render(), "Fig 3") {
+	if !strings.Contains(export.Text(res.Section()), "Fig 3") {
 		t.Error("render missing title")
 	}
 }
@@ -142,7 +143,7 @@ func TestFigure4(t *testing.T) {
 	if res.Pearson <= 0 {
 		t.Errorf("Pearson = %v, want positive", res.Pearson)
 	}
-	if !strings.Contains(res.Render(), "Pearson") {
+	if !strings.Contains(export.Text(res.Section()), "Pearson") {
 		t.Error("render missing statistics")
 	}
 }
@@ -157,7 +158,7 @@ func TestFigure6(t *testing.T) {
 	if res.MeanHSR < 3*res.MeanStationary {
 		t.Errorf("HSR/stationary ACK loss ratio = %v, want >= 3", res.MeanHSR/res.MeanStationary)
 	}
-	if !strings.Contains(res.Render(), "Fig 6") {
+	if !strings.Contains(export.Text(res.Section()), "Fig 6") {
 		t.Error("render missing title")
 	}
 }
@@ -188,7 +189,7 @@ func TestFigure10(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(res.Render(), "Fig 10") {
+	if !strings.Contains(export.Text(res.Section()), "Fig 10") {
 		t.Error("render missing title")
 	}
 }
@@ -210,7 +211,7 @@ func TestScalars(t *testing.T) {
 	if res.MeanAckLossHSR <= res.MeanAckLossStationary {
 		t.Error("HSR ACK loss must exceed stationary")
 	}
-	if !strings.Contains(res.Render(), "5.05") {
+	if !strings.Contains(export.Text(res.Section()), "5.05") {
 		t.Error("render missing paper reference values")
 	}
 }
@@ -240,7 +241,7 @@ func TestModelAblation(t *testing.T) {
 			t.Errorf("TP not decreasing in q at %v", res.QSweep[i].X)
 		}
 	}
-	if !strings.Contains(res.Render(), "sensitivity") {
+	if !strings.Contains(export.Text(res.Section()), "sensitivity") {
 		t.Error("render missing sensitivity plots")
 	}
 }

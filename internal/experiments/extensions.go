@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -96,8 +95,8 @@ func DelayedAck(cfg Config) (*DelayedAckResult, error) {
 	return res, nil
 }
 
-// Render prints the sweep.
-func (r *DelayedAckResult) Render() string {
+// Section prints the sweep.
+func (r *DelayedAckResult) Section() export.Section {
 	t := export.NewTable("receiver", "mean pps", "acks/s", "timeout seqs", "spurious", "p_a")
 	for _, p := range r.Points {
 		t.AddRow(p.Label, fmt.Sprintf("%.1f", p.MeanTputPps),
@@ -105,11 +104,11 @@ func (r *DelayedAckResult) Render() string {
 			fmt.Sprintf("%d", p.TimeoutSequences), fmt.Sprintf("%d", p.SpuriousTimeouts),
 			export.Percent(p.MeanAckLoss))
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Section V-A — delayed-ACK window sweep on %s HSR (%d flows per setting)\n", r.Operator, r.Flows)
-	b.WriteString(t.Render())
-	b.WriteString("fewer ACKs per round (larger b) leave fewer chances for one ACK to survive a burst — ACKs are \"precious\"\n")
-	return b.String()
+	var s export.Section
+	s.Linef("Section V-A — delayed-ACK window sweep on %s HSR (%d flows per setting)", r.Operator, r.Flows)
+	s.AddTable(t)
+	s.Linef("fewer ACKs per round (larger b) leave fewer chances for one ACK to survive a burst — ACKs are \"precious\"")
+	return s
 }
 
 // AblationVariant is one model variant's accuracy over the campaign.
@@ -195,15 +194,15 @@ func ModelAblation(ctx *Context) (*AblationResult, error) {
 	return res, nil
 }
 
-// Render prints the variant table and sensitivity curves.
-func (r *AblationResult) Render() string {
+// Section prints the variant table and sensitivity curves.
+func (r *AblationResult) Section() export.Section {
 	t := export.NewTable("model variant", "mean D")
 	for _, v := range r.Variants {
 		t.AddRow(v.Name, export.Percent(v.MeanD))
 	}
-	var b strings.Builder
-	b.WriteString("Model ablation — accuracy of model variants over the HSR campaign\n")
-	b.WriteString(t.Render())
+	var s export.Section
+	s.Linef("Model ablation — accuracy of model variants over the HSR campaign")
+	s.AddTable(t)
 
 	toXY := func(pts []SensitivityPoint) []export.XY {
 		out := make([]export.XY, len(pts))
@@ -212,13 +211,13 @@ func (r *AblationResult) Render() string {
 		}
 		return out
 	}
-	pa := export.Plot{Title: "Eq. 21 sensitivity to P_a (q=0.3 fixed)", XLabel: "P_a", YLabel: "pps", Height: 10}
+	pa := &export.Plot{Title: "Eq. 21 sensitivity to P_a (q=0.3 fixed)", XLabel: "P_a", YLabel: "pps", Height: 10}
 	pa.Add("TP", '*', toXY(r.PaSweep))
-	b.WriteString(pa.Render())
-	q := export.Plot{Title: "Eq. 21 sensitivity to q (P_a=p_a^w fixed)", XLabel: "q", YLabel: "pps", Height: 10}
+	s.AddPlot(pa)
+	q := &export.Plot{Title: "Eq. 21 sensitivity to q (P_a=p_a^w fixed)", XLabel: "q", YLabel: "pps", Height: 10}
 	q.Add("TP", '*', toXY(r.QSweep))
-	b.WriteString(q.Render())
-	return b.String()
+	s.AddPlot(q)
+	return s
 }
 
 // BackupQPoint is one seed's plain-vs-backup comparison.
@@ -299,8 +298,8 @@ func (r *BackupQResult) Means() (plainQ, backupQ float64, plainRec, backupRec ti
 	return pq.Mean(), bq.Mean(), pr / n, br / n
 }
 
-// Render prints the comparison.
-func (r *BackupQResult) Render() string {
+// Section prints the comparison.
+func (r *BackupQResult) Section() export.Section {
 	t := export.NewTable("seed", "plain q", "backup q", "plain recovery", "backup recovery", "plain pps", "backup pps", "backup retx")
 	for i, p := range r.Points {
 		t.AddRow(fmt.Sprintf("%d", i),
@@ -310,10 +309,10 @@ func (r *BackupQResult) Render() string {
 			fmt.Sprintf("%d", p.BackupRetx))
 	}
 	pq, bq, pr, br := r.Means()
-	var b strings.Builder
-	fmt.Fprintf(&b, "Section V-B — MPTCP backup-mode double retransmission (%s HSR)\n", r.Operator)
-	b.WriteString(t.Render())
-	fmt.Fprintf(&b, "means: q %s -> %s; recovery %.2fs -> %.2fs\n",
+	var s export.Section
+	s.Linef("Section V-B — MPTCP backup-mode double retransmission (%s HSR)", r.Operator)
+	s.AddTable(t)
+	s.Linef("means: q %s -> %s; recovery %.2fs -> %.2fs",
 		export.Percent(pq), export.Percent(bq), pr.Seconds(), br.Seconds())
-	return b.String()
+	return s
 }

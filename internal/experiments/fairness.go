@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cellular"
@@ -148,8 +147,8 @@ func Fairness(cfg Config) (*FairnessResult, error) {
 	return res, nil
 }
 
-// Render prints the per-variant fairness table.
-func (r *FairnessResult) Render() string {
+// Section prints the per-variant fairness table.
+func (r *FairnessResult) Section() export.Section {
 	t := export.NewTable("group", "flows", "sum pps", "jain", "retx", "timeouts", "fast retx")
 	for i := range r.Groups {
 		g := &r.Groups[i]
@@ -163,14 +162,14 @@ func (r *FairnessResult) Render() string {
 			fmt.Sprintf("%d", g.Retransmissions()),
 			fmt.Sprintf("%d", timeouts), fmt.Sprintf("%d", fastRetx))
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Shared-bottleneck fairness — %d same-variant flows per group on %s HSR\n",
+	var s export.Section
+	s.Linef("Shared-bottleneck fairness — %d same-variant flows per group on %s HSR",
 		fairnessFlowsPerGroup, r.Operator)
-	b.WriteString(t.Render())
-	b.WriteString("Jain's index over per-flow throughput: 1.0 = perfectly fair.\n")
-	b.WriteString("Storm groups layer the scripted stress schedule (handoff storm, blackout,\n")
-	b.WriteString("ACK burst, rate collapse) over every contending flow.\n")
-	return b.String()
+	s.AddTable(t)
+	s.Linef("Jain's index over per-flow throughput: 1.0 = perfectly fair.")
+	s.Linef("Storm groups layer the scripted stress schedule (handoff storm, blackout,")
+	s.Linef("ACK burst, rate collapse) over every contending flow.")
+	return s
 }
 
 // CCMixResult is the heterogeneous counterpart: one flow per variant, all
@@ -215,8 +214,8 @@ func CCMix(cfg Config) (*CCMixResult, error) {
 	return res, nil
 }
 
-// Render prints the per-variant share table for each mixed group.
-func (r *CCMixResult) Render() string {
+// Section prints the per-variant share table for each mixed group.
+func (r *CCMixResult) Section() export.Section {
 	t := export.NewTable("group", "cc", "pps", "share", "retx", "timeouts", "fast retx")
 	for i := range r.Groups {
 		g := &r.Groups[i]
@@ -231,12 +230,12 @@ func (r *CCMixResult) Render() string {
 				fmt.Sprintf("%d", f.Stats.Timeouts), fmt.Sprintf("%d", f.Stats.FastRetransmits))
 		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Mixed congestion control — one flow per variant sharing one %s cell\n", r.Operator)
-	b.WriteString(t.Render())
+	var s export.Section
+	s.Linef("Mixed congestion control — one flow per variant sharing one %s cell", r.Operator)
+	s.AddTable(t)
 	for i := range r.Groups {
 		g := &r.Groups[i]
-		fmt.Fprintf(&b, "%s: Jain %.4f over %d heterogeneous flows\n", g.Label, g.Jain, len(g.Flows))
+		s.Linef("%s: Jain %.4f over %d heterogeneous flows", g.Label, g.Jain, len(g.Flows))
 	}
-	return b.String()
+	return s
 }

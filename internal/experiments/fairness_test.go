@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"reflect"
+	"repro/internal/export"
 	"strings"
 	"testing"
 	"time"
@@ -52,7 +53,7 @@ func TestFairnessDeterministicAndComplete(t *testing.T) {
 			}
 		}
 	}
-	out := a.Render()
+	out := export.Text(a.Section())
 	for _, want := range []string{"jain", "reno/clean", "bbr/storm"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
@@ -79,7 +80,7 @@ func TestCCMixCoversEveryVariant(t *testing.T) {
 			}
 		}
 	}
-	if out := r.Render(); !strings.Contains(out, "Jain") {
+	if out := export.Text(r.Section()); !strings.Contains(out, "Jain") {
 		t.Error("render missing the Jain index")
 	}
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/cellular"
@@ -33,8 +32,8 @@ type FaultPoint struct {
 // benign to beyond-scripted intensity. It is the robustness counterpart of
 // the paper's Figure 10 claim — as injected blackouts, handoff storms and
 // ACK bursts intensify exactly the q and P_a conditions behind the paper's
-// 5.05 s recoveries and 49.24 % spurious RTOs, the enhanced model should
-// degrade gracefully where Padhye's diverges.
+// long recoveries and spurious RTOs, the enhanced model should degrade
+// gracefully where Padhye's diverges.
 type FaultSweepResult struct {
 	Operator string
 	Schedule string // canonical DSL of the severity-1 schedule
@@ -122,8 +121,9 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 	return res, nil
 }
 
-// Render prints the sweep.
-func (r *FaultSweepResult) Render() string {
+// Section prints the sweep; its CSV series holds the sweep at full
+// precision.
+func (r *FaultSweepResult) Section() export.Section {
 	t := export.NewTable("severity", "mean pps", "p_a", "q", "TO seqs", "spurious",
 		"mean recovery", "Padhye |D|", "enhanced |D|")
 	for _, p := range r.Points {
@@ -133,24 +133,20 @@ func (r *FaultSweepResult) Render() string {
 			fmt.Sprintf("%.2fs", p.MeanRecovery.Seconds()),
 			export.Percent(p.PadhyeDev), export.Percent(p.EnhancedDev))
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fault-injection severity sweep — %s, %d flows per level\n", r.Operator, r.Flows)
-	fmt.Fprintf(&b, "schedule (severity 1): %s\n", r.Schedule)
-	b.WriteString(t.Render())
-	b.WriteString("injected blackouts/storms/ACK bursts intensify q and P_a; the enhanced model should stay closer than Padhye as severity grows\n")
-	return b.String()
-}
-
-// CSVTable exports the sweep series.
-func (r *FaultSweepResult) CSVTable() *export.Table {
-	t := export.NewTable("severity", "mean_pps", "p_a", "q", "timeout_seqs", "spurious",
+	var s export.Section
+	s.Linef("Fault-injection severity sweep — %s, %d flows per level", r.Operator, r.Flows)
+	s.Linef("schedule (severity 1): %s", r.Schedule)
+	s.AddTable(t)
+	s.Linef("injected blackouts/storms/ACK bursts intensify q and P_a; the enhanced model should stay closer than Padhye as severity grows")
+	csv := export.NewTable("severity", "mean_pps", "p_a", "q", "timeout_seqs", "spurious",
 		"mean_recovery_s", "padhye_dev", "enhanced_dev")
 	for _, p := range r.Points {
-		t.AddRow(fmt.Sprintf("%g", p.Severity), fmt.Sprintf("%g", p.MeanTputPps),
+		csv.AddRow(fmt.Sprintf("%g", p.Severity), fmt.Sprintf("%g", p.MeanTputPps),
 			fmt.Sprintf("%g", p.MeanAckLoss), fmt.Sprintf("%g", p.MeanRecLoss),
 			fmt.Sprintf("%d", p.TimeoutSequences), fmt.Sprintf("%d", p.SpuriousTimeouts),
 			fmt.Sprintf("%g", p.MeanRecovery.Seconds()),
 			fmt.Sprintf("%g", p.PadhyeDev), fmt.Sprintf("%g", p.EnhancedDev))
 	}
-	return t
+	s.CSVName, s.CSV = "fault_sweep", csv
+	return s
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"repro/internal/export"
 	"strings"
 	"testing"
 	"time"
@@ -35,13 +36,13 @@ func TestFaultSweep(t *testing.T) {
 		t.Errorf("severity-%v throughput %.1f pps >= baseline %.1f pps; injected faults should hurt",
 			worst.Severity, worst.MeanTputPps, base.MeanTputPps)
 	}
-	out := f.Render()
+	out := export.Text(f.Section())
 	for _, want := range []string{"severity", "Padhye", "enhanced", f.Operator} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render missing %q:\n%s", want, out)
 		}
 	}
-	if got := len(f.CSVTable().Rows); got != len(f.Points) {
+	if got := len(f.Section().CSV.Rows); got != len(f.Points) {
 		t.Errorf("CSV rows = %d, want %d", got, len(f.Points))
 	}
 }

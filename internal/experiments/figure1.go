@@ -78,11 +78,12 @@ func Figure1(cfg Config) (*Figure1Result, error) {
 	return best, nil
 }
 
-// Render draws the scatter: x = send time (s), y = delivery latency (ms),
+// Section draws the scatter: x = send time (s), y = delivery latency (ms),
 // lost packets at y = -1 following the paper's plotting convention (ACK
 // latencies negated so ACKs sit in the upper half and data in the lower,
-// mirroring the paper's two bands).
-func (r *Figure1Result) Render() string {
+// mirroring the paper's two bands). Its CSV series lists every packet as
+// (send time, kind, latency, lost, seq) for external plotting.
+func (r *Figure1Result) Section() export.Section {
 	var dataOK, dataLost, ackOK, ackLost []export.XY
 	for _, p := range r.Points {
 		x := p.SentAt.Seconds()
@@ -97,7 +98,7 @@ func (r *Figure1Result) Render() string {
 			ackOK = append(ackOK, export.XY{X: x, Y: p.Latency.Seconds() * 1000})
 		}
 	}
-	plot := export.Plot{
+	plot := &export.Plot{
 		Title:  "Fig 1 — time for ACKs (top) and data (bottom) to arrive; losses on the +-1 lines",
 		XLabel: "send time (s)",
 		YLabel: "arrival latency (ms; data negated)",
@@ -108,16 +109,26 @@ func (r *Figure1Result) Render() string {
 	plot.Add("lost-ack", 'X', ackLost)
 	plot.Add("lost-data", 'x', dataLost)
 
-	var b strings.Builder
-	b.WriteString(plot.Render())
-	fmt.Fprintf(&b, "flow %s (%s, %s): %d data pkts, %d acks, %d timeout sequences at:",
-		r.Meta.ID, r.Meta.Operator, r.Meta.Tech,
-		len(dataOK)+len(dataLost), len(ackOK)+len(ackLost), len(r.Timeouts))
+	var at strings.Builder
 	for i, to := range r.Timeouts {
-		fmt.Fprintf(&b, " %d:%.1fs", i+1, to.Seconds())
+		fmt.Fprintf(&at, " %d:%.1fs", i+1, to.Seconds())
 	}
-	b.WriteString("\n")
-	return b.String()
+	var s export.Section
+	s.AddPlot(plot)
+	s.Linef("flow %s (%s, %s): %d data pkts, %d acks, %d timeout sequences at:%s",
+		r.Meta.ID, r.Meta.Operator, r.Meta.Tech,
+		len(dataOK)+len(dataLost), len(ackOK)+len(ackLost), len(r.Timeouts), at.String())
+	csv := export.NewTable("sent_s", "kind", "latency_ms", "lost", "seq")
+	for _, p := range r.Points {
+		lat := "-1"
+		if !p.Lost {
+			lat = fmt.Sprintf("%.3f", p.Latency.Seconds()*1000)
+		}
+		csv.AddRow(fmt.Sprintf("%.6f", p.SentAt.Seconds()), p.Kind.String(), lat,
+			fmt.Sprintf("%v", p.Lost), fmt.Sprintf("%d", p.Seq))
+	}
+	s.CSVName, s.CSV = "fig1_delivery", csv
+	return s
 }
 
 // Figure2Result zooms into one timeout recovery phase of the Figure 1 flow
@@ -157,11 +168,11 @@ func Figure2(fig1 *Figure1Result) (*Figure2Result, error) {
 	return res, nil
 }
 
-// Render prints the recovery timeline.
-func (r *Figure2Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 2 — retransmission process in a timeout recovery phase\n")
-	fmt.Fprintf(&b, "phase: CA ended %.2fs, first RTO %.2fs, recovered %.2fs (duration %.2fs, %d timeouts, spurious=%v)\n",
+// Section prints the recovery timeline.
+func (r *Figure2Result) Section() export.Section {
+	var s export.Section
+	s.Linef("Fig 2 — retransmission process in a timeout recovery phase")
+	s.Linef("phase: CA ended %.2fs, first RTO %.2fs, recovered %.2fs (duration %.2fs, %d timeouts, spurious=%v)",
 		r.Phase.Start.Seconds(), r.Phase.FirstTimeout.Seconds(), r.Phase.End.Seconds(),
 		r.Phase.Duration().Seconds(), r.Phase.Timeouts, r.Phase.Spurious)
 	t := export.NewTable("t (s)", "event", "seq", "tx#", "note")
@@ -187,6 +198,6 @@ func (r *Figure2Result) Render() string {
 		}
 		t.AddRow(fmt.Sprintf("%.3f", ev.At.Seconds()), ev.Type.String(), seq, txno, note)
 	}
-	b.WriteString(t.Render())
-	return b.String()
+	s.AddTable(t)
+	return s
 }

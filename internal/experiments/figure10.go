@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -36,20 +35,17 @@ type Figure10Operator struct {
 
 // Figure10Result reproduces the model-accuracy comparison (paper Fig 10):
 // the absolute deviation D of the Padhye model and of the enhanced model,
-// per flow and averaged per carrier. The paper reports mean D dropping from
-// 21.96% (Padhye) to 5.66% (enhanced).
+// per flow and averaged per carrier.
 type Figure10Result struct {
 	Operators   []Figure10Operator
 	MeanDPadhye float64
 	MeanDEnh    float64
-	PaperDPad   float64
-	PaperDEnh   float64
 	ImprovePts  float64 // percentage-point improvement
 }
 
 // Figure10 evaluates both models on every flow of the HSR campaign.
 func Figure10(ctx *Context) (*Figure10Result, error) {
-	res := &Figure10Result{PaperDPad: 0.2196, PaperDEnh: 0.0566}
+	res := &Figure10Result{}
 	names, groups := ctx.HSR.ByOperator()
 	var allPad, allEnh []float64
 	for _, name := range names {
@@ -104,8 +100,9 @@ func fitModels(m *analysis.FlowMetrics) (ModelFit, error) {
 	}, nil
 }
 
-// Render prints the per-carrier comparison.
-func (r *Figure10Result) Render() string {
+// Section prints the per-carrier comparison; its CSV series holds every
+// flow's model fits.
+func (r *Figure10Result) Section() export.Section {
 	t := export.NewTable("provider", "flows", "mean D Padhye", "mean D enhanced", "median D Padhye", "median D enhanced", "worst D Padhye")
 	for _, op := range r.Operators {
 		t.AddRow(op.Name, fmt.Sprintf("%d", len(op.Flows)),
@@ -113,10 +110,21 @@ func (r *Figure10Result) Render() string {
 			export.Percent(op.MedianDPad), export.Percent(op.MedianDEnh),
 			export.Percent(op.WorstDPadhye))
 	}
-	var b strings.Builder
-	b.WriteString("Fig 10 — model accuracy: deviation D = |TP_model - TP_trace| / TP_trace\n")
-	b.WriteString(t.Render())
-	fmt.Fprintf(&b, "overall mean D: Padhye %s (paper 21.96%%), enhanced %s (paper 5.66%%), improvement %.1f points (paper 16.3)\n",
-		export.Percent(r.MeanDPadhye), export.Percent(r.MeanDEnh), r.ImprovePts*100)
-	return b.String()
+	var s export.Section
+	s.Linef("Fig 10 — model accuracy: deviation D = |TP_model - TP_trace| / TP_trace")
+	s.AddTable(t)
+	s.Linef("overall mean D: Padhye %s (paper %s), enhanced %s (paper %s), improvement %.1f points (paper %.1f)",
+		export.Percent(r.MeanDPadhye), paper.DPadhye.Text, export.Percent(r.MeanDEnh), paper.DEnhanced.Text,
+		r.ImprovePts*100, (paper.DPadhye.Value-paper.DEnhanced.Value)*100)
+	csv := export.NewTable("flow", "operator", "actual_pps", "padhye_pps", "enhanced_pps", "D_padhye", "D_enhanced")
+	for _, op := range r.Operators {
+		for _, f := range op.Flows {
+			csv.AddRow(f.FlowID, f.Operator,
+				fmt.Sprintf("%.3f", f.ActualPps),
+				fmt.Sprintf("%.3f", f.PadhyePps), fmt.Sprintf("%.3f", f.EnhPps),
+				fmt.Sprintf("%.5f", f.DPadhye), fmt.Sprintf("%.5f", f.DEnhanced))
+		}
+	}
+	s.CSVName, s.CSV = "fig10_model_fits", csv
+	return s
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cellular"
@@ -23,16 +22,14 @@ type Figure12Pair struct {
 
 // Figure12Operator aggregates one carrier's pairs.
 type Figure12Operator struct {
-	Name             string
-	Pairs            []Figure12Pair
-	MeanImprovement  float64 // mean of pairwise improvements, the paper's statistic
-	PaperImprovement float64
+	Name            string
+	Pairs           []Figure12Pair
+	MeanImprovement float64 // mean of pairwise improvements, the paper's statistic
 }
 
 // Figure12Result reproduces the MPTCP comparison (paper Fig 12): the same
 // total payload moved by one TCP flow vs two concurrent subflows with no
-// shared bottleneck besides the cell's air interface. Paper improvements:
-// China Mobile +42.15%, China Unicom +95.64%, China Telecom +283.33%.
+// shared bottleneck besides the cell's air interface.
 type Figure12Result struct {
 	Operators []Figure12Operator
 }
@@ -47,11 +44,6 @@ func Figure12(cfg Config) (*Figure12Result, error) {
 		return nil, err
 	}
 	start, _ := trip.CruiseWindow()
-	paper := map[string]float64{
-		cellular.ChinaMobileLTE.Name: 0.4215,
-		cellular.ChinaUnicom3G.Name:  0.9564,
-		cellular.ChinaTelecom3G.Name: 2.8333,
-	}
 	// A generous horizon: dead zones can stall a sized flow for a long time.
 	horizon := 10 * cfg.FlowDuration
 	if horizon < 5*time.Minute {
@@ -59,7 +51,7 @@ func Figure12(cfg Config) (*Figure12Result, error) {
 	}
 	res := &Figure12Result{}
 	for _, op := range cellular.Operators() {
-		agg := Figure12Operator{Name: op.Name, PaperImprovement: paper[op.Name]}
+		agg := Figure12Operator{Name: op.Name}
 		var imps []float64
 		for pair := 0; pair < cfg.PairsPerOperator; pair++ {
 			sc := dataset.Scenario{
@@ -85,8 +77,9 @@ func Figure12(cfg Config) (*Figure12Result, error) {
 	return res, nil
 }
 
-// Render prints the per-carrier improvements.
-func (r *Figure12Result) Render() string {
+// Section prints the per-carrier improvements; its CSV series holds every
+// pair.
+func (r *Figure12Result) Section() export.Section {
 	t := export.NewTable("provider", "pairs", "mean TCP pps", "mean MPTCP pps", "improvement", "paper")
 	for _, op := range r.Operators {
 		var s, d stats.Running
@@ -96,11 +89,20 @@ func (r *Figure12Result) Render() string {
 		}
 		t.AddRow(op.Name, fmt.Sprintf("%d", len(op.Pairs)),
 			fmt.Sprintf("%.1f", s.Mean()), fmt.Sprintf("%.1f", d.Mean()),
-			export.Percent(op.MeanImprovement), export.Percent(op.PaperImprovement))
+			export.Percent(op.MeanImprovement), paper.MPTCPGain[op.Name].Text)
 	}
-	var b strings.Builder
-	b.WriteString("Fig 12 — MPTCP (two subflows, same total size) vs TCP throughput\n")
-	b.WriteString(t.Render())
-	b.WriteString("paper ordering Mobile < Unicom < Telecom must hold; absolute factors depend on the synthetic channel\n")
-	return b.String()
+	var s export.Section
+	s.Linef("Fig 12 — MPTCP (two subflows, same total size) vs TCP throughput")
+	s.AddTable(t)
+	s.Linef("paper ordering Mobile < Unicom < Telecom must hold; absolute factors depend on the synthetic channel")
+	csv := export.NewTable("operator", "pair", "single_pps", "duplex_pps", "improvement")
+	for _, op := range r.Operators {
+		for i, p := range op.Pairs {
+			csv.AddRow(op.Name, fmt.Sprintf("%d", i),
+				fmt.Sprintf("%.3f", p.SinglePps), fmt.Sprintf("%.3f", p.DuplexPps),
+				fmt.Sprintf("%.5f", p.Improvement))
+		}
+	}
+	s.CSVName, s.CSV = "fig12_mptcp", csv
+	return s
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/export"
 	"strings"
 	"testing"
 )
@@ -30,7 +31,7 @@ func TestFigure12(t *testing.T) {
 	if telecom <= mobile {
 		t.Errorf("Telecom improvement (%v) should exceed Mobile's (%v)", telecom, mobile)
 	}
-	if !strings.Contains(res.Render(), "Fig 12") {
+	if !strings.Contains(export.Text(res.Section()), "Fig 12") {
 		t.Error("render missing title")
 	}
 }
@@ -55,7 +56,7 @@ func TestBackupQExperiment(t *testing.T) {
 	if used == 0 {
 		t.Error("backup path never used")
 	}
-	if !strings.Contains(res.Render(), "Section V-B") {
+	if !strings.Contains(export.Text(res.Section()), "Section V-B") {
 		t.Error("render missing title")
 	}
 }
@@ -96,7 +97,7 @@ func TestDelayedAckExperiment(t *testing.T) {
 	if adaptive.MeanAcksPerSec >= b1.MeanAcksPerSec {
 		t.Errorf("adaptive acks/s %v not below b=1 %v", adaptive.MeanAcksPerSec, b1.MeanAcksPerSec)
 	}
-	if !strings.Contains(res.Render(), "delayed-ACK") {
+	if !strings.Contains(export.Text(res.Section()), "delayed-ACK") {
 		t.Error("render missing title")
 	}
 }

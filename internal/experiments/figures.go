@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -11,20 +10,18 @@ import (
 )
 
 // Figure3Result compares the loss rate of retransmitted packets inside
-// timeout recovery phases (the paper's q, ~27.26%) with the lifetime data
-// loss rate (~0.7526%) across the HSR campaign's flows (paper Fig 3).
+// timeout recovery phases (the paper's q) with the lifetime data loss rate
+// p_d across the HSR campaign's flows (paper Fig 3).
 type Figure3Result struct {
 	RecoveryLoss []float64 // per flow with >= 1 recovery
 	LifetimeLoss []float64 // per flow
 	MeanRecovery float64
 	MeanLifetime float64
-	PaperMeanQ   float64
-	PaperMeanPd  float64
 }
 
 // Figure3 extracts both loss-rate distributions from the campaign.
 func Figure3(ctx *Context) *Figure3Result {
-	res := &Figure3Result{PaperMeanQ: 0.2726, PaperMeanPd: 0.007526}
+	res := &Figure3Result{}
 	for _, m := range ctx.HSR.Metrics() {
 		res.LifetimeLoss = append(res.LifetimeLoss, m.DataLossRate)
 		if len(m.Recoveries) > 0 {
@@ -36,9 +33,10 @@ func Figure3(ctx *Context) *Figure3Result {
 	return res
 }
 
-// Render draws both CDFs on one canvas.
-func (r *Figure3Result) Render() string {
-	plot := export.Plot{
+// Section draws both CDFs on one canvas; its CSV series holds every flow's
+// recovery-phase and lifetime loss rate.
+func (r *Figure3Result) Section() export.Section {
+	plot := &export.Plot{
 		Title:  "Fig 3 — CDF of recovery-phase loss rate q vs lifetime data loss rate",
 		XLabel: "loss rate",
 		YLabel: "CDF",
@@ -46,12 +44,20 @@ func (r *Figure3Result) Render() string {
 	}
 	plot.Add("q (recovery)", 'q', cdfPoints(r.RecoveryLoss))
 	plot.Add("p_d (lifetime)", 'p', cdfPoints(r.LifetimeLoss))
-	var b strings.Builder
-	b.WriteString(plot.Render())
-	fmt.Fprintf(&b, "mean q = %s (paper %s);  mean p_d = %s (paper %s)\n",
-		export.Percent(r.MeanRecovery), export.Percent(r.PaperMeanQ),
-		export.Percent(r.MeanLifetime), export.Percent(r.PaperMeanPd))
-	return b.String()
+	var s export.Section
+	s.AddPlot(plot)
+	s.Linef("mean q = %s (paper %s);  mean p_d = %s (paper %s)",
+		export.Percent(r.MeanRecovery), paper.RecoveryLoss.Text,
+		export.Percent(r.MeanLifetime), export.Percent(paper.DataLossHSR.Value))
+	csv := export.NewTable("series", "loss_rate")
+	for _, v := range r.RecoveryLoss {
+		csv.AddRow("recovery_q", fmt.Sprintf("%.6f", v))
+	}
+	for _, v := range r.LifetimeLoss {
+		csv.AddRow("lifetime_pd", fmt.Sprintf("%.6f", v))
+	}
+	s.CSVName, s.CSV = "fig3_loss_rates", csv
+	return s
 }
 
 // Figure4Result is the per-flow scatter of ACK loss rate against timeout
@@ -80,41 +86,45 @@ func Figure4(ctx *Context) *Figure4Result {
 	return res
 }
 
-// Render draws the scatter and prints the correlation.
-func (r *Figure4Result) Render() string {
+// Section draws the scatter and prints the correlation; its CSV series is
+// the scatter itself.
+func (r *Figure4Result) Section() export.Section {
 	pts := make([]export.XY, len(r.AckLoss))
 	for i := range r.AckLoss {
 		pts[i] = export.XY{X: r.AckLoss[i], Y: r.TimeoutProb[i]}
 	}
-	plot := export.Plot{
+	plot := &export.Plot{
 		Title:  "Fig 4 — ACK loss rate vs probability of timeout events (one point per flow)",
 		XLabel: "ACK loss rate p_a",
 		YLabel: "P(loss indication is a timeout)",
 		Height: 16,
 	}
 	plot.Add("flow", '*', pts)
-	var b strings.Builder
-	b.WriteString(plot.Render())
-	fmt.Fprintf(&b, "flows=%d  Pearson r=%.3f  Spearman rho=%.3f  fit slope=%.2f (R2=%.3f)\n",
+	var s export.Section
+	s.AddPlot(plot)
+	s.Linef("flows=%d  Pearson r=%.3f  Spearman rho=%.3f  fit slope=%.2f (R2=%.3f)",
 		len(pts), r.Pearson, r.Spearman, r.Fit.Slope, r.Fit.R2)
-	b.WriteString("paper: clear positive (though not strong) correlation — timeouts grow with ACK loss\n")
-	return b.String()
+	s.Linef("paper: clear positive (though not strong) correlation — timeouts grow with ACK loss")
+	csv := export.NewTable("ack_loss_rate", "timeout_probability")
+	for i := range r.AckLoss {
+		csv.AddRow(fmt.Sprintf("%.6f", r.AckLoss[i]), fmt.Sprintf("%.6f", r.TimeoutProb[i]))
+	}
+	s.CSVName, s.CSV = "fig4_ack_vs_timeouts", csv
+	return s
 }
 
 // Figure6Result compares the ACK loss rate distributions of the HSR and
-// stationary campaigns (paper Fig 6: 0.661% vs 0.0718% on average).
+// stationary campaigns (paper Fig 6).
 type Figure6Result struct {
-	HSR             []float64
-	Stationary      []float64
-	MeanHSR         float64
-	MeanStationary  float64
-	PaperHSR        float64
-	PaperStationary float64
+	HSR            []float64
+	Stationary     []float64
+	MeanHSR        float64
+	MeanStationary float64
 }
 
 // Figure6 extracts per-flow ACK loss rates for both scenarios.
 func Figure6(ctx *Context) *Figure6Result {
-	res := &Figure6Result{PaperHSR: 0.00661, PaperStationary: 0.000718}
+	res := &Figure6Result{}
 	for _, m := range ctx.HSR.Metrics() {
 		res.HSR = append(res.HSR, m.AckLossRate)
 	}
@@ -126,9 +136,9 @@ func Figure6(ctx *Context) *Figure6Result {
 	return res
 }
 
-// Render draws both CDFs.
-func (r *Figure6Result) Render() string {
-	plot := export.Plot{
+// Section draws both CDFs; its CSV series holds every flow's ACK loss rate.
+func (r *Figure6Result) Section() export.Section {
+	plot := &export.Plot{
 		Title:  "Fig 6 — CDF of ACK loss rate: high-speed vs stationary",
 		XLabel: "ACK loss rate",
 		YLabel: "CDF",
@@ -136,12 +146,20 @@ func (r *Figure6Result) Render() string {
 	}
 	plot.Add("HSR", 'h', cdfPoints(r.HSR))
 	plot.Add("stationary", 's', cdfPoints(r.Stationary))
-	var b strings.Builder
-	b.WriteString(plot.Render())
-	fmt.Fprintf(&b, "mean ACK loss: HSR %s (paper %s);  stationary %s (paper %s)\n",
-		export.Percent(r.MeanHSR), export.Percent(r.PaperHSR),
-		export.Percent(r.MeanStationary), export.Percent(r.PaperStationary))
-	return b.String()
+	var s export.Section
+	s.AddPlot(plot)
+	s.Linef("mean ACK loss: HSR %s (paper %s);  stationary %s (paper %s)",
+		export.Percent(r.MeanHSR), export.Percent(paper.AckLossHSR.Value),
+		export.Percent(r.MeanStationary), export.Percent(paper.AckLossStationary.Value))
+	csv := export.NewTable("scenario", "ack_loss_rate")
+	for _, v := range r.HSR {
+		csv.AddRow("hsr", fmt.Sprintf("%.6f", v))
+	}
+	for _, v := range r.Stationary {
+		csv.AddRow("stationary", fmt.Sprintf("%.6f", v))
+	}
+	s.CSVName, s.CSV = "fig6_ack_loss", csv
+	return s
 }
 
 // cdfPoints converts a sample into CDF curve points for plotting.
@@ -155,14 +173,15 @@ func cdfPoints(xs []float64) []export.XY {
 	return out
 }
 
-// ScalarsResult carries the paper's headline measurement claims.
+// ScalarsResult carries the paper's headline measurement claims; the paper
+// values they compare against are in the paper table.
 type ScalarsResult struct {
-	MeanRecoveryHSR        time.Duration // paper: 5.05 s
-	MeanRecoveryStationary time.Duration // paper: 0.65 s
-	SpuriousFraction       float64       // paper: 49.24%
-	MeanDataLossHSR        float64       // paper: 0.7526%
-	MeanAckLossHSR         float64       // paper: 0.661%
-	MeanAckLossStationary  float64       // paper: 0.0718%
+	MeanRecoveryHSR        time.Duration
+	MeanRecoveryStationary time.Duration
+	SpuriousFraction       float64
+	MeanDataLossHSR        float64
+	MeanAckLossHSR         float64
+	MeanAckLossStationary  float64
 	HSRTimeoutSequences    int
 	StationaryTimeoutSeqs  int
 }
@@ -191,19 +210,19 @@ func ctxSummary(ctx *Context, hsr bool) analysis.Summary {
 	return analysis.Summarize(camp.Metrics())
 }
 
-// Render prints paper-vs-measured for each claim.
-func (r *ScalarsResult) Render() string {
+// Section prints paper-vs-measured for each claim.
+func (r *ScalarsResult) Section() export.Section {
 	t := export.NewTable("claim", "paper", "measured")
-	t.AddRow("mean timeout recovery, HSR", "5.05 s", fmt.Sprintf("%.2f s", r.MeanRecoveryHSR.Seconds()))
-	t.AddRow("mean timeout recovery, stationary", "0.65 s", fmt.Sprintf("%.2f s", r.MeanRecoveryStationary.Seconds()))
-	t.AddRow("spurious timeout fraction", "49.24%", export.Percent(r.SpuriousFraction))
-	t.AddRow("mean data loss rate, HSR", "0.7526%", export.Percent(r.MeanDataLossHSR))
-	t.AddRow("mean ACK loss rate, HSR", "0.661%", export.Percent(r.MeanAckLossHSR))
-	t.AddRow("mean ACK loss rate, stationary", "0.0718%", export.Percent(r.MeanAckLossStationary))
-	var b strings.Builder
-	b.WriteString("Headline measurement claims (Section III)\n")
-	b.WriteString(t.Render())
-	fmt.Fprintf(&b, "timeout sequences: %d on the train, %d stationary\n",
+	t.AddRow("mean timeout recovery, HSR", paper.RecoveryHSR.Text, fmt.Sprintf("%.2f s", r.MeanRecoveryHSR.Seconds()))
+	t.AddRow("mean timeout recovery, stationary", paper.RecoveryStationary.Text, fmt.Sprintf("%.2f s", r.MeanRecoveryStationary.Seconds()))
+	t.AddRow("spurious timeout fraction", paper.SpuriousFraction.Text, export.Percent(r.SpuriousFraction))
+	t.AddRow("mean data loss rate, HSR", paper.DataLossHSR.Text, export.Percent(r.MeanDataLossHSR))
+	t.AddRow("mean ACK loss rate, HSR", paper.AckLossHSR.Text, export.Percent(r.MeanAckLossHSR))
+	t.AddRow("mean ACK loss rate, stationary", paper.AckLossStationary.Text, export.Percent(r.MeanAckLossStationary))
+	var s export.Section
+	s.Linef("Headline measurement claims (Section III)")
+	s.AddTable(t)
+	s.Linef("timeout sequences: %d on the train, %d stationary",
 		r.HSRTimeoutSequences, r.StationaryTimeoutSeqs)
-	return b.String()
+	return s
 }

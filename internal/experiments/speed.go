@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cellular"
@@ -95,17 +94,17 @@ func SpeedSweep(cfg Config) (*SpeedSweepResult, error) {
 	return res, nil
 }
 
-// Render prints the sweep.
-func (r *SpeedSweepResult) Render() string {
+// Section prints the sweep.
+func (r *SpeedSweepResult) Section() export.Section {
 	t := export.NewTable("speed km/h", "mean pps", "p_a", "timeout seqs", "mean recovery")
 	for _, p := range r.Points {
 		t.AddRow(fmt.Sprintf("%.0f", p.SpeedKmh), fmt.Sprintf("%.1f", p.MeanTputPps),
 			export.Percent(p.MeanAckLoss), fmt.Sprintf("%d", p.TimeoutSequences),
 			fmt.Sprintf("%.2fs", p.MeanRecovery.Seconds()))
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Speed sweep — %s, %d flows per level\n", r.Operator, r.Flows)
-	b.WriteString(t.Render())
-	b.WriteString("driving speeds dent throughput; 300 km/h collapses it (the premise the paper cites)\n")
-	return b.String()
+	var s export.Section
+	s.Linef("Speed sweep — %s, %d flows per level", r.Operator, r.Flows)
+	s.AddTable(t)
+	s.Linef("driving speeds dent throughput; 300 km/h collapses it (the premise the paper cites)")
+	return s
 }

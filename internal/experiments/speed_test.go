@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/export"
 	"strings"
 	"testing"
 )
@@ -29,7 +30,7 @@ func TestSpeedSweep(t *testing.T) {
 	if hsr.TimeoutSequences <= stationary.TimeoutSequences {
 		t.Error("HSR should have far more timeout sequences than stationary")
 	}
-	if !strings.Contains(res.Render(), "Speed sweep") {
+	if !strings.Contains(export.Text(res.Section()), "Speed sweep") {
 		t.Error("render missing title")
 	}
 }

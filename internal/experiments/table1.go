@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/dataset"
 	"repro/internal/export"
@@ -27,14 +26,12 @@ type Table1Result struct {
 	Rows        []Table1Row
 	TotalFlows  int
 	TotalSimGB  float64
-	PaperFlows  int
-	PaperGB     float64
 	FlowSeconds float64
 }
 
 // Table1 summarizes the HSR campaign in the shape of the paper's Table I.
 func Table1(ctx *Context) *Table1Result {
-	res := &Table1Result{PaperFlows: 255, PaperGB: 40.47}
+	res := &Table1Result{}
 	byRow := map[string][]*rowAgg{}
 	order := []string{}
 	for _, r := range ctx.HSR.Results {
@@ -69,8 +66,8 @@ func Table1(ctx *Context) *Table1Result {
 
 type rowAgg struct{ res dataset.FlowResult }
 
-// Render implements the textual table.
-func (r *Table1Result) Render() string {
+// Section prints the table with paper and campaign totals.
+func (r *Table1Result) Section() export.Section {
 	t := export.NewTable("Month", "Provider", "Paper flows", "Paper GB", "Sim flows", "Sim GB", "Mean Mbps", "p_d", "p_a", "TO seqs")
 	for _, row := range r.Rows {
 		t.AddRow(
@@ -82,10 +79,16 @@ func (r *Table1Result) Render() string {
 			fmt.Sprintf("%d", row.TimeoutSeqSum),
 		)
 	}
-	var b strings.Builder
-	b.WriteString("Table I — dataset (paper vs synthetic campaign)\n")
-	b.WriteString(t.Render())
-	fmt.Fprintf(&b, "totals: paper %d flows / %.2f GB; campaign %d flows / %.3f GB simulated payload (%.0f flow-seconds)\n",
-		r.PaperFlows, r.PaperGB, r.TotalFlows, r.TotalSimGB, r.FlowSeconds)
-	return b.String()
+	var paperFlows int
+	var paperGB float64
+	for _, row := range dataset.TableI() {
+		paperFlows += row.Flows
+		paperGB += row.TraceGB
+	}
+	var s export.Section
+	s.Linef("Table I — dataset (paper vs synthetic campaign)")
+	s.AddTable(t)
+	s.Linef("totals: paper %d flows / %.2f GB; campaign %d flows / %.3f GB simulated payload (%.0f flow-seconds)",
+		paperFlows, paperGB, r.TotalFlows, r.TotalSimGB, r.FlowSeconds)
+	return s
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -109,8 +108,8 @@ func runStaticFlow(cfg Config, pd float64) (float64, *analysis.FlowMetrics, erro
 	return m.ThroughputPps, m, nil
 }
 
-// Render prints the sweep.
-func (r *ValidationResult) Render() string {
+// Section prints the sweep.
+func (r *ValidationResult) Section() export.Section {
 	t := export.NewTable("p_d", "actual pps", "Padhye pps", "D", "enhanced pps", "D")
 	for _, p := range r.Points {
 		t.AddRow(fmt.Sprintf("%.4f", p.PData),
@@ -118,10 +117,10 @@ func (r *ValidationResult) Render() string {
 			fmt.Sprintf("%.1f", p.PadhyePps), export.Percent(p.DPadhye),
 			fmt.Sprintf("%.1f", p.EnhPps), export.Percent(p.DEnhanced))
 	}
-	var b strings.Builder
-	b.WriteString("Pipeline validation — static Bernoulli channel (the Padhye model's home turf)\n")
-	b.WriteString(t.Render())
-	fmt.Fprintf(&b, "mean D: Padhye %s, enhanced %s — both models must fit well here\n",
+	var s export.Section
+	s.Linef("Pipeline validation — static Bernoulli channel (the Padhye model's home turf)")
+	s.AddTable(t)
+	s.Linef("mean D: Padhye %s, enhanced %s — both models must fit well here",
 		export.Percent(r.MeanDPadhye), export.Percent(r.MeanDEnh))
-	return b.String()
+	return s
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/export"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestModelValidationOnStaticChannel(t *testing.T) {
 	if res.MeanDEnh > 0.35 {
 		t.Errorf("enhanced mean D on a static channel = %v, want <= 35%%", res.MeanDEnh)
 	}
-	if !strings.Contains(res.Render(), "validation") {
+	if !strings.Contains(export.Text(res.Section()), "validation") {
 		t.Error("render missing title")
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cellular"
@@ -96,18 +95,18 @@ func (r *VariantsResult) ByName(name string) (VariantOutcome, bool) {
 	return VariantOutcome{}, false
 }
 
-// Render prints the comparison.
-func (r *VariantsResult) Render() string {
+// Section prints the comparison.
+func (r *VariantsResult) Section() export.Section {
 	t := export.NewTable("variant", "mean pps", "timeout seqs", "spurious", "mean recovery")
 	for _, o := range r.Outcomes {
 		t.AddRow(o.Name, fmt.Sprintf("%.1f", o.MeanTputPps),
 			fmt.Sprintf("%d", o.TimeoutSequences), fmt.Sprintf("%d", o.SpuriousTimeouts),
 			fmt.Sprintf("%.2fs", o.MeanRecovery.Seconds()))
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Variant comparison — Reno vs NewReno on %s HSR (%d flows each)\n", r.Operator, r.Flows)
-	b.WriteString(t.Render())
-	b.WriteString("NewReno repairs multi-loss windows but not the ACK-starved handoff timeouts —\n")
-	b.WriteString("the paper's HSR bottlenecks are variant-independent\n")
-	return b.String()
+	var s export.Section
+	s.Linef("Variant comparison — Reno vs NewReno on %s HSR (%d flows each)", r.Operator, r.Flows)
+	s.AddTable(t)
+	s.Linef("NewReno repairs multi-loss windows but not the ACK-starved handoff timeouts —")
+	s.Linef("the paper's HSR bottlenecks are variant-independent")
+	return s
 }

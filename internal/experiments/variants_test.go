@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/export"
 	"strings"
 	"testing"
 )
@@ -33,7 +34,7 @@ func TestVariantsExperiment(t *testing.T) {
 	if _, ok := res.ByName("nope"); ok {
 		t.Error("ByName matched a nonexistent variant")
 	}
-	if !strings.Contains(res.Render(), "NewReno") {
+	if !strings.Contains(export.Text(res.Section()), "NewReno") {
 		t.Error("render missing title")
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/export"
@@ -49,8 +48,8 @@ func WindowTrace(fig1 *Figure1Result) (*WindowTraceResult, error) {
 	return res, nil
 }
 
-// Render plots the window evolution with the loss indications marked.
-func (r *WindowTraceResult) Render() string {
+// Section plots the window evolution with the loss indications marked.
+func (r *WindowTraceResult) Section() export.Section {
 	pts := make([]export.XY, 0, len(r.Samples))
 	for _, s := range r.Samples {
 		pts = append(pts, export.XY{X: s.At.Seconds(), Y: s.Cwnd})
@@ -62,7 +61,7 @@ func (r *WindowTraceResult) Render() string {
 		}
 		return out
 	}
-	plot := export.Plot{
+	plot := &export.Plot{
 		Title:  "Window evolution (the live Figs 7-9): cwnd over time with loss indications",
 		XLabel: "time (s)",
 		YLabel: "cwnd (packets)",
@@ -71,9 +70,9 @@ func (r *WindowTraceResult) Render() string {
 	plot.Add("cwnd", '.', pts)
 	plot.Add("timeout", 'T', marks(r.Timeouts, 0))
 	plot.Add("fast-retx", 'F', marks(r.FastRetx, float64(r.Wm)))
-	var b strings.Builder
-	b.WriteString(plot.Render())
-	fmt.Fprintf(&b, "flow %s: %d sends, %d fast retransmits (halvings), %d timeouts (collapses to 1), Wm=%d\n",
+	var s export.Section
+	s.AddPlot(plot)
+	s.Linef("flow %s: %d sends, %d fast retransmits (halvings), %d timeouts (collapses to 1), Wm=%d",
 		r.Meta.ID, len(r.Samples), len(r.FastRetx), len(r.Timeouts), r.Wm)
-	return b.String()
+	return s
 }

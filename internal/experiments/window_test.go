@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/export"
 	"strings"
 	"testing"
 )
@@ -40,7 +41,7 @@ func TestWindowTrace(t *testing.T) {
 	if hi < float64(res.Wm)/2 {
 		t.Errorf("window never grew past Wm/2 (max %v)", hi)
 	}
-	out := res.Render()
+	out := export.Text(res.Section())
 	if !strings.Contains(out, "Window evolution") || !strings.Contains(out, "timeouts") {
 		t.Error("render incomplete")
 	}

@@ -133,3 +133,28 @@ func TestTableMarkdown(t *testing.T) {
 		t.Errorf("Markdown = %q, want %q", md, want)
 	}
 }
+
+func TestSectionPrinters(t *testing.T) {
+	tb := NewTable("k", "v")
+	tb.AddRow("a", "1")
+	p := &Plot{Title: "curve", Width: 8, Height: 3}
+	p.Add("s", '*', []XY{{0, 0}, {1, 1}})
+	s := Section{Heading: "HEAD"}
+	s.Linef("intro %d", 1)
+	s.AddTable(tb)
+	s.Linef("first")
+	s.Linef("second")
+	s.AddPlot(p)
+
+	wantText := strings.Repeat("=", 90) + "\nHEAD\n\nintro 1\n" + tb.Render() + "first\nsecond\n" + p.Render() + "\n"
+	if got := Text(s); got != wantText {
+		t.Errorf("Text:\n%s\nwant:\n%s", got, wantText)
+	}
+	wantMD := "## HEAD\n\nintro 1\n\n" + tb.Markdown() + "\nfirst\nsecond\n\n```\n" + p.Render() + "```\n\n"
+	if got := Markdown(s); got != wantMD {
+		t.Errorf("Markdown:\n%s\nwant:\n%s", got, wantMD)
+	}
+	if got := Text(Section{}); got != "\n" {
+		t.Errorf("Text of an empty section = %q, want a blank line", got)
+	}
+}

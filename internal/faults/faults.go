@@ -79,6 +79,12 @@ func (k Kind) String() string {
 // stall into tail drops exactly like a real dead cell.
 const minRateFactor = 1e-3
 
+// maxStormOutages caps the bearer outages a schedule's storm episodes inject,
+// per episode and in total. StormOutages allocates one outage per count, so
+// the cap bounds what an untrusted spec (an HTTP flow job's faults) can make
+// a worker allocate.
+const maxStormOutages = 10_000
+
 // Episode is one timed fault: Kind decides which parameter fields apply.
 type Episode struct {
 	Kind  Kind
@@ -88,7 +94,7 @@ type Episode struct {
 	P      float64       // AckBurst: per-ACK drop probability in (0, 1]
 	Factor float64       // RateCollapse: rate multiplier in [minRateFactor, 1)
 	Delay  time.Duration // DelaySpike: extra one-way delay, positive
-	Count  int           // Storm: number of injected outages, positive
+	Count  int           // Storm: number of injected outages, in [1, maxStormOutages]
 	Outage time.Duration // Storm: duration of each injected outage, positive
 }
 
@@ -106,14 +112,19 @@ func (e Episode) Validate() error {
 	if e.Dur <= 0 {
 		return fmt.Errorf("faults: %s episode at %v has non-positive duration %v", e.Kind, e.Start, e.Dur)
 	}
+	if e.End() < e.Start {
+		return fmt.Errorf("faults: %s episode at %v+%v ends past the largest time", e.Kind, e.Start, e.Dur)
+	}
+	// The float ranges are written so NaN, which fails every comparison,
+	// is rejected too.
 	switch e.Kind {
 	case Blackout:
 	case AckBurst:
-		if e.P <= 0 || e.P > 1 {
+		if !(e.P > 0 && e.P <= 1) {
 			return fmt.Errorf("faults: ackburst at %v has probability %v outside (0,1]", e.Start, e.P)
 		}
 	case RateCollapse:
-		if e.Factor < minRateFactor || e.Factor >= 1 {
+		if !(e.Factor >= minRateFactor && e.Factor < 1) {
 			return fmt.Errorf("faults: ratecollapse at %v has factor %v outside [%v,1)", e.Start, e.Factor, minRateFactor)
 		}
 	case DelaySpike:
@@ -121,8 +132,8 @@ func (e Episode) Validate() error {
 			return fmt.Errorf("faults: delayspike at %v has non-positive delay %v", e.Start, e.Delay)
 		}
 	case Storm:
-		if e.Count <= 0 {
-			return fmt.Errorf("faults: storm at %v has non-positive outage count %d", e.Start, e.Count)
+		if e.Count <= 0 || e.Count > maxStormOutages {
+			return fmt.Errorf("faults: storm at %v has outage count %d outside [1,%d]", e.Start, e.Count, maxStormOutages)
 		}
 		if e.Outage <= 0 {
 			return fmt.Errorf("faults: storm at %v has non-positive outage duration %v", e.Start, e.Outage)
@@ -152,7 +163,8 @@ func New(episodes ...Episode) (*Schedule, error) {
 	return s, nil
 }
 
-// Validate checks every episode.
+// Validate checks every episode and that the storms inject at most
+// maxStormOutages outages in total.
 func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
@@ -161,6 +173,9 @@ func (s *Schedule) Validate() error {
 		if err := e.Validate(); err != nil {
 			return err
 		}
+	}
+	if _, storms := s.Counts(); storms > maxStormOutages {
+		return fmt.Errorf("faults: storms inject %d outages, more than %d", storms, maxStormOutages)
 	}
 	return nil
 }
@@ -189,13 +204,16 @@ func (s *Schedule) Counts() (episodes, stormOutages int) {
 // blackout durations, burst-loss probabilities, delay-spike magnitudes and
 // storm outage counts scale linearly, and rate-collapse factors move from 1
 // (sev 0) through the configured factor (sev 1) toward the trickle floor.
-// Episodes scaled to nothing are dropped, so Scale(0) is Empty; sev > 1
-// intensifies the schedule beyond its scripted values.
+// Episodes scaled to nothing are dropped, so Scale(0) (or a negative or NaN
+// sev) is Empty; sev > 1 intensifies the schedule beyond its scripted
+// values, with storm counts clamped so the result stays within
+// maxStormOutages.
 func (s *Schedule) Scale(sev float64) *Schedule {
-	if s.Empty() || sev < 0 {
+	if s.Empty() || !(sev > 0) {
 		return &Schedule{}
 	}
 	out := &Schedule{Episodes: make([]Episode, 0, len(s.Episodes))}
+	storms := 0 // outages the scaled storms so far inject
 	for _, e := range s.Episodes {
 		switch e.Kind {
 		case Blackout:
@@ -210,10 +228,13 @@ func (s *Schedule) Scale(sev float64) *Schedule {
 		case DelaySpike:
 			e.Delay = time.Duration(float64(e.Delay) * sev)
 		case Storm:
-			e.Count = int(float64(e.Count)*sev + 0.5)
+			e.Count = int(math.Min(float64(e.Count)*sev+0.5, float64(maxStormOutages-storms)))
 		}
 		if e.Validate() != nil {
 			continue // scaled to nothing
+		}
+		if e.Kind == Storm {
+			storms += e.Count
 		}
 		out.Episodes = append(out.Episodes, e)
 	}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -51,23 +52,32 @@ func TestParseSortsByStart(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"blackout",                    // no window
-		"blackout@30s",                // no +dur
-		"blackout@bogus+2s",           // bad start
-		"blackout@30s+bogus",          // bad duration
-		"blackout@-5s+2s",             // negative start
-		"blackout@30s+0s",             // zero duration
-		"meteorstrike@30s+2s",         // unknown kind
-		"ackburst@30s+2s",             // missing p=
-		"ackburst@30s+2s p=1.5",       // p out of range
-		"ackburst@30s+2s p=zero",      // unparsable p
-		"ratecollapse@30s+2s",         // missing factor
-		"ratecollapse@30s+2s x1.5",    // factor >= 1
-		"delayspike@30s+2s",           // missing d=
-		"storm@30s+2s",                // missing n=
-		"storm@30s+2s n=0",            // zero count
-		"storm@30s+2s n=2 o=0s",       // zero outage length
-		"blackout@30s+2s frobnicate9", // unknown parameter
+		"blackout",                               // no window
+		"blackout@30s",                           // no +dur
+		"blackout@bogus+2s",                      // bad start
+		"blackout@30s+bogus",                     // bad duration
+		"blackout@-5s+2s",                        // negative start
+		"blackout@30s+0s",                        // zero duration
+		"meteorstrike@30s+2s",                    // unknown kind
+		"ackburst@30s+2s",                        // missing p=
+		"ackburst@30s+2s p=1.5",                  // p out of range
+		"ackburst@30s+2s p=zero",                 // unparsable p
+		"ratecollapse@30s+2s",                    // missing factor
+		"ratecollapse@30s+2s x1.5",               // factor >= 1
+		"delayspike@30s+2s",                      // missing d=
+		"storm@30s+2s",                           // missing n=
+		"storm@30s+2s n=0",                       // zero count
+		"storm@30s+2s n=2 o=0s",                  // zero outage length
+		"blackout@30s+2s frobnicate9",            // unknown parameter
+		"blackout@30s+2s p=0.5",                  // parameter of another kind
+		"storm@30s+2s n=2 x0.5",                  // parameter of another kind
+		"ackburst@0s+1s p=NaN",                   // NaN fails no range comparison
+		"ackburst@0s+1s p=+Inf",                  // infinite probability
+		"ratecollapse@0s+1s xNaN",                // NaN rate factor
+		"storm@0s+1s n=2000000000",               // ~32 GB of outages
+		"storm@0s+1s n=10001",                    // one over the cap
+		"storm@0s+1s n=6000; storm@2s+1s n=6000", // over the cap in total
+		"blackout@2562047h47m16s+2562047h47m16s", // window end overflows
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
@@ -139,6 +149,20 @@ func TestScale(t *testing.T) {
 			}
 		}
 	}
+	// Huge severities clamp storm counts to the cap, over all storms,
+	// instead of dropping the episodes; NaN severity is empty.
+	storms := mustParse(t, "storm@20s+40s n=4 o=6s; storm@70s+10s n=4 o=6s").Scale(1e12)
+	if err := storms.Validate(); err != nil {
+		t.Errorf("Scale(1e12) produced an invalid schedule: %v", err)
+	}
+	if _, n := storms.Counts(); n != maxStormOutages || storms.Episodes[0].Count != maxStormOutages {
+		t.Errorf("Scale(1e12) storm outages = %d (first episode %d), want the cap %d",
+			n, storms.Episodes[0].Count, maxStormOutages)
+	}
+	if !s.Scale(math.NaN()).Empty() {
+		t.Error("Scale(NaN) should be empty")
+	}
+
 	// Severity small enough to round the storm count to zero drops the storm.
 	tiny := mustParse(t, "storm@20s+40s n=1 o=6s").Scale(0.2)
 	if !tiny.Empty() {
@@ -351,4 +375,47 @@ func TestKindString(t *testing.T) {
 	if got := Kind(99).String(); !strings.Contains(got, "99") {
 		t.Errorf("unknown kind renders %q", got)
 	}
+}
+
+// FuzzFaultSchedule feeds arbitrary specs to the DSL parser, a trust
+// boundary (HTTP flow jobs carry a faults string). Whatever Parse accepts
+// must validate episode by episode, round-trip through String to an equal
+// schedule, and inject at most maxStormOutages storm outages.
+func FuzzFaultSchedule(f *testing.F) {
+	for _, seed := range []string{
+		"blackout@30s+2s; ackburst@50s+1s p=0.85; ratecollapse@60s+5s x0.2; delayspike@80s+2s d=400ms; storm@20s+80s n=4 o=6s",
+		"storm@0s+1s n=10000",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		if len(spec) > 512 {
+			t.Skip("inputs over 512 bytes spend the fuzz time in the minimizer")
+		}
+		s, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		for _, e := range s.Episodes {
+			if err := e.Validate(); err != nil {
+				t.Fatalf("Parse(%q) accepted an invalid episode: %v", spec, err)
+			}
+		}
+		again, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse: %v", spec, s.String(), err)
+		}
+		if len(again.Episodes) != len(s.Episodes) {
+			t.Fatalf("round trip of %q changed the episode count: %v -> %v", spec, s, again)
+		}
+		for i := range s.Episodes {
+			if again.Episodes[i] != s.Episodes[i] {
+				t.Fatalf("round trip of %q changed episode %d: %+v -> %+v", spec, i, s.Episodes[i], again.Episodes[i])
+			}
+		}
+		if _, storms := s.Counts(); storms > maxStormOutages {
+			t.Fatalf("Parse(%q) accepted %d storm outages, over the cap %d", spec, storms, maxStormOutages)
+		}
+	})
 }

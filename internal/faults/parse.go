@@ -18,6 +18,9 @@ import (
 //	          | 'n=' int        (storm outage count, required)
 //	          | 'o=' duration   (storm outage length, default 5s)
 //
+// A parameter is accepted only by the kind it belongs to, so
+// Parse(s.String()) returns a schedule equal to s.
+//
 // Durations use Go syntax ("30s", "800ms"). Example:
 //
 //	blackout@30s+2s; ackburst@50s+1s p=0.85; ratecollapse@60s+5s x0.2;
@@ -89,7 +92,13 @@ func parseEpisode(part string) (Episode, error) {
 	return e, nil
 }
 
+// paramKinds maps each parameter's leading letter to the kind it belongs to.
+var paramKinds = map[byte]Kind{'p': AckBurst, 'x': RateCollapse, 'd': DelaySpike, 'n': Storm, 'o': Storm}
+
 func applyParam(e *Episode, param string) error {
+	if k, ok := paramKinds[param[0]]; ok && k != e.Kind {
+		return fmt.Errorf("parameter %q does not apply to %s", param, e.Kind)
+	}
 	switch {
 	case strings.HasPrefix(param, "p="):
 		p, err := strconv.ParseFloat(param[2:], 64)

@@ -187,8 +187,7 @@ func RunBackup(base dataset.Scenario) (*BackupResult, error) {
 }
 
 // Improvement returns the relative throughput gain of a multipath run over
-// a single-path baseline, e.g. 0.42 for the paper's 42.15% China Mobile
-// duplex improvement.
+// a single-path baseline, e.g. 0.42 for a 42% duplex improvement.
 func Improvement(multipath, single float64) float64 {
 	if single <= 0 {
 		return 0

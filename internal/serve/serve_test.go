@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -109,6 +110,29 @@ func TestServerValidationRejects(t *testing.T) {
 		resp := postJob(t, ts.Client(), ts.URL, spec)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("spec %s: status %d, want 400", spec, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+}
+
+// TestServerRejectsHostileFaultSpecs sends flow jobs whose fault schedules
+// carry NaN parameters or an unbounded storm count: admission must reject
+// them with 400 before any worker expands the schedule.
+func TestServerRejectsHostileFaultSpecs(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	for _, faults := range []string{
+		"ackburst@0s+1s p=NaN",
+		"ratecollapse@0s+1s xNaN",
+		"storm@0s+1s n=2000000000",
+	} {
+		spec := fmt.Sprintf(`{"kind":"flow","duration":"10s","faults":%q}`, faults)
+		resp := postJob(t, ts.Client(), ts.URL, spec)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("faults %q: status %d, want 400", faults, resp.StatusCode)
 		}
 		resp.Body.Close()
 	}
