@@ -7,8 +7,7 @@
 //	hsrbench [-quick] [-seed N] [-duration 120s] [-flows N] [-jobs N]
 //	         [-timeout D] [-run name,...] [-list] [-progress]
 //	         [-metrics out.json] [-cache DIR] [-cache-max-bytes N]
-//	         [-bench-json out.json] [-trace-out trace.json]
-//	         [-cpuprofile f] [-memprofile f] [-version]
+//	         [-trace-out trace.json] [-cpuprofile f] [-memprofile f] [-version]
 //
 // Experiment names: table1, fig1, fig2, fig3, fig4, fig6, fig10, fig12,
 // window, scalars, delack, ablation, backupq, eifel, sensitivity, variants,
@@ -77,7 +76,6 @@ func run(args []string, stdout io.Writer) error {
 	cacheDir := fs.String("cache", "", "flow result cache directory: serve (scenario, seed, version)-keyed flow metrics from disk instead of re-simulating, and store every simulated flow")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "bound the cache directory's entry bytes, evicting oldest entries first (0 = unbounded)")
 	metricsPath := fs.String("metrics", "", "write a JSON telemetry report (kernel/TCP/link/fault counters, per-task resources) to this file")
-	benchJSON := fs.String("bench-json", "", "run the performance snapshot (cold/warm quick campaign, single-flow wall and allocations, kernel event rate), write it as JSON to this file, and exit without running experiments")
 	traceOut := fs.String("trace-out", "", "write the run's span trace (task, campaign and flow spans with wall and virtual timelines) to this file in the Perfetto/Chrome trace-event format")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file (taken at exit, after a GC)")
@@ -99,27 +97,6 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(w, "%s\t%s%s\n", e.Name, e.Description, note)
 		}
 		return w.Flush()
-	}
-	if *benchJSON != "" {
-		snap, err := experiments.RunBenchSnapshot(experiments.BenchOptions{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			return fmt.Errorf("bench-json: %w", err)
-		}
-		werr := snap.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("bench-json: %w", werr)
-		}
-		fmt.Fprintf(os.Stderr, "hsrbench: campaign %d flows cold %.0fms warm %.0fms; flow %.2fms, %.0f allocs, %.2fM events/s; wrote %s\n",
-			snap.CampaignFlows, snap.ColdCampaignWallMS, snap.WarmCampaignWallMS,
-			snap.SingleFlowWallMS, snap.AllocsPerFlow, snap.KernelEventsPerSec/1e6, *benchJSON)
-		return nil
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"repro/internal/cellular"
@@ -160,6 +161,27 @@ type Limits struct {
 	MaxFlowsPerRow int
 	// MaxTimeout caps (and defaults) the per-job deadline.
 	MaxTimeout time.Duration
+}
+
+// withDefaults fills the zero fields the server defaults.
+func (l Limits) withDefaults() Limits {
+	if l.MaxFlowDuration == 0 {
+		l.MaxFlowDuration = 10 * time.Minute
+	}
+	if l.MaxTimeout == 0 {
+		l.MaxTimeout = 15 * time.Minute
+	}
+	return l
+}
+
+// decodeJobSpec reads a job body as POST /v1/jobs does: one JSON object,
+// with unknown fields an error.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var spec JobSpec
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // operatorByName maps the job-spec operator tokens to carriers.

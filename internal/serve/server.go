@@ -134,12 +134,7 @@ func New(cfg Config) *Server {
 	if cfg.DAGJobs < 1 {
 		cfg.DAGJobs = 1
 	}
-	if cfg.Limits.MaxFlowDuration == 0 {
-		cfg.Limits.MaxFlowDuration = 10 * time.Minute
-	}
-	if cfg.Limits.MaxTimeout == 0 {
-		cfg.Limits.MaxTimeout = 15 * time.Minute
-	}
+	cfg.Limits = cfg.Limits.withDefaults()
 	if cfg.StreamWriteTimeout <= 0 {
 		cfg.StreamWriteTimeout = 30 * time.Second
 	}
@@ -285,10 +280,8 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.submitted.Add(1)
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		s.rejected.Add(1)
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("serve: bad job body: %v", err))
 		return
