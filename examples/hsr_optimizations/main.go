@@ -81,7 +81,7 @@ func main() {
 				TCP:          v.cfg(),
 				Scenario:     "hsr",
 			}
-			_, st, err := dataset.RunFlow(sc)
+			_, st, err := dataset.RunFlowMetrics(sc)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -13,7 +13,6 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/cellular"
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -42,12 +41,9 @@ func main() {
 		Scenario:     "hsr",
 	}
 
-	// Run the simulation and reduce the packet trace to the paper's metrics.
-	flowTrace, _, err := dataset.RunFlow(scenario)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, err := analysis.Analyze(flowTrace)
+	// Run the simulation, streaming its packet events into the analyzer that
+	// reduces them to the paper's metrics.
+	m, _, err := dataset.RunFlowMetrics(scenario)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -94,7 +94,8 @@ func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string)
 
 // readUnitResult reads a unit job's NDJSON stream up to its terminal line
 // and validates the result for the plan range [start, end): one flow per
-// index, in order, each with metrics and telemetry. Every defect — an
+// index, in order, each with metrics and telemetry whose histograms and
+// accumulator pass telemetry.FlowState.Validate. Every defect — an
 // undecodable line, a missing terminal event, a worker error or a
 // malformed result — is an error, so the unit takes the coordinator's
 // retry path instead of reaching campaign assembly. The terminal event's
@@ -133,6 +134,9 @@ func readUnitResult(r io.Reader, start, end int) ([]unitFlow, []tracing.SpanReco
 			return nil, terminal.Spans, fmt.Errorf("flow %d arrived without metrics", f.Index)
 		case f.Flow.Telemetry == nil:
 			return nil, terminal.Spans, fmt.Errorf("flow %d arrived without telemetry", f.Index)
+		}
+		if err := f.Flow.Telemetry.Validate(); err != nil {
+			return nil, terminal.Spans, fmt.Errorf("flow %d: %w", f.Index, err)
 		}
 	}
 	return terminal.Unit.Flows, terminal.Spans, nil

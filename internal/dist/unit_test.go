@@ -49,6 +49,13 @@ func firstFlow(unit map[string]any) map[string]any {
 	return unit["flows"].([]any)[0].(map[string]any)
 }
 
+// firstTCP returns the TCP telemetry section of a decoded unit result's
+// first flow.
+func firstTCP(unit map[string]any) map[string]any {
+	tel := firstFlow(unit)["flow"].(map[string]any)["telemetry"].(map[string]any)
+	return tel["tcp"].(map[string]any)
+}
+
 // TestCoordinatorRetriesMalformedUnitResults has a worker ship one defective
 // unit result per case. Each defect must fail that attempt on arrival — and
 // take the retry path — instead of failing the campaign at assembly or
@@ -67,6 +74,13 @@ func TestCoordinatorRetriesMalformedUnitResults(t *testing.T) {
 		},
 		"undecodable flow": func(unit map[string]any) {
 			firstFlow(unit)["flow"].(map[string]any)["stats"] = "garbage"
+		},
+		"mismatched histogram": func(unit map[string]any) {
+			h := firstTCP(unit)["cwnd_hist"].(map[string]any)
+			h["counts"] = h["counts"].([]any)[1:]
+		},
+		"negative histogram count": func(unit map[string]any) {
+			firstTCP(unit)["backoff_hist"].(map[string]any)["counts"].([]any)[0] = -1
 		},
 		"missing flow": func(unit map[string]any) {
 			unit["flows"] = unit["flows"].([]any)[1:]
@@ -97,9 +111,9 @@ func TestCoordinatorRetriesMalformedUnitResults(t *testing.T) {
 
 // FuzzUnitStream feeds hostile NDJSON streams to the coordinator's unit
 // result reader: it must return an error or a well-formed unit (one flow
-// per index of the range, in order, each with metrics and telemetry), never
-// panic. The checked-in corpus holds a valid stream and one stream per
-// defect the reader rejects.
+// per index of the range, in order, each with metrics and telemetry that
+// passes FlowState.Validate), never panic. The checked-in corpus holds a
+// valid stream and one stream per defect the reader rejects.
 func FuzzUnitStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte, start, count uint8) {
 		if len(stream) > 512 {
@@ -119,6 +133,9 @@ func FuzzUnitStream(f *testing.F) {
 		for i, f := range flows {
 			if f.Index != lo+i || f.Flow.Metrics == nil || f.Flow.Telemetry == nil {
 				t.Fatalf("malformed flow %d accepted: %+v", i, f)
+			}
+			if err := f.Flow.Telemetry.Validate(); err != nil {
+				t.Fatalf("flow %d accepted with invalid telemetry: %v", i, err)
 			}
 		}
 	})

@@ -55,13 +55,13 @@ func Eifel(cfg Config) (*EifelResult, error) {
 			TCP:          defaultTCP(),
 			Scenario:     "hsr",
 		}
-		_, plainStats, err := dataset.RunFlow(base)
+		_, plainStats, err := dataset.RunFlowMetrics(base)
 		if err != nil {
 			return nil, err
 		}
 		withEifel := base
 		withEifel.TCP.SpuriousRTORecovery = true
-		_, eifelStats, err := dataset.RunFlow(withEifel)
+		_, eifelStats, err := dataset.RunFlowMetrics(withEifel)
 		if err != nil {
 			return nil, err
 		}

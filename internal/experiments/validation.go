@@ -75,7 +75,8 @@ func ModelValidation(cfg Config) (*ValidationResult, error) {
 }
 
 // runStaticFlow simulates one long bulk flow over a static path with
-// independent data loss at rate pd.
+// independent data loss at rate pd, streaming its events into a pooled
+// analyzer (no event list is kept).
 func runStaticFlow(cfg Config, pd float64) (float64, *analysis.FlowMetrics, error) {
 	s := sim.New()
 	fwd := netem.NewLink(s, netem.LinkConfig{
@@ -87,13 +88,13 @@ func runStaticFlow(cfg Config, pd float64) (float64, *analysis.FlowMetrics, erro
 	})
 	tcpCfg := defaultTCP()
 	tcpCfg.WindowLimit = 64 // keep the sweep in the unconstrained regime
-	ft := &trace.FlowTrace{Meta: trace.FlowMeta{
+	inc := analysis.AcquireIncremental(trace.FlowMeta{
 		ID: fmt.Sprintf("static-%.4f", pd), Operator: "static", Scenario: "validation",
 		MSS: tcpCfg.MSS, DelayedAckB: tcpCfg.DelayedAckB, WindowLimit: tcpCfg.WindowLimit,
 		Duration: 3 * cfg.FlowDuration,
-	}}
-	ft.Grow(int(3*cfg.FlowDuration/time.Second+1) * 1200)
-	conn, err := tcp.New(s, netem.NewPath(fwd, rev), tcpCfg, ft)
+	})
+	defer inc.Release()
+	conn, err := tcp.New(s, netem.NewPath(fwd, rev), tcpCfg, inc)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -101,7 +102,7 @@ func runStaticFlow(cfg Config, pd float64) (float64, *analysis.FlowMetrics, erro
 		return 0, nil, err
 	}
 	s.RunUntil(3 * cfg.FlowDuration)
-	m, err := analysis.Analyze(ft)
+	m, err := inc.Finish()
 	if err != nil {
 		return 0, nil, err
 	}

@@ -16,14 +16,12 @@ package mptcp
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/tcp"
-	"repro/internal/trace"
 )
 
 // SubflowResult carries one subflow's endpoint counters and trace metrics.
@@ -54,12 +52,18 @@ func RunDuplex(base dataset.Scenario, n int) (*DuplexResult, error) {
 	res := &DuplexResult{}
 	type sub struct {
 		conn *tcp.Conn
-		ft   *trace.FlowTrace
+		inc  *analysis.Incremental
 	}
+	subs := make([]sub, 0, n)
+	// Every acquired analyzer goes back to the pool, whichever path returns.
+	defer func() {
+		for _, s := range subs {
+			s.inc.Release()
+		}
+	}()
 	// All subflows belong to one phone in one cell: they share the air
 	// interface capacity but see independent loss/outage processes.
 	sharedDown, sharedUp := dataset.BuildSharedCell(simulator, base.Operator)
-	subs := make([]sub, 0, n)
 	for i := 0; i < n; i++ {
 		sc := base
 		sc.ID = fmt.Sprintf("%s-sub%d", base.ID, i)
@@ -68,27 +72,22 @@ func RunDuplex(base dataset.Scenario, n int) (*DuplexResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ft := &trace.FlowTrace{Meta: trace.FlowMeta{
-			ID: sc.ID, Operator: sc.Operator.Name, Tech: sc.Operator.Tech.String(),
-			Scenario: sc.Scenario, Seed: sc.Seed, MSS: sc.TCP.MSS,
-			DelayedAckB: sc.TCP.DelayedAckB, WindowLimit: sc.TCP.WindowLimit,
-			Duration: sc.FlowDuration,
-		}}
-		ft.Grow(int(sc.FlowDuration/time.Second+1) * 1200)
-		conn, err := tcp.New(simulator, path, sc.TCP, ft)
+		inc := analysis.AcquireIncremental(sc.FlowMeta())
+		subs = append(subs, sub{inc: inc})
+		conn, err := tcp.New(simulator, path, sc.TCP, inc)
 		if err != nil {
 			return nil, err
 		}
 		if err := conn.Start(sc.FlowDuration); err != nil {
 			return nil, err
 		}
-		subs = append(subs, sub{conn: conn, ft: ft})
+		subs[i].conn = conn
 	}
 	simulator.RunUntil(base.FlowDuration)
 
 	var total int64
 	for _, s := range subs {
-		m, err := analysis.Analyze(s.ft)
+		m, err := s.inc.Finish()
 		if err != nil {
 			return nil, err
 		}
@@ -136,14 +135,11 @@ func RunBackup(base dataset.Scenario) (*BackupResult, error) {
 		return nil, err
 	}
 
-	ft := &trace.FlowTrace{Meta: trace.FlowMeta{
-		ID: base.ID + "-backup", Operator: base.Operator.Name, Tech: base.Operator.Tech.String(),
-		Scenario: base.Scenario, Seed: base.Seed, MSS: base.TCP.MSS,
-		DelayedAckB: base.TCP.DelayedAckB, WindowLimit: base.TCP.WindowLimit,
-		Duration: base.FlowDuration,
-	}}
-	ft.Grow(int(base.FlowDuration/time.Second+1) * 1200)
-	conn, err := tcp.New(simulator, primary, base.TCP, ft)
+	meta := base.FlowMeta()
+	meta.ID += "-backup"
+	inc := analysis.AcquireIncremental(meta)
+	defer inc.Release()
+	conn, err := tcp.New(simulator, primary, base.TCP, inc)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +174,7 @@ func RunBackup(base dataset.Scenario) (*BackupResult, error) {
 	simulator.RunUntil(base.FlowDuration)
 
 	res.Stats = conn.Stats()
-	m, err := analysis.Analyze(ft)
+	m, err := inc.Finish()
 	if err != nil {
 		return nil, err
 	}

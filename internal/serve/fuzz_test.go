@@ -7,9 +7,11 @@ import (
 
 // FuzzJobSpec feeds arbitrary request bodies through the /v1/jobs
 // admission path: decoding and JobSpec.Validate under the server's default
-// limits. No input may panic, and a flow job that passes admission must
-// build a valid scenario within the duration limit: the worker builds the
-// same scenario after the client was told the job is accepted.
+// limits. No input may panic. A flow job that passes admission must build
+// a valid scenario within the duration limit: the worker builds the same
+// scenario after the client was told the job is accepted. A campaign,
+// experiment or unit job that passes plans at most the default
+// flows-per-row cap.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"kind":"flow","operator":"china-unicom","scenario":"stationary","duration":"30s","seed":7}`,
@@ -26,18 +28,29 @@ func FuzzJobSpec(f *testing.F) {
 			t.Skip("inputs over 512 bytes spend the fuzz time in the minimizer")
 		}
 		spec, err := decodeJobSpec(bytes.NewReader(body))
-		if err != nil || spec.Validate(lim) != nil || spec.Kind != KindFlow {
+		if err != nil || spec.Validate(lim) != nil {
 			return
 		}
-		sc, err := spec.flowScenario(lim)
-		if err != nil {
-			t.Fatalf("admitted flow job %s has no scenario: %v", body, err)
-		}
-		if err := sc.Validate(); err != nil {
-			t.Fatalf("admitted flow job %s builds an invalid scenario: %v", body, err)
-		}
-		if sc.FlowDuration > lim.MaxFlowDuration {
-			t.Fatalf("admitted flow job %s runs %v, over the limit %v", body, sc.FlowDuration, lim.MaxFlowDuration)
+		switch spec.Kind {
+		case KindCampaign, KindExperiment:
+			if n := spec.experimentsConfig().FlowsPerRow; n > lim.MaxFlowsPerRow {
+				t.Fatalf("admitted %s job %s plans %d flows per row, over the cap %d", spec.Kind, body, n, lim.MaxFlowsPerRow)
+			}
+		case KindUnit:
+			if n := spec.Unit.FlowsPerRow; n > lim.MaxFlowsPerRow {
+				t.Fatalf("admitted unit job %s plans %d flows per row, over the cap %d", body, n, lim.MaxFlowsPerRow)
+			}
+		case KindFlow:
+			sc, err := spec.flowScenario(lim)
+			if err != nil {
+				t.Fatalf("admitted flow job %s has no scenario: %v", body, err)
+			}
+			if err := sc.Validate(); err != nil {
+				t.Fatalf("admitted flow job %s builds an invalid scenario: %v", body, err)
+			}
+			if sc.FlowDuration > lim.MaxFlowDuration {
+				t.Fatalf("admitted flow job %s runs %v, over the limit %v", body, sc.FlowDuration, lim.MaxFlowDuration)
+			}
 		}
 	})
 }

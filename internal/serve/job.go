@@ -157,7 +157,8 @@ func (u *UnitSpec) campaignConfig() (dataset.CampaignConfig, error) {
 type Limits struct {
 	// MaxFlowDuration caps the simulated duration of any flow.
 	MaxFlowDuration time.Duration
-	// MaxFlowsPerRow caps the Table I per-row override.
+	// MaxFlowsPerRow caps the Table I per-row override of campaign,
+	// experiment and unit jobs (default 1000).
 	MaxFlowsPerRow int
 	// MaxTimeout caps (and defaults) the per-job deadline.
 	MaxTimeout time.Duration
@@ -167,6 +168,9 @@ type Limits struct {
 func (l Limits) withDefaults() Limits {
 	if l.MaxFlowDuration == 0 {
 		l.MaxFlowDuration = 10 * time.Minute
+	}
+	if l.MaxFlowsPerRow == 0 {
+		l.MaxFlowsPerRow = 1000 // ~14x Table I's largest row (73 flows)
 	}
 	if l.MaxTimeout == 0 {
 		l.MaxTimeout = 15 * time.Minute

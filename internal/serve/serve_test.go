@@ -406,3 +406,37 @@ func TestDurationJSON(t *testing.T) {
 		t.Fatalf("marshal: %s %v", raw, err)
 	}
 }
+
+// TestServerCapsFlowsPerRow checks the default per-row cap: every job kind
+// that takes the Table I override is rejected with 400 at 1001 flows per
+// row, and a job at exactly 1000 is admitted (a one-flow unit of it runs).
+func TestServerCapsFlowsPerRow(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Drain()
+
+	unit := func(perRow int) string {
+		return fmt.Sprintf(`{"kind":"unit","unit":{"seed":1,"duration":"2s","flows_per_row":%d,"start":0,"end":1}}`, perRow)
+	}
+	for _, spec := range []string{
+		`{"kind":"campaign","quick":true,"flows_per_row":1001}`,
+		`{"kind":"experiment","run":["table1"],"quick":true,"flows_per_row":1001}`,
+		unit(1001),
+	} {
+		resp := postJob(t, ts.Client(), ts.URL, spec)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %s: status %d, want 400", spec, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+
+	resp := postJob(t, ts.Client(), ts.URL, unit(1000))
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("1000 flows per row: status %d, want 200", resp.StatusCode)
+	}
+	if last := terminal(t, readEvents(t, resp.Body)); last.Event != "result" || last.Status != "ok" {
+		t.Fatalf("1000 flows per row: terminal %+v", last)
+	}
+}

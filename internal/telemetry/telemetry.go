@@ -22,6 +22,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/stats"
@@ -325,7 +328,7 @@ func (t *TCP) CC(name string) *CCStats {
 	}
 	s := t.ByCC[name]
 	if s == nil {
-		s = &CCStats{CwndHist: NewHist(1, 2, 4, 8, 16, 32, 64, 128)}
+		s = &CCStats{CwndHist: NewHist(cwndBounds...)}
 		t.ByCC[name] = s
 	}
 	return s
@@ -350,12 +353,19 @@ func cloneByCC(m map[string]*CCStats) map[string]*CCStats {
 	return out
 }
 
+// The standard histogram bounds: congestion window in segments, and the
+// RTO backoff exponent.
+var (
+	cwndBounds    = []float64{1, 2, 4, 8, 16, 32, 64, 128}
+	backoffBounds = []float64{0, 1, 2, 3, 4, 5, 6}
+)
+
 // NewTCP returns a TCP metrics block with the standard cwnd and backoff
 // histogram bounds installed.
 func NewTCP() *TCP {
 	return &TCP{
-		CwndHist:    NewHist(1, 2, 4, 8, 16, 32, 64, 128),
-		BackoffHist: NewHist(0, 1, 2, 3, 4, 5, 6),
+		CwndHist:    NewHist(cwndBounds...),
+		BackoffHist: NewHist(backoffBounds...),
 	}
 }
 
@@ -563,6 +573,53 @@ func (s *FlowState) Restore() *Flow {
 	f.TCP.BackoffHist = cloneHist(s.Flow.TCP.BackoffHist)
 	f.TCP.ByCC = cloneByCC(s.Flow.TCP.ByCC)
 	return &f
+}
+
+// Validate checks a state that arrived from another process before it is
+// restored and merged: every histogram has the shape NewTCP builds (Merge
+// panics on mismatched shapes), no bucket count is negative, and the cwnd
+// accumulator has a non-negative sample count and finite moments.
+func (s *FlowState) Validate() error {
+	if err := checkHist("cwnd_hist", &s.TCP.CwndHist, cwndBounds); err != nil {
+		return fmt.Errorf("telemetry: tcp.%w", err)
+	}
+	if err := checkHist("backoff_hist", &s.TCP.BackoffHist, backoffBounds); err != nil {
+		return fmt.Errorf("telemetry: tcp.%w", err)
+	}
+	for name, cc := range s.TCP.ByCC {
+		if cc == nil {
+			return fmt.Errorf("telemetry: tcp.by_cc[%q] is null", name)
+		}
+		if err := checkHist("cwnd_hist", &cc.CwndHist, cwndBounds); err != nil {
+			return fmt.Errorf("telemetry: tcp.by_cc[%q].%w", name, err)
+		}
+	}
+	c := s.CwndState
+	if c.N < 0 {
+		return fmt.Errorf("telemetry: cwnd_state.n %d is negative", c.N)
+	}
+	for _, v := range [...]float64{c.Mean, c.M2, c.Min, c.Max, c.Sum} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("telemetry: cwnd_state has a non-finite moment %v", v)
+		}
+	}
+	return nil
+}
+
+// checkHist returns an error unless h has exactly the given bounds, one
+// count per bucket plus overflow, and no negative count. The error starts
+// with name, so callers prefix it with the histogram's path.
+func checkHist(name string, h *Hist, bounds []float64) error {
+	if !slices.Equal(h.Bounds, bounds) || len(h.Counts) != len(bounds)+1 {
+		return fmt.Errorf("%s has %d bounds and %d counts, want bounds %v and %d counts",
+			name, len(h.Bounds), len(h.Counts), bounds, len(bounds)+1)
+	}
+	for i, n := range h.Counts {
+		if n < 0 {
+			return fmt.Errorf("%s bucket %d count %d is negative", name, i, n)
+		}
+	}
+	return nil
 }
 
 // Campaign aggregates Flow bundles into campaign totals. AddFlow is safe
