@@ -23,6 +23,13 @@ const (
 	goldenCSV    = "testdata/quick_all_csv.sha256"
 )
 
+// The opt-in shared-bottleneck experiments' stdout. "-run all" leaves them
+// out, so this is the golden that covers dataset.RunContended and the
+// subflow path builder. Regenerate only for an intended output change:
+//
+//	go run ./cmd/hsrbench -quick -run fairness,ccmix > cmd/hsrbench/testdata/quick_contention.golden
+const goldenContention = "testdata/quick_contention.golden"
+
 // readDigests parses a sha256sum listing into file name -> hex digest.
 func readDigests(t *testing.T, path string) map[string]string {
 	t.Helper()
@@ -91,6 +98,24 @@ func TestQuickAllGolden(t *testing.T) {
 			if got := hex.EncodeToString(sum[:]); got != digest {
 				t.Errorf("-jobs %s: %s sha256 %s, want %s", jobs, name, got, digest)
 			}
+		}
+	}
+}
+
+// TestQuickContentionGolden pins `hsrbench -quick -run fairness,ccmix`
+// stdout byte for byte at one and at eight concurrent experiments.
+func TestQuickContentionGolden(t *testing.T) {
+	want, err := os.ReadFile(goldenContention)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []string{"1", "8"} {
+		var out bytes.Buffer
+		if err := run([]string{"-quick", "-run", "fairness,ccmix", "-jobs", jobs}, &out); err != nil {
+			t.Fatalf("-jobs %s: %v", jobs, err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("-jobs %s: stdout differs from %s at %s", jobs, goldenContention, firstDiff(out.Bytes(), want))
 		}
 	}
 }
