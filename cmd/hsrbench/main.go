@@ -13,7 +13,8 @@
 // window, scalars, delack, ablation, backupq, eifel, sensitivity, variants,
 // speed, validation, faults, all (default), plus the opt-in shared-
 // bottleneck experiments fairness and ccmix ("all" does not include them;
-// request them by name). -list prints the catalog with descriptions.
+// request them by name). -list prints the catalog with descriptions; an
+// unknown name exits with status 2 and the valid names.
 //
 // Experiments run on a dependency-aware parallel scheduler: -jobs N runs up
 // to N independent experiments concurrently (default 1; 0 means GOMAXPROCS).
@@ -54,8 +55,23 @@ import (
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hsrbench:", err)
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
+}
+
+// usageError is a command line naming something that does not exist.
+type usageError struct{ msg string }
+
+func (e usageError) Error() string { return e.msg }
+
+// exitCode maps run's error to the process exit status: 2 for a bad -run
+// list, 1 for everything else.
+func exitCode(err error) int {
+	var ue usageError
+	if errors.As(err, &ue) {
+		return 2
+	}
+	return 1
 }
 
 // run executes one hsrbench invocation, printing the rendered sections to
@@ -187,13 +203,19 @@ func run(args []string, stdout io.Writer) error {
 		defer cancel()
 	}
 
-	// Resolve the -run list against the canonical catalog. Unknown names
-	// simply select nothing (documented behaviour); "all" selects the paper
-	// suite (opt-in experiments still need to be named); the hidden "panic"
-	// self-test is handled below.
+	// Resolve the -run list against the canonical catalog. An unknown name
+	// fails the run with exit status 2 and the valid names; "all" selects
+	// the paper suite (opt-in experiments still need to be named); the
+	// hidden "panic" self-test is handled below. Empty entries (a trailing
+	// comma) select nothing.
 	want := map[string]bool{}
 	for _, name := range strings.Split(*runList, ",") {
-		want[strings.TrimSpace(name)] = true
+		name = strings.TrimSpace(name)
+		if name != "" && name != "all" && name != "panic" && !experiments.IsCatalogName(name) {
+			return usageError{fmt.Sprintf("unknown experiment %q in -run; valid names: all, %s",
+				name, strings.Join(experiments.CatalogNames(), ", "))}
+		}
+		want[name] = true
 	}
 	if want["all"] {
 		for _, name := range experiments.DefaultCatalogNames() {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -37,11 +38,31 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-func TestRunUnknownExperimentIsNoop(t *testing.T) {
-	// Unknown names simply select nothing (documented behaviour): the run
-	// must not fail.
-	if err := run([]string{"-quick", "-run", "doesnotexist"}, io.Discard); err != nil {
-		t.Fatalf("run: %v", err)
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	// An unknown name fails before anything runs, exits 2 and lists the
+	// valid names, the same names hsrserved accepts.
+	var out bytes.Buffer
+	err := run([]string{"-quick", "-run", "fig1,fig21"}, &out)
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	if code := exitCode(err); code != 2 {
+		t.Errorf("exit code %d, want 2", code)
+	}
+	for _, want := range []string{`"fig21"`, "all, table1,", "fig12", "ccmix"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed %d bytes before rejecting the list", out.Len())
+	}
+	if code := exitCode(errors.New("task failed")); code != 1 {
+		t.Errorf("exit code %d for a run failure, want 1", code)
+	}
+	// A trailing comma is not a name.
+	if err := run([]string{"-quick", "-duration", "30s", "-run", "fig1,"}, io.Discard); err != nil {
+		t.Errorf("-run fig1,: %v", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/tcp"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -75,9 +74,6 @@ func RunContended(cfg ContendedConfig) ([]ContendedResult, error) {
 	}
 
 	simulator := sim.New()
-	budget := int64((maxDur+time.Minute)/time.Second) * simEventBudgetPerSecond * int64(len(cfg.Flows))
-	simulator.SetBudget(sim.Budget{MaxEvents: budget})
-
 	bn, err := netem.NewBottleneck(simulator, netem.BottleneckConfig{
 		DownRate: op.DownlinkRate,
 		UpRate:   op.UplinkRate,
@@ -109,10 +105,8 @@ func RunContended(cfg ContendedConfig) ([]ContendedResult, error) {
 		conns[i] = conn
 	}
 
-	simulator.RunUntil(maxDur)
-	if simulator.Exhausted() {
-		return nil, fmt.Errorf("dataset: contended group exhausted its %d-event kernel budget at t=%v",
-			budget, simulator.Now())
+	if _, err := RunBudgeted(simulator, cfg.Flows[0].ID, maxDur, len(cfg.Flows)); err != nil {
+		return nil, err
 	}
 
 	results := make([]ContendedResult, len(cfg.Flows))
@@ -125,17 +119,4 @@ func RunContended(cfg ContendedConfig) ([]ContendedResult, error) {
 		}
 	}
 	return results, nil
-}
-
-// ContendedTelemetry folds the groups' per-flow bundles into one campaign
-// collector in flow order (the fixed-order contract Dist merges need).
-func ContendedTelemetry(camp *telemetry.Campaign, flows []Scenario) {
-	if camp == nil {
-		return
-	}
-	for i := range flows {
-		if flows[i].Telemetry != nil {
-			camp.AddFlow(flows[i].Telemetry)
-		}
-	}
 }

@@ -110,7 +110,9 @@ func TestRunContendedTelemetryByCC(t *testing.T) {
 		t.Fatal(err)
 	}
 	camp := telemetry.NewCampaign()
-	ContendedTelemetry(camp, flows)
+	for i := range flows {
+		camp.AddFlow(flows[i].Telemetry)
+	}
 	_, _, tc, _, _ := camp.Counters()
 	if len(tc.ByCC) != len(tcp.Variants()) {
 		t.Fatalf("ByCC has %d variants, want %d: %v", len(tc.ByCC), len(tcp.Variants()), tc.ByCC)

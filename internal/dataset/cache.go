@@ -293,6 +293,21 @@ func (c *FlowCache) GetOrCompute(sc Scenario, compute func() (CachedFlow, error)
 	})
 }
 
+// GetOrSimulate is the one cache-or-simulate call for metrics-only flows:
+// GetOrCompute with RunFlowMetrics as the computation. A nil cache
+// simulates directly (shared is then false).
+func (c *FlowCache) GetOrSimulate(sc Scenario) (ent CachedFlow, shared bool, err error) {
+	simulate := func() (CachedFlow, error) {
+		m, st, err := RunFlowMetrics(sc)
+		return CachedFlow{Metrics: m, Stats: st}, err
+	}
+	if c == nil {
+		ent, err = simulate()
+		return ent, false, err
+	}
+	return c.GetOrCompute(sc, simulate)
+}
+
 // GetOrComputeFull is GetOrCompute for callers that need a telemetry-bearing
 // entry (distributed work-unit execution), in wire form: a hit returns the
 // entry's checksum-verified payload bytes and header duration without

@@ -204,7 +204,8 @@ func TestFlowCacheDetectsCorruption(t *testing.T) {
 			}
 			// The campaign path must recover transparently: simulate, rewrite,
 			// then serve the fresh entry.
-			got, hit, err := runCampaignFlow(CampaignConfig{Cache: cache}, sc)
+			ent, hit, err := cache.GetOrSimulate(sc)
+			got := ent.Metrics
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -226,15 +226,16 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 				sp.SetAttr("index", strconv.Itoa(j.Index))
 				sp.SetAttr("operator", j.Row.Operator.Name)
 			}
-			m, hit, err := runCampaignFlow(cfg, j.Scenario)
+			ent, hit, err := cfg.Cache.GetOrSimulate(j.Scenario)
 			if err != nil {
 				errs[j.Index] = fmt.Errorf("flow %s: %w", j.Scenario.ID, err)
 				sp.SetAttr("error", err.Error())
 			} else {
-				results[j.Index] = FlowResult{Row: j.Row, Metrics: m}
+				results[j.Index] = FlowResult{Row: j.Row, Metrics: ent.Metrics}
 				if hit && flows != nil {
-					// Served from the cache: no simulation ran, so this
-					// flow has no kernel/TCP/link counters to merge.
+					// Served from the cache or another campaign's
+					// in-flight simulation: no simulation ran here, so
+					// this flow has no kernel/TCP/link counters to merge.
 					flows[j.Index] = nil
 				}
 			}
@@ -284,35 +285,6 @@ func RunFlowFull(sc Scenario) (CachedFlow, error) {
 	}
 	state := tel.State()
 	return CachedFlow{Metrics: m, Stats: st, Telemetry: &state}, nil
-}
-
-// runCampaignFlow produces one campaign flow's metrics through the
-// configured pipeline: cache lookup first, then the streaming simulation,
-// then cache write-back.
-// Concurrent campaigns sharing one cache deduplicate identical misses
-// through FlowCache.GetOrCompute: the flow simulates once, everyone shares
-// the result. hit reports whether the result came from the cache or another
-// worker's in-flight simulation (either way, this call simulated nothing
-// itself, so its telemetry bundle stays empty).
-func runCampaignFlow(cfg CampaignConfig, sc Scenario) (m *analysis.FlowMetrics, hit bool, err error) {
-	if cfg.Cache != nil {
-		ent, shared, err := cfg.Cache.GetOrCompute(sc, func() (CachedFlow, error) {
-			m, st, err := RunFlowMetrics(sc)
-			if err != nil {
-				return CachedFlow{}, err
-			}
-			return CachedFlow{Metrics: m, Stats: st}, nil
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		return ent.Metrics, shared, nil
-	}
-	m, _, err = RunFlowMetrics(sc)
-	if err != nil {
-		return nil, false, err
-	}
-	return m, false, nil
 }
 
 // flowOffset places a flow inside the trip's cruise window (the paper's

@@ -37,8 +37,9 @@ type Scenario struct {
 	Scenario     string // "hsr" or "stationary" (trace metadata)
 	// Faults, when non-empty, injects the schedule's fault episodes into the
 	// flow's path: storms become extra channel outages, blackouts and ACK
-	// bursts layer onto the loss models, rate collapses scale the line rate,
-	// delay spikes inflate latency. All fault randomness derives from Seed
+	// bursts layer onto the loss models, rate collapses scale the line rate
+	// (not on a shared cell: see BuildSubflowPath), delay spikes inflate
+	// latency. All fault randomness derives from Seed
 	// on dedicated streams, so faulted flows stay bit-for-bit reproducible.
 	Faults *faults.Schedule
 	// Telemetry, when non-nil, collects the flow's full metrics bundle
@@ -69,15 +70,17 @@ func (sc Scenario) Validate() error {
 	return sc.TCP.Validate()
 }
 
-// BuildPath constructs the emulated path (downlink data + uplink ACK) for a
-// scenario on the given simulator, layering the scenario's fault schedule
-// (if any) over the cellular channel and both links. It is exported so the
-// MPTCP experiments can wire several paths into one simulation.
-func BuildPath(simulator *sim.Simulator, sc Scenario) (*netem.Path, *cellular.Channel, error) {
+// privateStage builds the per-flow half of a scenario's path: its cellular
+// channel (plus the schedule's storm outages), transit loss and
+// uniform+channel delay on the flow's own RNG streams, and the schedule's
+// loss and delay wrappers. It returns the two directions' link
+// configurations without rate or queue; callers add those (BuildPath) or
+// chain the links into a shared cell (BuildSubflowPath).
+func privateStage(sc Scenario) (fwd, rev netem.LinkConfig, ch *cellular.Channel, err error) {
 	horizon := sc.FlowDuration + time.Minute // slack for in-flight cleanup
-	ch, err := cellular.NewChannel(sc.Operator, sc.Trip, sc.TripOffset, horizon, sim.NewRand(sc.Seed, sim.StreamHandoff))
+	ch, err = cellular.NewChannel(sc.Operator, sc.Trip, sc.TripOffset, horizon, sim.NewRand(sc.Seed, sim.StreamHandoff))
 	if err != nil {
-		return nil, nil, err
+		return fwd, rev, nil, err
 	}
 	faulted := !sc.Faults.Empty()
 	if faulted {
@@ -86,106 +89,101 @@ func BuildPath(simulator *sim.Simulator, sc Scenario) (*netem.Path, *cellular.Ch
 	op := sc.Operator
 	// Each per-packet consumer gets its own timeline cursor (O(1) amortized
 	// for the mostly monotone query series a flow produces).
-	dataLoss := netem.LossModel(netem.NewTransitLossFunc(ch.DataLossCursor(), sim.NewRand(sc.Seed, sim.StreamDataLoss)))
-	ackLoss := netem.LossModel(netem.NewTransitLossFunc(ch.AckLossCursor(), sim.NewRand(sc.Seed, sim.StreamAckLoss)))
-	fwdDelay := netem.DelayModel(netem.NewSumDelay(
-		netem.NewUniformDelay(op.DownDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay)),
-		netem.DelayFunc{Fn: ch.DelayCursor()},
-	))
-	revDelay := netem.DelayModel(netem.NewSumDelay(
-		netem.NewUniformDelay(op.UpDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay+1000)),
-		netem.DelayFunc{Fn: ch.DelayCursor()},
-	))
-	var rateScale func(time.Duration) float64
-	if faulted {
-		var dataDrops, ackDrops *int64
-		if sc.Telemetry != nil {
-			dataDrops = &sc.Telemetry.Faults.DataDrops
-			ackDrops = &sc.Telemetry.Faults.AckDrops
-		}
-		dataLoss = sc.Faults.WrapDataLossCounted(dataLoss, sim.NewRand(sc.Seed, sim.StreamFaultData), dataDrops)
-		ackLoss = sc.Faults.WrapAckLossCounted(ackLoss, sim.NewRand(sc.Seed, sim.StreamFaultAck), ackDrops)
-		fwdDelay = sc.Faults.WrapDelay(fwdDelay)
-		revDelay = sc.Faults.WrapDelay(revDelay)
-		rateScale = sc.Faults.RateScale
+	fwd = netem.LinkConfig{
+		Delay: netem.NewSumDelay(
+			netem.NewUniformDelay(op.DownDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay)),
+			netem.DelayFunc{Fn: ch.DelayCursor()},
+		),
+		Loss: netem.NewTransitLossFunc(ch.DataLossCursor(), sim.NewRand(sc.Seed, sim.StreamDataLoss)),
 	}
-	fwd := netem.NewLink(simulator, netem.LinkConfig{
-		Rate:      op.DownlinkRate,
-		RateScale: rateScale,
-		MaxQueue:  op.QueuePackets,
-		Delay:     fwdDelay,
-		Loss:      dataLoss,
-	})
-	rev := netem.NewLink(simulator, netem.LinkConfig{
-		Rate:      op.UplinkRate,
-		RateScale: rateScale,
-		MaxQueue:  op.QueuePackets,
-		Delay:     revDelay,
-		Loss:      ackLoss,
-	})
-	return netem.NewPath(fwd, rev), ch, nil
+	rev = netem.LinkConfig{
+		Delay: netem.NewSumDelay(
+			netem.NewUniformDelay(op.UpDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay+1000)),
+			netem.DelayFunc{Fn: ch.DelayCursor()},
+		),
+		Loss: netem.NewTransitLossFunc(ch.AckLossCursor(), sim.NewRand(sc.Seed, sim.StreamAckLoss)),
+	}
+	if !faulted {
+		return fwd, rev, ch, nil
+	}
+	var dataDrops, ackDrops *int64
+	if sc.Telemetry != nil {
+		dataDrops = &sc.Telemetry.Faults.DataDrops
+		ackDrops = &sc.Telemetry.Faults.AckDrops
+	}
+	fwd.Loss = sc.Faults.WrapDataLossCounted(fwd.Loss, sim.NewRand(sc.Seed, sim.StreamFaultData), dataDrops)
+	rev.Loss = sc.Faults.WrapAckLossCounted(rev.Loss, sim.NewRand(sc.Seed, sim.StreamFaultAck), ackDrops)
+	fwd.Delay = sc.Faults.WrapDelay(fwd.Delay)
+	rev.Delay = sc.Faults.WrapDelay(rev.Delay)
+	return fwd, rev, ch, nil
 }
 
-// BuildSharedCell creates the shared air-interface capacity stage of one
-// cell: a downlink and an uplink that only model line rate and queueing.
-// Several subflows of the same phone chained through these stages compete
-// for the same radio capacity (used by the MPTCP duplex experiments).
-func BuildSharedCell(simulator *sim.Simulator, op cellular.Operator) (down, up *netem.Link) {
-	down = netem.NewLink(simulator, netem.LinkConfig{
-		Rate: op.DownlinkRate, MaxQueue: op.QueuePackets, Delay: netem.FixedDelay(0),
-	})
-	up = netem.NewLink(simulator, netem.LinkConfig{
-		Rate: op.UplinkRate, MaxQueue: op.QueuePackets, Delay: netem.FixedDelay(0),
-	})
-	return down, up
+// BuildPath constructs the emulated path (downlink data + uplink ACK) for a
+// scenario on the given simulator: the flow's private stage with the
+// operator's line rates and queue, and the schedule's rate collapses (if
+// any). It is exported so the MPTCP experiments can wire several paths into
+// one simulation.
+func BuildPath(simulator *sim.Simulator, sc Scenario) (*netem.Path, *cellular.Channel, error) {
+	fwd, rev, ch, err := privateStage(sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	op := sc.Operator
+	fwd.Rate, fwd.MaxQueue = op.DownlinkRate, op.QueuePackets
+	rev.Rate, rev.MaxQueue = op.UplinkRate, op.QueuePackets
+	if !sc.Faults.Empty() {
+		fwd.RateScale, rev.RateScale = sc.Faults.RateScale, sc.Faults.RateScale
+	}
+	return netem.NewPath(netem.NewLink(simulator, fwd), netem.NewLink(simulator, rev)), ch, nil
 }
 
 // BuildSubflowPath builds a per-subflow path whose loss and delay are
-// independent (own cellular channel, own seed) but whose capacity is the
-// shared cell stage: packets traverse the subflow's channel link first
-// (synchronous loss verdict, so traces stay exact) and then queue on the
-// shared air interface.
+// independent (own cellular channel, own seed) but whose capacity is a
+// shared cell (a netem.Bottleneck's Down and Up links): packets traverse the
+// subflow's channel link first (synchronous loss verdict, so traces stay
+// exact) and then queue on the shared air interface. The private links have
+// no rate, so the schedule's rate collapses do not reach a subflow.
 func BuildSubflowPath(simulator *sim.Simulator, sc Scenario, sharedDown, sharedUp *netem.Link) (*netem.Path, error) {
-	horizon := sc.FlowDuration + time.Minute
-	ch, err := cellular.NewChannel(sc.Operator, sc.Trip, sc.TripOffset, horizon, sim.NewRand(sc.Seed, sim.StreamHandoff))
+	fwd, rev, _, err := privateStage(sc)
 	if err != nil {
 		return nil, err
 	}
-	faulted := !sc.Faults.Empty()
-	if faulted {
-		ch.AddOutages(sc.Faults.StormOutages(sc.Seed))
-	}
-	op := sc.Operator
-	dataLoss := netem.LossModel(netem.NewTransitLossFunc(ch.DataLossCursor(), sim.NewRand(sc.Seed, sim.StreamDataLoss)))
-	ackLoss := netem.LossModel(netem.NewTransitLossFunc(ch.AckLossCursor(), sim.NewRand(sc.Seed, sim.StreamAckLoss)))
-	fwdDelay := netem.DelayModel(netem.NewSumDelay(
-		netem.NewUniformDelay(op.DownDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay)),
-		netem.DelayFunc{Fn: ch.DelayCursor()},
-	))
-	revDelay := netem.DelayModel(netem.NewSumDelay(
-		netem.NewUniformDelay(op.UpDelay, op.Jitter, sim.NewRand(sc.Seed, sim.StreamDelay+1000)),
-		netem.DelayFunc{Fn: ch.DelayCursor()},
-	))
-	if faulted {
-		dataLoss = sc.Faults.WrapDataLoss(dataLoss, sim.NewRand(sc.Seed, sim.StreamFaultData))
-		ackLoss = sc.Faults.WrapAckLoss(ackLoss, sim.NewRand(sc.Seed, sim.StreamFaultAck))
-		fwdDelay = sc.Faults.WrapDelay(fwdDelay)
-		revDelay = sc.Faults.WrapDelay(revDelay)
-	}
-	fwd := netem.NewLink(simulator, netem.LinkConfig{Delay: fwdDelay, Loss: dataLoss})
-	rev := netem.NewLink(simulator, netem.LinkConfig{Delay: revDelay, Loss: ackLoss})
 	return netem.NewPath(
-		netem.NewChain(fwd, sharedDown),
-		netem.NewChain(rev, sharedUp),
+		netem.NewChain(netem.NewLink(simulator, fwd), sharedDown),
+		netem.NewChain(netem.NewLink(simulator, rev), sharedUp),
 	), nil
 }
 
 // simEventBudgetPerSecond is the kernel event budget granted per simulated
-// second (plus a minute of slack). Real flows execute a few thousand events
-// per simulated second; two million leaves three orders of magnitude of
-// headroom while still catching a pathological schedule that spins at
-// constant virtual time.
+// second (plus a minute of slack) and flow. Real flows execute a few
+// thousand events per simulated second; two million leaves three orders of
+// magnitude of headroom while still catching a pathological schedule that
+// spins at constant virtual time.
 const simEventBudgetPerSecond = 2_000_000
+
+// RunBudgeted runs simulator to horizon under the kernel event budget of
+// flows concurrent flows, simEventBudgetPerSecond x (horizon + 1 min) x
+// flows, and returns the budget it installed. Every production simulation
+// runs through it, so a runaway schedule fails loudly instead of hanging
+// the campaign: on exhaustion the error names id, the flow (or, for several
+// flows, the group) that ran.
+func RunBudgeted(simulator *sim.Simulator, id string, horizon time.Duration, flows int) (int64, error) {
+	if flows < 1 {
+		return 0, fmt.Errorf("dataset: %s: budget for %d flows, need at least one", id, flows)
+	}
+	budget := int64((horizon+time.Minute)/time.Second) * simEventBudgetPerSecond * int64(flows)
+	simulator.SetBudget(sim.Budget{MaxEvents: budget})
+	simulator.RunUntil(horizon)
+	if !simulator.Exhausted() {
+		return budget, nil
+	}
+	what := "flow " + id
+	if flows > 1 {
+		what = fmt.Sprintf("%d-flow group %s", flows, id)
+	}
+	return budget, fmt.Errorf("dataset: %s exhausted its %d-event kernel budget at t=%v (runaway schedule?)",
+		what, budget, simulator.Now())
+}
 
 // FlowMeta returns the trace metadata describing the scenario's flow.
 func (sc Scenario) FlowMeta() trace.FlowMeta {
@@ -206,8 +204,7 @@ func (sc Scenario) FlowMeta() trace.FlowMeta {
 // event into rec, and returns the endpoint counters. This is the single
 // simulation core under both the materializing RunFlow and the streaming
 // RunFlowMetrics: the sink is the only difference between the two, so their
-// simulations are bit-identical. The kernel runs under an event budget so a
-// runaway schedule fails loudly instead of hanging the campaign.
+// simulations are bit-identical.
 func runScenario(sc Scenario, rec trace.Recorder) (tcp.Stats, error) {
 	if err := sc.Validate(); err != nil {
 		return tcp.Stats{}, err
@@ -218,8 +215,6 @@ func runScenario(sc Scenario, rec trace.Recorder) (tcp.Stats, error) {
 		wallStart = time.Now()
 	}
 	simulator := sim.New()
-	budget := int64((sc.FlowDuration+time.Minute)/time.Second) * simEventBudgetPerSecond
-	simulator.SetBudget(sim.Budget{MaxEvents: budget})
 	if tel != nil {
 		simulator.SetTelemetry(&tel.Kernel)
 	}
@@ -240,10 +235,9 @@ func runScenario(sc Scenario, rec trace.Recorder) (tcp.Stats, error) {
 	if err := conn.Start(sc.FlowDuration); err != nil {
 		return tcp.Stats{}, err
 	}
-	simulator.RunUntil(sc.FlowDuration)
-	if simulator.Exhausted() {
-		return tcp.Stats{}, fmt.Errorf("dataset: flow %s exhausted its %d-event kernel budget at t=%v (runaway schedule?)",
-			sc.ID, budget, simulator.Now())
+	budget, err := RunBudgeted(simulator, sc.ID, sc.FlowDuration, 1)
+	if err != nil {
+		return tcp.Stats{}, err
 	}
 	if tel != nil {
 		harvestFlow(tel, sc, simulator, path, ch, conn, budget, wallStart)
@@ -338,40 +332,4 @@ func harvestLink(dst *telemetry.LinkCounters, st netem.LinkStats) {
 func AnalyzeFlow(sc Scenario) (*analysis.FlowMetrics, error) {
 	m, _, err := RunFlowMetrics(sc)
 	return m, err
-}
-
-// RunOptions selects how a flow's metrics are produced: through the result
-// cache (skip simulation on a hit, populate on a miss) or by simulating.
-type RunOptions struct {
-	// Cache, when non-nil, is consulted before simulating and populated
-	// after; nil always simulates.
-	Cache *FlowCache
-}
-
-// AnalyzeFlowOpts is AnalyzeFlow with pipeline options. Cache hits skip the
-// simulation; the scenario's Telemetry bundle (if any) is then left
-// untouched, since no simulation work happened (the cache's own counters
-// record the hit).
-func AnalyzeFlowOpts(opt RunOptions, sc Scenario) (*analysis.FlowMetrics, error) {
-	if opt.Cache != nil {
-		// GetOrCompute additionally deduplicates concurrent misses of the
-		// same key (e.g. identical jobs racing in a server): the flow
-		// simulates once and every caller shares the result.
-		ent, _, err := opt.Cache.GetOrCompute(sc, func() (CachedFlow, error) {
-			m, st, err := RunFlowMetrics(sc)
-			if err != nil {
-				return CachedFlow{}, err
-			}
-			return CachedFlow{Metrics: m, Stats: st}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return ent.Metrics, nil
-	}
-	m, _, err := RunFlowMetrics(sc)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
 }

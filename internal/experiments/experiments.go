@@ -208,5 +208,6 @@ func defaultTCP() tcp.Config { return tcp.DefaultConfig() }
 // cache (if any) and the streaming analyzer. Every metrics-only sweep
 // funnels through here so -cache applies uniformly.
 func (c Config) analyzeFlow(sc dataset.Scenario) (*analysis.FlowMetrics, error) {
-	return dataset.AnalyzeFlowOpts(dataset.RunOptions{Cache: c.Cache}, sc)
+	ent, _, err := c.Cache.GetOrSimulate(sc)
+	return ent.Metrics, err
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/netem"
 	"repro/internal/sim"
@@ -88,8 +89,9 @@ func runStaticFlow(cfg Config, pd float64) (float64, *analysis.FlowMetrics, erro
 	})
 	tcpCfg := defaultTCP()
 	tcpCfg.WindowLimit = 64 // keep the sweep in the unconstrained regime
+	id := fmt.Sprintf("static-%.4f", pd)
 	inc := analysis.AcquireIncremental(trace.FlowMeta{
-		ID: fmt.Sprintf("static-%.4f", pd), Operator: "static", Scenario: "validation",
+		ID: id, Operator: "static", Scenario: "validation",
 		MSS: tcpCfg.MSS, DelayedAckB: tcpCfg.DelayedAckB, WindowLimit: tcpCfg.WindowLimit,
 		Duration: 3 * cfg.FlowDuration,
 	})
@@ -101,7 +103,9 @@ func runStaticFlow(cfg Config, pd float64) (float64, *analysis.FlowMetrics, erro
 	if err := conn.Start(3 * cfg.FlowDuration); err != nil {
 		return 0, nil, err
 	}
-	s.RunUntil(3 * cfg.FlowDuration)
+	if _, err := dataset.RunBudgeted(s, id, 3*cfg.FlowDuration, 1); err != nil {
+		return 0, nil, err
+	}
 	m, err := inc.Finish()
 	if err != nil {
 		return 0, nil, err

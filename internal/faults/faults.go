@@ -5,16 +5,19 @@
 // flow-local virtual time. Schedules compose with the existing substrate
 // instead of replacing it:
 //
-//   - Schedule.WrapDataLoss / WrapAckLoss layer episode-driven loss over any
-//     netem.LossModel;
+//   - Schedule.WrapDataLossCounted / WrapAckLossCounted layer episode-driven
+//     loss over any netem.LossModel, optionally counting the packets the
+//     schedule killed;
 //   - Schedule.WrapDelay adds episode delay inflation to any netem.DelayModel;
 //   - Schedule.RateScale plugs into netem.LinkConfig.RateScale to collapse
 //     the line rate during an episode;
 //   - Schedule.StormOutages expands handoff-storm episodes into extra bearer
 //     outages for cellular.Channel.AddOutages, so injected handoffs carry the
-//     full semantics of real ones (probe loss, ACK loss, delay inflation);
-//   - NewStage wraps any netem.Sender so chained stages (e.g. the MPTCP
-//     shared cell) can be fault-injected too.
+//     full semantics of real ones (probe loss, ACK loss, delay inflation).
+//
+// dataset.BuildPath applies all five to a flow's path. A flow on a shared
+// cell (dataset.BuildSubflowPath) gets all but RateScale: its private links
+// have no rate to scale and the shared cell carries no schedule.
 //
 // All randomness is drawn from rngs derived from the flow seed on dedicated
 // sim streams, so the same seed and schedule always produce the same packet

@@ -265,7 +265,7 @@ func TestWrapLoss(t *testing.T) {
 	s := mustParse(t, "blackout@10s+2s; ackburst@20s+2s p=1")
 	inner := &countingLoss{}
 	rng := sim.NewRand(1, sim.StreamFaultData)
-	wrapped := s.WrapDataLoss(inner, rng)
+	wrapped := s.WrapDataLossCounted(inner, rng, nil)
 
 	// Outside every episode the inner model decides.
 	if wrapped.Drop(5*time.Second, 5*time.Second) {
@@ -281,7 +281,7 @@ func TestWrapLoss(t *testing.T) {
 	}
 
 	// Ack direction sees the p=1 burst; data direction does not.
-	ackWrapped := s.WrapAckLoss(&countingLoss{}, sim.NewRand(1, sim.StreamFaultAck))
+	ackWrapped := s.WrapAckLossCounted(&countingLoss{}, sim.NewRand(1, sim.StreamFaultAck), nil)
 	if !ackWrapped.Drop(21*time.Second, 21*time.Second) {
 		t.Error("no ACK drop inside p=1 ackburst")
 	}
@@ -292,10 +292,10 @@ func TestWrapLoss(t *testing.T) {
 	// Empty schedules wrap to the inner model itself: zero overhead, and
 	// byte-identical baseline behaviour.
 	var empty *Schedule
-	if got := empty.WrapDataLoss(inner, rng); got != netem.LossModel(inner) {
+	if got := empty.WrapDataLossCounted(inner, rng, nil); got != netem.LossModel(inner) {
 		t.Error("empty schedule should return the inner loss model unchanged")
 	}
-	if got := empty.WrapAckLoss(inner, rng); got != netem.LossModel(inner) {
+	if got := empty.WrapAckLossCounted(inner, rng, nil); got != netem.LossModel(inner) {
 		t.Error("empty schedule should return the inner ACK loss model unchanged")
 	}
 }
@@ -313,34 +313,6 @@ func TestWrapDelay(t *testing.T) {
 	var empty *Schedule
 	if got := empty.WrapDelay(inner); got != netem.DelayModel(inner) {
 		t.Error("empty schedule should return the inner delay model unchanged")
-	}
-}
-
-// sinkSender counts deliveries and always succeeds.
-type sinkSender struct{ sent int }
-
-func (s *sinkSender) Send(size int, deliver netem.Handler) (bool, netem.DropKind) {
-	s.sent++
-	return true, 0
-}
-
-func TestStage(t *testing.T) {
-	simulator := sim.New()
-	s := mustParse(t, "blackout@10s+2s")
-	inner := &sinkSender{}
-	stage := NewStage(simulator, inner, s, Data, sim.NewRand(1, sim.StreamFaultData))
-
-	if ok, _ := stage.Send(1500, nil); !ok {
-		t.Fatal("send at t=0 should pass")
-	}
-	simulator.Schedule(11*time.Second, func() {
-		if ok, kind := stage.Send(1500, nil); ok || kind != netem.DropChannel {
-			t.Errorf("send inside blackout: ok=%v kind=%v, want channel drop", ok, kind)
-		}
-	})
-	simulator.Run()
-	if inner.sent != 1 {
-		t.Errorf("inner sender saw %d sends, want 1", inner.sent)
 	}
 }
 

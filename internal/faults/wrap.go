@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/netem"
-	"repro/internal/sim"
 )
 
 // lossInjector layers schedule-driven loss over an inner LossModel. The
@@ -35,16 +34,11 @@ func (li *lossInjector) Drop(sent, arrival time.Duration) bool {
 	return dropped
 }
 
-// WrapDataLoss layers the schedule's data-direction faults (blackouts) over
-// inner. The rng should be derived from the flow seed on
+// WrapDataLossCounted layers the schedule's data-direction faults
+// (blackouts) over inner, with fault-drop attribution: every packet the
+// schedule (and not the inner model) kills increments *drops; a nil drops
+// counts nothing. The rng should be derived from the flow seed on
 // sim.StreamFaultData so fault draws perturb no other stream.
-func (s *Schedule) WrapDataLoss(inner netem.LossModel, rng *rand.Rand) netem.LossModel {
-	return s.WrapDataLossCounted(inner, rng, nil)
-}
-
-// WrapDataLossCounted is WrapDataLoss with fault-drop attribution: every
-// packet the schedule (and not the inner model) kills increments *drops.
-// A nil drops counts nothing and behaves exactly like WrapDataLoss.
 func (s *Schedule) WrapDataLossCounted(inner netem.LossModel, rng *rand.Rand, drops *int64) netem.LossModel {
 	if s.Empty() {
 		return inner
@@ -52,14 +46,9 @@ func (s *Schedule) WrapDataLossCounted(inner netem.LossModel, rng *rand.Rand, dr
 	return &lossInjector{inner: inner, prob: s.DataLossProb, rng: rng, drops: drops}
 }
 
-// WrapAckLoss layers the schedule's ACK-direction faults (blackouts and ACK
-// burst-loss episodes) over inner; use an rng on sim.StreamFaultAck.
-func (s *Schedule) WrapAckLoss(inner netem.LossModel, rng *rand.Rand) netem.LossModel {
-	return s.WrapAckLossCounted(inner, rng, nil)
-}
-
-// WrapAckLossCounted is WrapAckLoss with fault-drop attribution into *drops;
-// nil drops counts nothing.
+// WrapAckLossCounted layers the schedule's ACK-direction faults (blackouts
+// and ACK burst-loss episodes) over inner, counting fault drops into *drops
+// like WrapDataLossCounted; use an rng on sim.StreamFaultAck.
 func (s *Schedule) WrapAckLossCounted(inner netem.LossModel, rng *rand.Rand, drops *int64) netem.LossModel {
 	if s.Empty() {
 		return inner
@@ -85,52 +74,3 @@ func (s *Schedule) WrapDelay(inner netem.DelayModel) netem.DelayModel {
 	}
 	return &delayInjector{inner: inner, s: s}
 }
-
-// Direction selects which side of the schedule a wrapped stage applies.
-type Direction int
-
-// Stage directions.
-const (
-	Data Direction = iota + 1 // downlink: blackouts
-	Ack                       // uplink: blackouts and ACK bursts
-)
-
-// Stage wraps any netem.Sender with schedule-driven loss at the packet's
-// entry epoch, so whole chain stages (the MPTCP shared cell, a backbone
-// segment) can be fault-injected without rebuilding them. Drops are
-// reported synchronously as channel drops, like a Link's own loss model.
-type Stage struct {
-	inner netem.Sender
-	s     *Schedule
-	dir   Direction
-	clock *sim.Simulator
-	rng   *rand.Rand
-}
-
-// NewStage wraps inner with the schedule's dir-side faults.
-func NewStage(simulator *sim.Simulator, inner netem.Sender, s *Schedule, dir Direction, rng *rand.Rand) *Stage {
-	if simulator == nil || inner == nil {
-		panic("faults: NewStage requires a simulator and an inner sender")
-	}
-	if dir != Data && dir != Ack {
-		panic("faults: NewStage with unknown direction")
-	}
-	return &Stage{inner: inner, s: s, dir: dir, clock: simulator, rng: rng}
-}
-
-// Send implements netem.Sender.
-func (st *Stage) Send(size int, deliver netem.Handler) (bool, netem.DropKind) {
-	now := st.clock.Now()
-	var p float64
-	if st.dir == Data {
-		p = st.s.DataLossProb(now, now)
-	} else {
-		p = st.s.AckLossProb(now, now)
-	}
-	if p > 0 && (p >= 1 || st.rng.Float64() < p) {
-		return false, netem.DropChannel
-	}
-	return st.inner.Send(size, deliver)
-}
-
-var _ netem.Sender = (*Stage)(nil)

@@ -2,10 +2,13 @@
 // Section V-B of the paper:
 //
 //   - Duplex mode: the sender stripes data over several subflows. The paper
-//     itself evaluates this by running two concurrent single-path TCP flows
-//     whose paths share no bottleneck and summing their throughput (Fig 12);
-//     RunDuplex reproduces exactly that methodology, giving each subflow an
-//     independently seeded radio channel.
+//     itself evaluates this by moving a fixed payload once over one TCP flow
+//     and once split over two concurrent half-size flows, and summing the
+//     two flows' throughputs (Fig 12). CompareSized reproduces that
+//     methodology: RunSizedSingle runs the one flow, RunSizedDuplex the
+//     pair, each subflow on an independently seeded radio channel and both
+//     queueing on one shared cell (a netem.Bottleneck), as one phone's
+//     subflows do.
 //   - Backup mode: data flows on one subflow, but when a retransmission
 //     timeout fires, the lost segment is retransmitted on both the original
 //     subflow and the backup subflow, and acknowledgements are mirrored on
@@ -15,89 +18,12 @@
 package mptcp
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/dataset"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
-
-// SubflowResult carries one subflow's endpoint counters and trace metrics.
-type SubflowResult struct {
-	Stats   tcp.Stats
-	Metrics *analysis.FlowMetrics
-}
-
-// DuplexResult is the outcome of a duplex-mode run.
-type DuplexResult struct {
-	Subflows []SubflowResult
-	// ThroughputPps is the aggregate delivery rate over all subflows.
-	ThroughputPps float64
-}
-
-// RunDuplex runs n concurrent subflows, each a full TCP connection over an
-// independently seeded channel of the same operator and trip, inside one
-// simulation. It mirrors the paper's Fig 12 methodology (two flows with no
-// shared bottleneck treated as MPTCP subflows).
-func RunDuplex(base dataset.Scenario, n int) (*DuplexResult, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("mptcp: subflow count %d must be >= 1", n)
-	}
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
-	simulator := sim.New()
-	res := &DuplexResult{}
-	type sub struct {
-		conn *tcp.Conn
-		inc  *analysis.Incremental
-	}
-	subs := make([]sub, 0, n)
-	// Every acquired analyzer goes back to the pool, whichever path returns.
-	defer func() {
-		for _, s := range subs {
-			s.inc.Release()
-		}
-	}()
-	// All subflows belong to one phone in one cell: they share the air
-	// interface capacity but see independent loss/outage processes.
-	sharedDown, sharedUp := dataset.BuildSharedCell(simulator, base.Operator)
-	for i := 0; i < n; i++ {
-		sc := base
-		sc.ID = fmt.Sprintf("%s-sub%d", base.ID, i)
-		sc.Seed = base.Seed*7919 + int64(i)*104729
-		path, err := dataset.BuildSubflowPath(simulator, sc, sharedDown, sharedUp)
-		if err != nil {
-			return nil, err
-		}
-		inc := analysis.AcquireIncremental(sc.FlowMeta())
-		subs = append(subs, sub{inc: inc})
-		conn, err := tcp.New(simulator, path, sc.TCP, inc)
-		if err != nil {
-			return nil, err
-		}
-		if err := conn.Start(sc.FlowDuration); err != nil {
-			return nil, err
-		}
-		subs[i].conn = conn
-	}
-	simulator.RunUntil(base.FlowDuration)
-
-	var total int64
-	for _, s := range subs {
-		m, err := s.inc.Finish()
-		if err != nil {
-			return nil, err
-		}
-		st := s.conn.Stats()
-		total += st.UniqueDelivered
-		res.Subflows = append(res.Subflows, SubflowResult{Stats: st, Metrics: m})
-	}
-	res.ThroughputPps = float64(total) / base.FlowDuration.Seconds()
-	return res, nil
-}
 
 // BackupResult is the outcome of a backup-mode run.
 type BackupResult struct {
@@ -171,7 +97,9 @@ func RunBackup(base dataset.Scenario) (*BackupResult, error) {
 	if err := conn.Start(base.FlowDuration); err != nil {
 		return nil, err
 	}
-	simulator.RunUntil(base.FlowDuration)
+	if _, err := dataset.RunBudgeted(simulator, meta.ID, base.FlowDuration, 1); err != nil {
+		return nil, err
+	}
 
 	res.Stats = conn.Stats()
 	m, err := inc.Finish()
@@ -189,20 +117,4 @@ func Improvement(multipath, single float64) float64 {
 		return 0
 	}
 	return (multipath - single) / single
-}
-
-// CompareDuplex runs the single-flow baseline and an n-subflow duplex run on
-// the same scenario and returns (single pps, duplex pps, improvement).
-func CompareDuplex(base dataset.Scenario, n int) (single, duplex, improvement float64, err error) {
-	m, err := dataset.AnalyzeFlow(base)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	d, err := RunDuplex(base, n)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	single = m.ThroughputPps
-	duplex = d.ThroughputPps
-	return single, duplex, Improvement(duplex, single), nil
 }

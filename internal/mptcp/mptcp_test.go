@@ -24,43 +24,53 @@ func hsrScenario(t *testing.T, op cellular.Operator, seed int64, d time.Duration
 }
 
 func TestRunDuplexAggregates(t *testing.T) {
-	sc := hsrScenario(t, cellular.ChinaMobileLTE, 3, 40*time.Second)
-	res, err := RunDuplex(sc, 2)
+	// RunSizedDuplex reports the sum of its subflows' throughputs and the
+	// pair's makespan, exactly as the paper computes its MPTCP estimate.
+	sc := hsrScenario(t, cellular.ChinaMobileLTE, 3, 5*time.Minute)
+	res, err := RunSizedDuplex(sc, 2000)
 	if err != nil {
-		t.Fatalf("RunDuplex: %v", err)
+		t.Fatalf("RunSizedDuplex: %v", err)
 	}
-	if len(res.Subflows) != 2 {
-		t.Fatalf("subflows = %d, want 2", len(res.Subflows))
+	conns, sizes, err := runSizedPair(sc, 2000)
+	if err != nil {
+		t.Fatalf("runSizedPair: %v", err)
 	}
-	var sum int64
-	for i, s := range res.Subflows {
-		if s.Stats.UniqueDelivered == 0 {
-			t.Errorf("subflow %d delivered nothing", i)
+	var sum float64
+	var makespan time.Duration
+	for i, conn := range conns {
+		r := sizedResult(conn, sizes[i], sc.FlowDuration)
+		if !r.Completed || r.ThroughputPps <= 0 {
+			t.Errorf("subflow %d: %+v", i, r)
 		}
-		if s.Metrics == nil {
-			t.Fatalf("subflow %d has nil metrics", i)
-		}
-		sum += s.Stats.UniqueDelivered
+		sum += r.ThroughputPps
+		makespan = max(makespan, r.Duration)
 	}
-	want := float64(sum) / 40.0
-	if res.ThroughputPps != want {
-		t.Errorf("aggregate pps = %v, want %v", res.ThroughputPps, want)
+	if res.ThroughputPps != sum || res.Duration != makespan || !res.Completed {
+		t.Errorf("aggregate %+v, want pps %v and makespan %v", res, sum, makespan)
 	}
 }
 
-func TestDuplexBeatsSingleOnHSR(t *testing.T) {
-	// Average over a few seeds: subflow outages are independent, so the
-	// aggregate should comfortably exceed one flow (the paper's Fig 12).
-	var single, duplex float64
+// sizedPairs sums CompareSized's single and duplex throughputs over seeds
+// 1-3.
+func sizedPairs(t *testing.T, op cellular.Operator) (single, duplex float64) {
+	t.Helper()
 	for seed := int64(1); seed <= 3; seed++ {
-		sc := hsrScenario(t, cellular.ChinaUnicom3G, seed, 45*time.Second)
-		s, d, _, err := CompareDuplex(sc, 2)
+		sc := hsrScenario(t, op, seed, 5*time.Minute)
+		s, d, _, err := CompareSized(sc, 2000)
 		if err != nil {
-			t.Fatalf("CompareDuplex: %v", err)
+			t.Fatalf("CompareSized(%s): %v", op.Name, err)
 		}
 		single += s
 		duplex += d
 	}
+	return single, duplex
+}
+
+func TestDuplexBeatsSingleOnHSR(t *testing.T) {
+	// Average over a few seeds: subflow outages are independent, so the
+	// pair should comfortably outrun one flow (the paper's Fig 12).
+	single, duplex := sizedPairs(t, cellular.ChinaUnicom3G)
+	t.Logf("single %.1f pps, duplex %.1f pps", single, duplex)
 	if duplex <= single*1.2 {
 		t.Errorf("duplex %v not clearly above single %v", duplex, single)
 	}
@@ -68,11 +78,16 @@ func TestDuplexBeatsSingleOnHSR(t *testing.T) {
 
 func TestDuplexSubflowsDiffer(t *testing.T) {
 	sc := hsrScenario(t, cellular.ChinaMobileLTE, 9, 30*time.Second)
-	res, err := RunDuplex(sc, 2)
-	if err != nil {
-		t.Fatalf("RunDuplex: %v", err)
+	if a, b := subflowScenario(sc, 0), subflowScenario(sc, 1); a.Seed == b.Seed {
+		t.Fatalf("both subflows have seed %d; channels not independent", a.Seed)
 	}
-	a, b := res.Subflows[0].Stats, res.Subflows[1].Stats
+	// A transfer too large to finish keeps both subflows busy to the
+	// horizon, where their outcomes must differ.
+	conns, _, err := runSizedPair(sc, 1_000_000)
+	if err != nil {
+		t.Fatalf("runSizedPair: %v", err)
+	}
+	a, b := conns[0].Stats(), conns[1].Stats()
 	if a.UniqueDelivered == b.UniqueDelivered && a.DataDropped == b.DataDropped {
 		t.Error("subflows look identical; channel seeds not independent")
 	}
@@ -80,11 +95,11 @@ func TestDuplexSubflowsDiffer(t *testing.T) {
 
 func TestRunDuplexValidation(t *testing.T) {
 	sc := hsrScenario(t, cellular.ChinaMobileLTE, 1, 10*time.Second)
-	if _, err := RunDuplex(sc, 0); err == nil {
-		t.Error("zero subflows accepted")
+	if _, err := RunSizedDuplex(sc, 1); err == nil {
+		t.Error("one segment for two subflows accepted")
 	}
 	sc.FlowDuration = 0
-	if _, err := RunDuplex(sc, 2); err == nil {
+	if _, err := RunSizedDuplex(sc, 10); err == nil {
 		t.Error("invalid scenario accepted")
 	}
 }
@@ -163,20 +178,12 @@ func TestTelecomGainsMostFromDuplex(t *testing.T) {
 	// The paper's Fig 12: Telecom (poor coverage) gains far more from
 	// multipath than Mobile. Average over seeds to damp noise.
 	gain := func(op cellular.Operator) float64 {
-		var single, duplex float64
-		for seed := int64(1); seed <= 3; seed++ {
-			sc := hsrScenario(t, op, seed, 45*time.Second)
-			s, d, _, err := CompareDuplex(sc, 2)
-			if err != nil {
-				t.Fatalf("CompareDuplex(%s): %v", op.Name, err)
-			}
-			single += s
-			duplex += d
-		}
+		single, duplex := sizedPairs(t, op)
 		return Improvement(duplex, single)
 	}
 	mobile := gain(cellular.ChinaMobileLTE)
 	telecom := gain(cellular.ChinaTelecom3G)
+	t.Logf("gain: Mobile %.3f, Telecom %.3f", mobile, telecom)
 	if telecom <= mobile {
 		t.Errorf("Telecom duplex gain (%v) should exceed Mobile's (%v)", telecom, mobile)
 	}

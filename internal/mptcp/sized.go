@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/trace"
@@ -42,45 +43,22 @@ func RunSizedSingle(base dataset.Scenario, segments int64) (SizedResult, error) 
 	if err := conn.StartSized(segments, base.FlowDuration); err != nil {
 		return SizedResult{}, err
 	}
-	simulator.RunUntil(base.FlowDuration)
+	if _, err := dataset.RunBudgeted(simulator, base.ID, base.FlowDuration, 1); err != nil {
+		return SizedResult{}, err
+	}
 	return sizedResult(conn, segments, base.FlowDuration), nil
 }
 
 // RunSizedDuplex transfers the same total payload as RunSizedSingle but
-// split over two concurrent subflows of segments/2 each, with independently
-// seeded channels (the paper's "no shared bottleneck" assumption). The
-// aggregate throughput is the sum of the two flows' individual throughputs,
-// exactly as the paper computes its MPTCP estimate.
+// split over two concurrent subflows of segments/2 each. Each subflow has
+// its own independently seeded channel; both queue on one shared cell. The
+// aggregate throughput is the sum of the two flows' individual
+// throughputs, exactly as the paper computes its MPTCP estimate.
 func RunSizedDuplex(base dataset.Scenario, segments int64) (SizedResult, error) {
-	if err := base.Validate(); err != nil {
+	conns, sizes, err := runSizedPair(base, segments)
+	if err != nil {
 		return SizedResult{}, err
 	}
-	if segments < 2 {
-		return SizedResult{}, fmt.Errorf("mptcp: segments %d must be >= 2 for two subflows", segments)
-	}
-	simulator := sim.New()
-	half := segments / 2
-	sizes := [2]int64{half, segments - half}
-	conns := make([]*tcp.Conn, 2)
-	sharedDown, sharedUp := dataset.BuildSharedCell(simulator, base.Operator)
-	for i := 0; i < 2; i++ {
-		sc := base
-		sc.Seed = base.Seed*7919 + int64(i)*104729
-		path, err := dataset.BuildSubflowPath(simulator, sc, sharedDown, sharedUp)
-		if err != nil {
-			return SizedResult{}, err
-		}
-		conn, err := tcp.New(simulator, path, sc.TCP, trace.Nop{})
-		if err != nil {
-			return SizedResult{}, err
-		}
-		if err := conn.StartSized(sizes[i], base.FlowDuration); err != nil {
-			return SizedResult{}, err
-		}
-		conns[i] = conn
-	}
-	simulator.RunUntil(base.FlowDuration)
-
 	out := SizedResult{Segments: segments, Completed: true}
 	for i, conn := range conns {
 		r := sizedResult(conn, sizes[i], base.FlowDuration)
@@ -93,6 +71,52 @@ func RunSizedDuplex(base dataset.Scenario, segments int64) (SizedResult, error) 
 		}
 	}
 	return out, nil
+}
+
+// runSizedPair runs RunSizedDuplex's two subflows to the horizon inside one
+// simulation and returns their finished connections and sizes.
+func runSizedPair(base dataset.Scenario, segments int64) ([2]*tcp.Conn, [2]int64, error) {
+	var conns [2]*tcp.Conn
+	half := segments / 2
+	sizes := [2]int64{half, segments - half}
+	if err := base.Validate(); err != nil {
+		return conns, sizes, err
+	}
+	if segments < 2 {
+		return conns, sizes, fmt.Errorf("mptcp: segments %d must be >= 2 for two subflows", segments)
+	}
+	simulator := sim.New()
+	op := base.Operator
+	cell, err := netem.NewBottleneck(simulator, netem.BottleneckConfig{
+		DownRate: op.DownlinkRate, UpRate: op.UplinkRate, Queue: op.QueuePackets,
+	})
+	if err != nil {
+		return conns, sizes, err
+	}
+	for i := range conns {
+		sc := subflowScenario(base, i)
+		path, err := dataset.BuildSubflowPath(simulator, sc, cell.Down, cell.Up)
+		if err != nil {
+			return conns, sizes, err
+		}
+		conn, err := tcp.New(simulator, path, sc.TCP, trace.Nop{})
+		if err != nil {
+			return conns, sizes, err
+		}
+		if err := conn.StartSized(sizes[i], base.FlowDuration); err != nil {
+			return conns, sizes, err
+		}
+		conns[i] = conn
+	}
+	_, err = dataset.RunBudgeted(simulator, base.ID, base.FlowDuration, len(conns))
+	return conns, sizes, err
+}
+
+// subflowScenario is base with the i-th duplex subflow's own seed, so each
+// subflow gets an independent channel.
+func subflowScenario(base dataset.Scenario, i int) dataset.Scenario {
+	base.Seed = base.Seed*7919 + int64(i)*104729
+	return base
 }
 
 // sizedResult reduces a finished (or timed-out) sized connection.

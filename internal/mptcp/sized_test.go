@@ -65,16 +65,10 @@ func TestSizedValidation(t *testing.T) {
 	if _, err := RunSizedSingle(sc, 0); err == nil {
 		t.Error("zero segments accepted")
 	}
-	if _, err := RunSizedDuplex(sc, 1); err == nil {
-		t.Error("one segment for two subflows accepted")
-	}
 	bad := sc
 	bad.FlowDuration = 0
 	if _, err := RunSizedSingle(bad, 10); err == nil {
 		t.Error("invalid scenario accepted by RunSizedSingle")
-	}
-	if _, err := RunSizedDuplex(bad, 10); err == nil {
-		t.Error("invalid scenario accepted by RunSizedDuplex")
 	}
 }
 

@@ -57,13 +57,6 @@ func NewBottleneck(simulator *sim.Simulator, cfg BottleneckConfig) (*Bottleneck,
 	}, nil
 }
 
-// FlowPath chains one flow's private stages (fwd carries data toward the
-// receiver, rev carries ACKs back) into the shared bottleneck: packets
-// traverse the private stage first, then queue on the shared transmitter.
-func (b *Bottleneck) FlowPath(fwd, rev Sender) *Path {
-	return NewPath(NewChain(fwd, b.Down), NewChain(rev, b.Up))
-}
-
 // Stats returns the shared stages' per-direction counters; queue drops here
 // are contention overflow, not channel loss.
 func (b *Bottleneck) Stats() (down, up LinkStats) {

@@ -1,8 +1,7 @@
 // Package netem emulates unidirectional network links at packet granularity:
 // serialization at a finite line rate with a bounded queue, propagation
-// delay with jitter, and pluggable random-loss processes (Bernoulli,
-// Gilbert-Elliott bursts, and time-varying loss driven by the cellular
-// channel model). A pair of links forms a Path, the substrate the TCP
+// delay with jitter, and pluggable random-loss processes (Bernoulli and
+// time-varying loss driven by the cellular channel model). A pair of links forms a Path, the substrate the TCP
 // endpoints run over.
 package netem
 
@@ -48,59 +47,6 @@ func NewBernoulli(p float64, rng *rand.Rand) *Bernoulli {
 func (b *Bernoulli) Drop(_, _ time.Duration) bool {
 	return b.P > 0 && b.rng.Float64() < b.P
 }
-
-// GilbertElliott is the classic two-state burst-loss channel. In the Good
-// state packets drop with probability LossGood, in the Bad state with
-// LossBad; the chain moves Good->Bad with PGoodBad and Bad->Good with
-// PBadGood per packet.
-type GilbertElliott struct {
-	PGoodBad float64 // transition probability good -> bad, per packet
-	PBadGood float64 // transition probability bad -> good, per packet
-	LossGood float64 // drop probability while in the good state
-	LossBad  float64 // drop probability while in the bad state
-
-	bad bool
-	rng *rand.Rand
-}
-
-// NewGilbertElliott builds a two-state burst-loss model starting in the Good
-// state. All probabilities must lie in [0, 1].
-func NewGilbertElliott(pGoodBad, pBadGood, lossGood, lossBad float64, rng *rand.Rand) *GilbertElliott {
-	for _, p := range []float64{pGoodBad, pBadGood, lossGood, lossBad} {
-		if p < 0 || p > 1 {
-			panic(fmt.Sprintf("netem: GilbertElliott probability %v outside [0,1]", p))
-		}
-	}
-	return &GilbertElliott{
-		PGoodBad: pGoodBad,
-		PBadGood: pBadGood,
-		LossGood: lossGood,
-		LossBad:  lossBad,
-		rng:      rng,
-	}
-}
-
-// Drop implements LossModel: advance the state chain, then draw a loss from
-// the current state's loss probability.
-func (g *GilbertElliott) Drop(_, _ time.Duration) bool {
-	if g.bad {
-		if g.rng.Float64() < g.PBadGood {
-			g.bad = false
-		}
-	} else {
-		if g.rng.Float64() < g.PGoodBad {
-			g.bad = true
-		}
-	}
-	p := g.LossGood
-	if g.bad {
-		p = g.LossBad
-	}
-	return p > 0 && g.rng.Float64() < p
-}
-
-// InBadState reports whether the chain is currently in the Bad state.
-func (g *GilbertElliott) InBadState() bool { return g.bad }
 
 // LossFunc adapts a time-indexed loss probability function to a LossModel.
 // The cellular channel exposes its handoff outages and speed-dependent
@@ -149,27 +95,4 @@ func NewTransitLossFunc(prob func(sent, arrival time.Duration) float64, rng *ran
 func (f *TransitLossFunc) Drop(sent, arrival time.Duration) bool {
 	p := f.Prob(sent, arrival)
 	return p > 0 && f.rng.Float64() < p
-}
-
-// AnyLoss combines loss models: a packet is dropped if any component model
-// drops it. Every component sees every packet, so burst-model state advances
-// consistently regardless of the other components' decisions.
-type AnyLoss struct {
-	Models []LossModel
-}
-
-// NewAnyLoss combines the given models.
-func NewAnyLoss(models ...LossModel) *AnyLoss {
-	return &AnyLoss{Models: models}
-}
-
-// Drop implements LossModel.
-func (a *AnyLoss) Drop(sent, arrival time.Duration) bool {
-	dropped := false
-	for _, m := range a.Models {
-		if m.Drop(sent, arrival) {
-			dropped = true
-		}
-	}
-	return dropped
 }

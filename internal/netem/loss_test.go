@@ -62,54 +62,6 @@ func TestBernoulliPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestGilbertElliottBursts(t *testing.T) {
-	rng := sim.NewRand(3, sim.StreamDataLoss)
-	// Good state lossless, bad state always lossy; expect loss to come in
-	// runs whose mean length is 1/pBadGood = 10.
-	m := NewGilbertElliott(0.02, 0.1, 0, 1, rng)
-	var runs []int
-	cur := 0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		if m.Drop(0, 0) {
-			cur++
-		} else if cur > 0 {
-			runs = append(runs, cur)
-			cur = 0
-		}
-	}
-	if len(runs) == 0 {
-		t.Fatal("no loss bursts observed")
-	}
-	var sum float64
-	for _, r := range runs {
-		sum += float64(r)
-	}
-	mean := sum / float64(len(runs))
-	// Mean burst length ~ 1/0.1 = 10 (within sampling noise).
-	if mean < 8 || mean > 12 {
-		t.Errorf("mean burst length = %v, want ~10", mean)
-	}
-}
-
-func TestGilbertElliottStationaryLoss(t *testing.T) {
-	rng := sim.NewRand(4, sim.StreamDataLoss)
-	pGB, pBG := 0.01, 0.09
-	m := NewGilbertElliott(pGB, pBG, 0, 1, rng)
-	drops := 0
-	const n = 300000
-	for i := 0; i < n; i++ {
-		if m.Drop(0, 0) {
-			drops++
-		}
-	}
-	// Stationary bad-state probability = pGB / (pGB + pBG) = 0.1.
-	rate := float64(drops) / n
-	if math.Abs(rate-0.1) > 0.01 {
-		t.Errorf("stationary loss rate = %v, want ~0.1", rate)
-	}
-}
-
 func TestLossFuncUsesTime(t *testing.T) {
 	rng := sim.NewRand(5, sim.StreamDataLoss)
 	outage := func(now time.Duration) float64 {
@@ -137,29 +89,4 @@ func TestLossFuncNilPanics(t *testing.T) {
 		}
 	}()
 	NewLossFunc(nil, sim.NewRand(1, sim.StreamDataLoss))
-}
-
-func TestAnyLossCombines(t *testing.T) {
-	rng := sim.NewRand(6, sim.StreamDataLoss)
-	m := NewAnyLoss(NewBernoulli(0, rng), NewBernoulli(1, rng))
-	if !m.Drop(0, 0) {
-		t.Error("AnyLoss with an always-drop component did not drop")
-	}
-	m = NewAnyLoss(NoLoss{}, NoLoss{})
-	if m.Drop(0, 0) {
-		t.Error("AnyLoss with no dropping components dropped")
-	}
-}
-
-func TestAnyLossAdvancesAllComponents(t *testing.T) {
-	rng := sim.NewRand(7, sim.StreamDataLoss)
-	// The GE chain must see every packet even when an earlier component
-	// already decided to drop. Force drops via an always-lossy first
-	// component and check the GE chain still transitions.
-	ge := NewGilbertElliott(1, 0, 0, 0, rng) // moves to Bad on first packet
-	m := NewAnyLoss(NewBernoulli(1, rng), ge)
-	m.Drop(0, 0)
-	if !ge.InBadState() {
-		t.Error("combined model did not advance the Gilbert-Elliott chain")
-	}
 }

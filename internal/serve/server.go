@@ -458,16 +458,7 @@ func (s *Server) runFlowJob(spec *JobSpec, meta *jobMeta) Event {
 	if meta.tr != nil {
 		sp = meta.tr.StartSpan(meta.root.ID(), "flow", sc.ID)
 	}
-	var ent dataset.CachedFlow
-	var shared bool
-	if s.cfg.Cache != nil {
-		ent, shared, err = s.cfg.Cache.GetOrCompute(sc, func() (dataset.CachedFlow, error) {
-			m, stats, err := dataset.RunFlowMetrics(sc)
-			return dataset.CachedFlow{Metrics: m, Stats: stats}, err
-		})
-	} else {
-		ent.Metrics, ent.Stats, err = dataset.RunFlowMetrics(sc)
-	}
+	ent, shared, err := s.cfg.Cache.GetOrSimulate(sc)
 	if sp != nil {
 		if err != nil {
 			sp.SetAttr("error", err.Error())

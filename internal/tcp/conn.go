@@ -218,9 +218,6 @@ func (c *Conn) Completed() (time.Duration, bool) {
 	return c.completedAt, c.completed
 }
 
-// Deadline returns the time after which the sender offers no new data.
-func (c *Conn) Deadline() time.Duration { return c.deadline }
-
 // Stats returns a snapshot of the endpoint counters. End is the current
 // simulation time (or the deadline, if the simulation ran past it).
 func (c *Conn) Stats() Stats {
