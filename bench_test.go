@@ -276,11 +276,8 @@ func BenchmarkVariants(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if reno, ok := res.ByName("reno"); ok {
-		b.ReportMetric(reno.MeanTputPps, "reno_pps")
-	}
-	if nr, ok := res.ByName("newreno"); ok {
-		b.ReportMetric(nr.MeanTputPps, "newreno_pps")
+	for _, o := range res.Outcomes {
+		b.ReportMetric(o.MeanTputPps, o.Name+"_pps")
 	}
 }
 

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -8,37 +9,43 @@ import (
 	"repro/internal/sim"
 )
 
-// spinner reschedules itself one nanosecond ahead on every firing: a
-// schedule that runs a billion events per simulated second, 500 times the
-// rate the budget grants, so only the budget can end the run. (A
-// zero-delay loop would pin the kernel on one wheel tick, whose due list
-// keeps every event until the tick drains: gigabytes before the budget
-// trips.)
-type spinner struct{ s *sim.Simulator }
+// spinner reschedules itself delay ahead on every firing. One nanosecond
+// is a billion events per simulated second, 500 times the rate the budget
+// grants; zero pins the kernel on one wheel tick that never drains. Either
+// way only the budget can end the run.
+type spinner struct {
+	s     *sim.Simulator
+	delay time.Duration
+}
 
-func (sp spinner) Fire() { sp.s.ScheduleFire(1, sp) }
+func (sp spinner) Fire() { sp.s.ScheduleFire(sp.delay, sp) }
 
 // TestRunBudgetedStopsRunawaySchedule checks that RunBudgeted returns an
-// error naming the flow instead of hanging. One flow to a 1 s horizon gets
-// 122 million events, a few seconds of spinning; the race detector makes
-// that minutes, so the test skips under -race and -short.
+// error naming the flow instead of hanging or running out of memory. One
+// flow to a 1 s horizon gets 122 million events, a few seconds of spinning
+// per case; the race detector makes that minutes, so the test skips under
+// -race and -short.
 func TestRunBudgetedStopsRunawaySchedule(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("spins the kernel through a 122-million-event budget")
 	}
-	simulator := sim.New()
-	simulator.ScheduleFire(0, spinner{simulator})
-	start := time.Now()
-	budget, err := RunBudgeted(simulator, "spin-0", time.Second, 1)
-	t.Logf("exhausted %d events in %v", budget, time.Since(start))
-	if err == nil {
-		t.Fatal("runaway schedule reported no error")
-	}
-	if !strings.Contains(err.Error(), "flow spin-0") || !strings.Contains(err.Error(), "122000000-event") {
-		t.Errorf("error %q does not name the flow and its budget", err)
-	}
-	if got := simulator.Executed(); got != budget {
-		t.Errorf("executed %d events, want the %d-event budget", got, budget)
+	for _, delay := range []time.Duration{1, 0} {
+		t.Run(fmt.Sprintf("delay=%dns", delay), func(t *testing.T) {
+			simulator := sim.New()
+			simulator.ScheduleFire(0, spinner{simulator, delay})
+			start := time.Now()
+			budget, err := RunBudgeted(simulator, "spin-0", time.Second, 1)
+			t.Logf("exhausted %d events in %v", budget, time.Since(start))
+			if err == nil {
+				t.Fatal("runaway schedule reported no error")
+			}
+			if !strings.Contains(err.Error(), "flow spin-0") || !strings.Contains(err.Error(), "122000000-event") {
+				t.Errorf("error %q does not name the flow and its budget", err)
+			}
+			if got := simulator.Executed(); got != budget {
+				t.Errorf("executed %d events, want the %d-event budget", got, budget)
+			}
+		})
 	}
 }
 

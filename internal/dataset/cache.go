@@ -37,10 +37,11 @@ const entryMagic = "hsrflowcache"
 // FlowCache is a content-addressed, on-disk store of per-flow results: the
 // key is a stable hash of everything that determines a flow's outcome (the
 // full scenario configuration, the seed, and the model-relevant code
-// version), the value its FlowMetrics and endpoint Stats. Campaigns and
-// sweeps consult it before simulating, so repeated and overlapping runs
-// skip simulation entirely on a hit — and because the simulation is
-// deterministic for a key, a hit is byte-equivalent to re-running it.
+// version), the value its FlowMetrics, endpoint Stats and telemetry bundle.
+// Campaigns and sweeps consult it before simulating, so repeated and
+// overlapping runs skip simulation entirely on a hit — and because the
+// simulation is deterministic for a key, a hit is byte-equivalent to
+// re-running it, telemetry included.
 //
 // Entries are written atomically (temp file + rename) and carry a SHA-256
 // checksum covering their header flags and payload; a truncated, corrupted
@@ -68,16 +69,16 @@ type FlowCache struct {
 	evictMu   sync.Mutex
 
 	// flightMu/flight deduplicate concurrent computations of the same key:
-	// the first caller of GetOrCompute for a missing key simulates, everyone
-	// else waits for its result.
+	// the first caller (of GetOrSimulate or GetOrComputeFull) for a missing
+	// key simulates, everyone else waits for its result.
 	flightMu sync.Mutex
 	flight   map[string]*flightCall
 }
 
 // flightCall is one in-flight computation shared by concurrent misses.
 type flightCall struct {
-	done chan struct{} // closed when val/err are final
-	val  any           // CachedFlow (GetOrCompute) or FlowPayload (GetOrComputeFull)
+	done chan struct{} // closed when res/err are final
+	res  flowResult
 	err  error
 }
 
@@ -102,12 +103,12 @@ func OpenFlowCacheVersion(dir, version string) (*FlowCache, error) {
 	return &FlowCache{dir: dir, version: version}, nil
 }
 
-// CachedFlow is one cache entry's payload: everything a metrics-only run
-// needs from a flow simulation. Telemetry optionally carries the flow's
-// exact telemetry bundle in wire form — entries written by distributed
-// work-unit execution include it so a re-executed unit restores the same
-// campaign counters bit for bit; entries written by plain flow runs omit it
-// (and decode compatibly either way).
+// CachedFlow is one cache entry's payload: a flow's metrics, its endpoint
+// stats and its exact telemetry bundle in wire form. Every entry that
+// GetOrSimulate and GetOrComputeFull write carries Telemetry, so a campaign
+// restores a hit's kernel/TCP/link counters bit for bit, exactly as if the
+// flow had simulated again. Only Put writes entries without it; those
+// decode for Get and are a miss for the telemetry-complete reads.
 type CachedFlow struct {
 	Metrics   *analysis.FlowMetrics `json:"metrics"`
 	Stats     tcp.Stats             `json:"stats"`
@@ -123,10 +124,10 @@ type FlowPayload struct {
 	VirtualNS int64
 }
 
-// EncodeFlowPayload encodes a telemetry-complete result with the encoder
-// the cache uses, so an uncached result and a cached one carry the same
-// bytes.
-func EncodeFlowPayload(ent CachedFlow) (FlowPayload, error) {
+// encodeFlowPayload encodes a telemetry-complete result. The stored entry
+// and the returned payload share these bytes, so an uncached result and a
+// cached one carry the same bytes.
+func encodeFlowPayload(ent CachedFlow) (FlowPayload, error) {
 	if ent.Metrics == nil || ent.Telemetry == nil {
 		return FlowPayload{}, fmt.Errorf("dataset: flow payload needs metrics and telemetry")
 	}
@@ -191,19 +192,14 @@ func (c *FlowCache) path(key string) string {
 }
 
 // Get looks the scenario up, returning its cached result and true on a hit.
-// Corrupt or truncated entries are detected by checksum, removed, counted
-// in Errors, and reported as a miss.
+// It serves metrics from either entry kind. Corrupt or truncated entries are
+// detected by checksum, removed, counted in Errors, and reported as a miss.
 func (c *FlowCache) Get(sc Scenario) (CachedFlow, bool) {
 	key, err := c.key(sc)
 	if err != nil {
 		c.errors.Add(1)
 		return CachedFlow{}, false
 	}
-	return c.getKey(key)
-}
-
-// getKey is Get below the key computation.
-func (c *FlowCache) getKey(key string) (CachedFlow, bool) {
 	raw, ok := c.read(key)
 	if !ok {
 		return CachedFlow{}, false
@@ -217,25 +213,42 @@ func (c *FlowCache) getKey(key string) (CachedFlow, bool) {
 	return ent, true
 }
 
-// getFull serves a telemetry-complete entry's verified payload bytes
-// without decoding them. A metrics-only entry is a plain miss (the caller
-// recomputes and upgrades it); a damaged one is rejected like in getKey.
-func (c *FlowCache) getFull(key string) (FlowPayload, bool) {
+// flowResult is one telemetry-complete flow result: its wire form, and the
+// decoded entry unless it is a hit served as bytes only.
+type flowResult struct {
+	ent     CachedFlow
+	payload FlowPayload
+}
+
+// getFull serves a telemetry-complete entry's verified payload bytes. With
+// decode set it also decodes them into ent; without, the bytes are served
+// undecoded. A metrics-only entry is a plain miss (the caller recomputes and
+// upgrades it); a damaged one, or with decode set one whose payload lacks
+// valid metrics or telemetry, is rejected.
+func (c *FlowCache) getFull(key string, decode bool) (flowResult, bool) {
 	raw, ok := c.read(key)
 	if !ok {
-		return FlowPayload{}, false
+		return flowResult{}, false
 	}
 	h, payload, err := verifyEntry(raw)
 	if err == nil && !h.full {
 		c.misses.Add(1)
-		return FlowPayload{}, false
+		return flowResult{}, false
 	}
-	if err != nil || !json.Valid(payload) {
+	r := flowResult{payload: FlowPayload{JSON: payload, VirtualNS: h.virtualNS}}
+	switch {
+	case err != nil:
+	case decode:
+		r.ent, err = decodeFull(payload)
+	case !json.Valid(payload):
+		err = fmt.Errorf("dataset: cache entry: invalid JSON payload")
+	}
+	if err != nil {
 		c.reject(key)
-		return FlowPayload{}, false
+		return flowResult{}, false
 	}
 	c.served(raw)
-	return FlowPayload{JSON: payload, VirtualNS: h.virtualNS}, true
+	return r, true
 }
 
 // read loads an entry file, counting a miss when there is none.
@@ -263,144 +276,118 @@ func (c *FlowCache) served(raw []byte) {
 	c.hits.Add(1)
 }
 
-// GetOrCompute returns the scenario's result, serving it from disk when
-// cached and computing (then storing) it otherwise — with concurrent
-// computations of the same key collapsed onto one: the first caller runs
-// compute, every simultaneous caller for the same key blocks on that result
-// instead of simulating it again (counted in Dedups). shared reports that
-// the result came from the cache or another caller's computation rather
-// than this call's own compute — callers that attach telemetry to the
-// computation can use it exactly like a cache hit (no simulation work of
-// their own happened). A compute error is returned to the leader and every
-// waiter, and nothing is stored.
-func (c *FlowCache) GetOrCompute(sc Scenario, compute func() (CachedFlow, error)) (CachedFlow, bool, error) {
-	key, err := c.key(sc)
-	if err != nil {
-		// Unkeyable scenario: fall back to a plain computation.
-		c.errors.Add(1)
-		ent, cerr := compute()
-		return ent, false, cerr
-	}
-	if ent, ok := c.getKey(key); ok {
-		return ent, true, nil
-	}
-	return share(c, key, func() (CachedFlow, error) {
-		ent, err := compute()
-		if err == nil {
-			c.putKey(key, ent)
-		}
-		return ent, err
-	})
+// GetOrSimulate is the one cache-or-simulate call: it returns the
+// scenario's telemetry-complete result, served from a verified full entry
+// when the cache holds one and simulated with RunFlowFull (then stored)
+// otherwise. Concurrent misses of one key simulate once: shared reports
+// that the result came from the cache or another caller's simulation
+// rather than this call's own (no simulation work of its own happened). A
+// nil cache simulates directly (shared is then false). A simulation error
+// is returned to the leader and every waiter, and nothing is stored.
+func (c *FlowCache) GetOrSimulate(sc Scenario) (CachedFlow, bool, error) {
+	r, shared, err := c.getOrCompute(sc, true, func() (CachedFlow, error) { return RunFlowFull(sc) })
+	return r.ent, shared, err
 }
 
-// GetOrSimulate is the one cache-or-simulate call for metrics-only flows:
-// GetOrCompute with RunFlowMetrics as the computation. A nil cache
-// simulates directly (shared is then false).
-func (c *FlowCache) GetOrSimulate(sc Scenario) (ent CachedFlow, shared bool, err error) {
-	simulate := func() (CachedFlow, error) {
-		m, st, err := RunFlowMetrics(sc)
-		return CachedFlow{Metrics: m, Stats: st}, err
+// GetOrComputeFull is GetOrSimulate in wire form, with the caller's compute
+// (distributed work-unit execution wraps RunFlowFull in trace spans): a hit
+// returns the entry's checksum-verified payload bytes and header duration
+// without decoding them. compute's result must carry metrics and
+// telemetry; it is encoded once, and the stored entry and the returned
+// payload share those bytes. A nil cache computes directly.
+func (c *FlowCache) GetOrComputeFull(sc Scenario, compute func() (CachedFlow, error)) (FlowPayload, bool, error) {
+	r, shared, err := c.getOrCompute(sc, false, compute)
+	return r.payload, shared, err
+}
+
+// getOrCompute is the one cached read-or-compute under both public calls.
+// A verified full entry is a hit (decoded when decode is set). Otherwise
+// compute runs as the key's only in-flight computation, its result is
+// encoded once and stored, and the leader and every follower get both its
+// decoded and its encoded form. A cached entry without telemetry is a miss:
+// the recompute overwrites it, and because entries are content-addressed
+// over everything that determines the flow's outcome, the recompute is
+// bit-identical to the original. A nil cache or an unkeyable scenario
+// computes without storing, and encodes only for a caller that wants the
+// wire form (decode unset).
+func (c *FlowCache) getOrCompute(sc Scenario, decode bool, compute func() (CachedFlow, error)) (flowResult, bool, error) {
+	run := func(encode bool) (flowResult, error) {
+		ent, err := compute()
+		if err != nil || !encode {
+			return flowResult{ent: ent}, err
+		}
+		p, err := encodeFlowPayload(ent)
+		return flowResult{ent: ent, payload: p}, err
 	}
 	if c == nil {
-		ent, err = simulate()
-		return ent, false, err
-	}
-	return c.GetOrCompute(sc, simulate)
-}
-
-// GetOrComputeFull is GetOrCompute for callers that need a telemetry-bearing
-// entry (distributed work-unit execution), in wire form: a hit returns the
-// entry's checksum-verified payload bytes and header duration without
-// decoding them. A cached entry without a Telemetry section is treated as a
-// miss — compute runs and its (telemetry-complete) result overwrites the
-// thinner entry, upgrading it for future unit runs. Because entries are
-// content-addressed over everything that determines the flow's outcome, the
-// recompute is bit-identical to the original, so the overwrite changes
-// nothing a metrics-only reader can observe. compute's result must carry
-// metrics and telemetry; it is encoded once, and the stored entry and the
-// returned payload share those bytes. In-flight dedup is namespaced apart
-// from GetOrCompute's so a full computation never adopts a concurrent
-// metrics-only result (which would lack telemetry).
-func (c *FlowCache) GetOrComputeFull(sc Scenario, compute func() (CachedFlow, error)) (FlowPayload, bool, error) {
-	encode := func() (FlowPayload, error) {
-		ent, err := compute()
-		if err != nil {
-			return FlowPayload{}, err
-		}
-		return EncodeFlowPayload(ent)
+		r, err := run(!decode)
+		return r, false, err
 	}
 	key, err := c.key(sc)
 	if err != nil {
 		c.errors.Add(1)
-		p, cerr := encode()
-		return p, false, cerr
+		r, err := run(!decode)
+		return r, false, err
 	}
-	if p, ok := c.getFull(key); ok {
-		return p, true, nil
+	if r, ok := c.getFull(key, decode); ok {
+		return r, true, nil
 	}
-	return share(c, "full:"+key, func() (FlowPayload, error) {
-		p, err := encode()
+	return c.share(key, func() (flowResult, error) {
+		r, err := run(true)
 		if err == nil {
-			c.writeEntry(key, sealEntry(entryHeader{full: true, virtualNS: p.VirtualNS}, p.JSON))
+			c.writeEntry(key, sealEntry(entryHeader{full: true, virtualNS: r.payload.VirtualNS}, r.payload.JSON))
 		}
-		return p, err
+		return r, err
 	})
 }
 
-// share runs compute as flightKey's only in-flight computation: the first
-// caller (the leader) runs it, concurrent callers with the same flightKey
-// block and adopt its result (shared = true, counted in Dedups) or its
-// error.
-func share[T any](c *FlowCache, flightKey string, compute func() (T, error)) (T, bool, error) {
+// share runs compute as key's only in-flight computation: the first caller
+// (the leader) runs it, concurrent callers with the same key block and
+// adopt its result (shared = true, counted in Dedups) or its error.
+func (c *FlowCache) share(key string, compute func() (flowResult, error)) (flowResult, bool, error) {
 	c.flightMu.Lock()
-	if call, inflight := c.flight[flightKey]; inflight {
+	if call, inflight := c.flight[key]; inflight {
 		c.flightMu.Unlock()
 		<-call.done
 		if call.err != nil {
-			var zero T
-			return zero, false, call.err
+			return flowResult{}, false, call.err
 		}
 		c.dedups.Add(1)
-		return call.val.(T), true, nil
+		return call.res, true, nil
 	}
 	call := &flightCall{done: make(chan struct{})}
 	if c.flight == nil {
 		c.flight = make(map[string]*flightCall)
 	}
-	c.flight[flightKey] = call
+	c.flight[key] = call
 	c.flightMu.Unlock()
 
-	v, err := compute()
-	call.val, call.err = v, err
+	call.res, call.err = compute()
 	c.flightMu.Lock()
-	delete(c.flight, flightKey)
+	delete(c.flight, key)
 	c.flightMu.Unlock()
 	close(call.done)
-	return v, false, err
+	return call.res, false, call.err
 }
 
-// Put stores the flow's result under the scenario's key. Writes are atomic
-// (unique temp file, then rename), so concurrent writers of the same key —
-// which, by construction, carry identical payloads — cannot interleave into
-// a torn entry. Storage failures are counted and otherwise ignored: the
-// cache is an accelerator, never a correctness dependency.
+// Put stores a metrics-only ("thin") result under the scenario's key; it is
+// the only writer of thin entries. Writes are atomic (unique temp file,
+// then rename), so concurrent writers of the same key — which, by
+// construction, carry identical payloads — cannot interleave into a torn
+// entry. Storage failures are counted and otherwise ignored: the cache is
+// an accelerator, never a correctness dependency.
 func (c *FlowCache) Put(sc Scenario, m *analysis.FlowMetrics, st tcp.Stats) {
 	key, err := c.key(sc)
 	if err != nil {
 		c.errors.Add(1)
 		return
 	}
-	c.putKey(key, CachedFlow{Metrics: m, Stats: st})
-}
-
-// putKey is Put below the key computation.
-func (c *FlowCache) putKey(key string, ent CachedFlow) {
-	raw, err := encodeEntry(ent)
+	payload, err := json.Marshal(CachedFlow{Metrics: m, Stats: st})
 	if err != nil {
 		c.errors.Add(1)
 		return
 	}
-	c.writeEntry(key, raw)
+	c.writeEntry(key, sealEntry(entryHeader{}, payload))
 }
 
 // writeEntry atomically stores a sealed entry file under key.
@@ -562,9 +549,10 @@ func (c *FlowCache) Counters() telemetry.Cache {
 //
 //	hsrflowcache <sha256> <full|thin> <virtual_ns>\n<payload>
 //
-// The flag says whether the payload carries telemetry ("full") or metrics
-// only ("thin"); virtual_ns is the flow's simulated duration from its
-// telemetry (0 for thin entries). The checksum covers every byte after it
+// The flag says whether the payload carries telemetry ("full", every entry
+// the telemetry-complete calls write) or metrics only ("thin", written by
+// Put); virtual_ns is the flow's simulated duration from its telemetry (0
+// for thin entries). The checksum covers every byte after it
 // (flag, duration and payload), so a tampered flag fails verification like a
 // damaged payload.
 
@@ -592,20 +580,6 @@ func sealEntry(h entryHeader, payload []byte) []byte {
 	hex.Encode(raw[len(entryMagic)+1:], sum[:])
 	raw[checksumOffset-1] = ' '
 	return raw
-}
-
-// encodeEntry renders a decoded result as an entry file, flagged by whether
-// it carries telemetry.
-func encodeEntry(ent CachedFlow) ([]byte, error) {
-	payload, err := json.Marshal(ent)
-	if err != nil {
-		return nil, err
-	}
-	var h entryHeader
-	if ent.Telemetry != nil {
-		h = entryHeader{full: true, virtualNS: ent.Telemetry.Kernel.VirtualNS}
-	}
-	return sealEntry(h, payload), nil
 }
 
 // verifyEntry checks an entry file's magic, checksum and header flags and
@@ -643,7 +617,24 @@ func verifyEntry(raw []byte) (entryHeader, []byte, error) {
 	return h, body[nl+1:], nil
 }
 
-// decodeEntry verifies and decodes an entry file.
+// decodeFull decodes a full entry's payload, which must carry metrics and a
+// telemetry state that passes FlowState.Validate (so a campaign can restore
+// and merge it).
+func decodeFull(payload []byte) (CachedFlow, error) {
+	var ent CachedFlow
+	if err := json.Unmarshal(payload, &ent); err != nil {
+		return CachedFlow{}, fmt.Errorf("dataset: cache entry: %w", err)
+	}
+	if ent.Metrics == nil || ent.Telemetry == nil {
+		return CachedFlow{}, fmt.Errorf("dataset: cache entry: missing metrics or telemetry")
+	}
+	if err := ent.Telemetry.Validate(); err != nil {
+		return CachedFlow{}, fmt.Errorf("dataset: cache entry: %w", err)
+	}
+	return ent, nil
+}
+
+// decodeEntry verifies and decodes an entry file of either kind.
 func decodeEntry(raw []byte) (CachedFlow, error) {
 	_, payload, err := verifyEntry(raw)
 	if err != nil {

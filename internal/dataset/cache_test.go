@@ -286,37 +286,64 @@ func TestFlowCacheFullRoundTrip(t *testing.T) {
 	if !bytes.Equal(warm.JSON, reencoded) {
 		t.Error("payload bytes differ from json.Marshal of the decoded entry")
 	}
-	// The metrics-only reader serves the same entry.
+	// The metrics-only reader serves the same entry, and GetOrSimulate
+	// decodes it to the same result without simulating.
 	if ent, ok := cache.Get(sc); !ok || !reflect.DeepEqual(want.Metrics, ent.Metrics) {
 		t.Error("Get did not serve the telemetry-complete entry's metrics")
 	}
-	if c := cache.Counters(); c.Hits != 2 || c.Misses != 1 || c.Errors != 0 {
-		t.Errorf("counters %+v, want 2 hits / 1 miss / 0 errors", c)
+	ent, hit, err := cache.GetOrSimulate(sc)
+	if err != nil || !hit {
+		t.Fatalf("GetOrSimulate: hit=%v err=%v, want a hit", hit, err)
+	}
+	if decoded, err := json.Marshal(ent); err != nil || !bytes.Equal(decoded, warm.JSON) {
+		t.Errorf("GetOrSimulate's decoded entry does not re-encode to the payload (err %v)", err)
+	}
+	if c := cache.Counters(); c.Hits != 3 || c.Misses != 1 || c.Errors != 0 {
+		t.Errorf("counters %+v, want 3 hits / 1 miss / 0 errors", c)
 	}
 }
 
-// TestFlowCacheFullUpgradesThinEntry checks a metrics-only entry is a plain
-// miss for GetOrComputeFull (no error, nothing served), and the recompute
-// upgrades the entry so the next full read hits.
+// TestFlowCacheFullUpgradesThinEntry checks a metrics-only entry (as Put
+// writes it, and as older builds' flow runs left on disk) is a plain miss
+// for both telemetry-complete reads (no error, nothing served), and the
+// recompute upgrades the entry so the next full read hits.
 func TestFlowCacheFullUpgradesThinEntry(t *testing.T) {
-	cache, err := OpenFlowCacheVersion(t.TempDir(), "test")
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := cachedScenario(t, 7)
 	want, compute, calls := fullFlow(t, sc)
-	cache.Put(sc, want.Metrics, want.Stats)
-	if _, hit, err := cache.GetOrComputeFull(sc, compute); err != nil || hit || *calls != 1 {
-		t.Fatalf("thin entry: hit=%v computes=%d err=%v, want a computed miss", hit, *calls, err)
+	reads := map[string]func(*FlowCache) (bool, error){
+		"GetOrComputeFull": func(c *FlowCache) (bool, error) {
+			_, hit, err := c.GetOrComputeFull(sc, compute)
+			return hit, err
+		},
+		"GetOrSimulate": func(c *FlowCache) (bool, error) {
+			ent, hit, err := c.GetOrSimulate(sc)
+			if err == nil && ent.Telemetry == nil {
+				t.Error("GetOrSimulate returned no telemetry")
+			}
+			return hit, err
+		},
 	}
-	if c := cache.Counters(); c.Hits != 0 || c.Misses != 1 || c.Errors != 0 {
-		t.Errorf("counters %+v, want 0 hits / 1 miss / 0 errors", c)
-	}
-	if _, hit, err := cache.GetOrComputeFull(sc, compute); err != nil || !hit || *calls != 1 {
-		t.Fatalf("upgraded entry: hit=%v computes=%d err=%v, want a hit", hit, *calls, err)
-	}
-	if ent, ok := cache.Get(sc); !ok || ent.Telemetry == nil {
-		t.Error("upgraded entry not served with telemetry")
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			cache, err := OpenFlowCacheVersion(t.TempDir(), "test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache.Put(sc, want.Metrics, want.Stats)
+			if hit, err := read(cache); err != nil || hit {
+				t.Fatalf("thin entry: hit=%v err=%v, want a computed miss", hit, err)
+			}
+			if c := cache.Counters(); c.Hits != 0 || c.Misses != 1 || c.Errors != 0 {
+				t.Errorf("counters %+v, want 0 hits / 1 miss / 0 errors", c)
+			}
+			*calls = 0
+			if _, hit, err := cache.GetOrComputeFull(sc, compute); err != nil || !hit || *calls != 0 {
+				t.Fatalf("upgraded entry: hit=%v computes=%d err=%v, want a hit", hit, *calls, err)
+			}
+			if ent, ok := cache.Get(sc); !ok || ent.Telemetry == nil {
+				t.Error("upgraded entry not served with telemetry")
+			}
+		})
 	}
 }
 
@@ -409,88 +436,88 @@ func TestFlowCacheConcurrentWriters(t *testing.T) {
 }
 
 // TestFlowCacheGetOrComputeDeduplicates launches many concurrent misses of
-// the same key and checks exactly one computation runs: the leader reports
-// shared=false, every follower shares its result (shared=true, counted in
-// Dedups), and afterwards the entry is on disk.
+// the same key through both public calls of getOrCompute and checks they
+// share one in-flight computation: a held GetOrComputeFull leader reports
+// shared=false, every follower — GetOrSimulate and GetOrComputeFull alike —
+// shares its result (shared=true, counted in Dedups) without simulating,
+// and afterwards the entry is on disk.
 func TestFlowCacheGetOrComputeDeduplicates(t *testing.T) {
 	sc := cachedScenario(t, 7)
 	full, err := RunFlowFull(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	thin := CachedFlow{Metrics: full.Metrics, Stats: full.Stats}
-	// Both read paths share the in-flight machinery; GetOrComputeFull's
-	// callers get the leader's encoded payload.
-	for _, fullPath := range []bool{false, true} {
-		cache, err := OpenFlowCacheVersion(t.TempDir(), "test")
+	cache, err := OpenFlowCacheVersion(t.TempDir(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var computes, shareds atomic.Int64
+	release := make(chan struct{})
+	compute := func() (CachedFlow, error) {
+		computes.Add(1)
+		<-release // hold every other caller in the in-flight window
+		return full, nil
+	}
+	check := func(ent CachedFlow, shared bool, err error) {
 		if err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
-		const callers = 8
-		var computes atomic.Int64
-		var shareds atomic.Int64
-		release := make(chan struct{})
-		compute := func() (CachedFlow, error) {
-			computes.Add(1)
-			<-release // hold every other caller in the in-flight window
-			if fullPath {
-				return full, nil
+		if shared {
+			shareds.Add(1)
+		}
+		if !reflect.DeepEqual(full.Metrics, ent.Metrics) || ent.Telemetry == nil {
+			t.Error("caller got diverging metrics or no telemetry")
+		}
+	}
+	full1 := func() {
+		p, shared, err := cache.GetOrComputeFull(sc, compute)
+		var ent CachedFlow
+		if err == nil {
+			err = json.Unmarshal(p.JSON, &ent)
+		}
+		check(ent, shared, err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		full1()
+	}()
+	// Once the leader is computing, every later caller joins its flight.
+	for computes.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	const followers = 8
+	for i := 0; i < followers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i%2 == 0 {
+				check(cache.GetOrSimulate(sc))
+			} else {
+				full1()
 			}
-			return thin, nil
-		}
-		get := func() (*analysis.FlowMetrics, bool, error) {
-			if !fullPath {
-				ent, shared, err := cache.GetOrCompute(sc, compute)
-				return ent.Metrics, shared, err
-			}
-			p, shared, err := cache.GetOrComputeFull(sc, compute)
-			var ent CachedFlow
-			if err == nil {
-				err = json.Unmarshal(p.JSON, &ent)
-			}
-			return ent.Metrics, shared, err
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < callers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				m, shared, err := get()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if shared {
-					shareds.Add(1)
-				}
-				if !reflect.DeepEqual(full.Metrics, m) {
-					t.Error("caller got diverging metrics")
-				}
-			}()
-		}
-		// Give every goroutine time to either become the leader or join the
-		// flight, then release the leader.
-		for computes.Load() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		time.Sleep(20 * time.Millisecond)
-		close(release)
-		wg.Wait()
+		}()
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
 
-		if n := computes.Load(); n != 1 {
-			t.Errorf("full=%v: compute ran %d times, want exactly 1", fullPath, n)
-		}
-		if c := cache.Counters(); c.Dedups != shareds.Load() {
-			t.Errorf("full=%v: counters %+v, want dedups == %d shared callers", fullPath, c, shareds.Load())
-		}
-		if _, ok := cache.Get(sc); !ok {
-			t.Errorf("full=%v: entry missing after deduplicated computation", fullPath)
-		}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("compute ran %d times, want exactly 1", n)
+	}
+	if c := cache.Counters(); c.Dedups != shareds.Load() || c.Dedups != followers || c.Hits != 0 {
+		t.Errorf("counters %+v, want %d dedups (%d shared callers) and no hits", c, followers, shareds.Load())
+	}
+	if ent, ok := cache.Get(sc); !ok || ent.Telemetry == nil {
+		t.Error("full entry missing after deduplicated computation")
 	}
 }
 
 // TestFlowCacheGetOrComputeErrorPropagates checks a failing computation
-// reaches the leader and every waiter, and stores nothing.
+// in getOrCompute reaches the leader and every waiter of either public
+// call, and stores nothing.
 func TestFlowCacheGetOrComputeErrorPropagates(t *testing.T) {
 	cache, err := OpenFlowCacheVersion(t.TempDir(), "test")
 	if err != nil {
@@ -498,24 +525,31 @@ func TestFlowCacheGetOrComputeErrorPropagates(t *testing.T) {
 	}
 	sc := cachedScenario(t, 7)
 	wantErr := errors.New("synthetic failure")
-	var wg sync.WaitGroup
 	release := make(chan struct{})
 	started := make(chan struct{})
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, err := cache.GetOrCompute(sc, func() (CachedFlow, error) {
-				close(started)
-				<-release
-				return CachedFlow{}, wantErr
-			})
-			if !errors.Is(err, wantErr) {
-				t.Errorf("GetOrCompute error = %v, want %v", err, wantErr)
-			}
-		}()
+	var wg sync.WaitGroup
+	full := func() {
+		defer wg.Done()
+		_, _, err := cache.GetOrComputeFull(sc, func() (CachedFlow, error) {
+			close(started)
+			<-release
+			return CachedFlow{}, wantErr
+		})
+		if !errors.Is(err, wantErr) {
+			t.Errorf("GetOrComputeFull error = %v, want %v", err, wantErr)
+		}
 	}
+	wg.Add(1)
+	go full()
 	<-started
+	wg.Add(2)
+	go full()
+	go func() {
+		defer wg.Done()
+		if _, _, err := cache.GetOrSimulate(sc); !errors.Is(err, wantErr) {
+			t.Errorf("GetOrSimulate error = %v, want %v", err, wantErr)
+		}
+	}()
 	time.Sleep(10 * time.Millisecond)
 	close(release)
 	wg.Wait()
@@ -615,11 +649,14 @@ func TestFlowCacheEviction(t *testing.T) {
 }
 
 // FuzzFlowCacheEntry plants arbitrary bytes at an entry's path and reads
-// them through both read paths. Neither may panic; a served metrics-only
-// result carries metrics; a served full payload decodes with metrics and
-// telemetry present; anything else is a counted miss that recomputes. The
-// seeds added here are sealed by the current writer; the checked-in corpus
-// adds damaged, flag-flipped and schema-2 entries.
+// them through every read path: Get, the decoding full read under
+// GetOrSimulate, and the undecoded one under GetOrComputeFull. None may
+// panic; a served metrics-only result carries metrics; a decoded full hit
+// carries metrics and a telemetry state that validates; a served full
+// payload decodes with metrics and telemetry present; anything else is a
+// counted miss that recomputes. The seeds added here are sealed by the
+// current writer; the checked-in corpus adds damaged, flag-flipped and
+// schema-2 entries.
 func FuzzFlowCacheEntry(f *testing.F) {
 	full := sealEntry(entryHeader{full: true, virtualNS: 7}, []byte(`{"metrics":{},"telemetry":{"kernel":{"virtual_ns":7}}}`))
 	thin := sealEntry(entryHeader{}, []byte(`{"metrics":{}}`))
@@ -659,32 +696,37 @@ func FuzzFlowCacheEntry(f *testing.F) {
 			t.Fatalf("Get miss not counted: %+v -> %+v", before, after)
 		}
 
-		plant()
-		before = cache.Counters()
-		computed := false
-		p, hit, err := cache.GetOrComputeFull(sc, func() (CachedFlow, error) {
-			computed = true
-			return stub, nil
-		})
-		after = cache.Counters()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hit == computed {
-			t.Fatalf("hit=%v but computed=%v", hit, computed)
-		}
-		if !hit {
-			if after.Misses != before.Misses+1 {
-				t.Fatalf("full miss not counted: %+v -> %+v", before, after)
+		for _, decode := range []bool{true, false} {
+			plant()
+			before = cache.Counters()
+			computed := false
+			r, hit, err := cache.getOrCompute(sc, decode, func() (CachedFlow, error) {
+				computed = true
+				return stub, nil
+			})
+			after = cache.Counters()
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		var got CachedFlow
-		if err := json.Unmarshal(p.JSON, &got); err != nil {
-			t.Fatalf("served payload does not decode: %v", err)
-		}
-		if got.Metrics == nil || got.Telemetry == nil {
-			t.Fatal("served payload lacks metrics or telemetry")
+			if hit == computed {
+				t.Fatalf("decode=%v: hit=%v but computed=%v", decode, hit, computed)
+			}
+			if !hit {
+				if after.Misses != before.Misses+1 {
+					t.Fatalf("decode=%v: full miss not counted: %+v -> %+v", decode, before, after)
+				}
+				continue
+			}
+			if decode && (r.ent.Metrics == nil || r.ent.Telemetry == nil || r.ent.Telemetry.Validate() != nil) {
+				t.Fatal("decoded hit lacks metrics or a valid telemetry state")
+			}
+			var got CachedFlow
+			if err := json.Unmarshal(r.payload.JSON, &got); err != nil {
+				t.Fatalf("decode=%v: served payload does not decode: %v", decode, err)
+			}
+			if got.Metrics == nil || got.Telemetry == nil {
+				t.Fatalf("decode=%v: served payload lacks metrics or telemetry", decode)
+			}
 		}
 	})
 }

@@ -65,26 +65,25 @@ type CampaignConfig struct {
 	Ctx context.Context
 	// Cache, when non-nil, serves flows whose (scenario, seed, version) key
 	// it already holds without simulating them, and stores every flow it
-	// does simulate. Cached results are bit-identical to simulated ones, so
-	// campaign output does not depend on the cache's temperature. Flows
-	// served from the cache skip simulation entirely and therefore
-	// contribute nothing to the Telemetry campaign totals (the cache's own
-	// hit/miss counters record them).
+	// does simulate. Cached results are bit-identical to simulated ones,
+	// telemetry included, so campaign output and the Telemetry totals do not
+	// depend on the cache's temperature (the cache's own hit/miss counters
+	// record which flows skipped simulation).
 	Cache *FlowCache
-	// Telemetry, when non-nil, aggregates every flow's telemetry bundle into
-	// campaign totals. Flows are merged in campaign order after the parallel
-	// phase completes, so the totals (including float distributions) are
-	// bit-identical at any Parallelism.
+	// Telemetry, when non-nil, aggregates every flow's telemetry bundle,
+	// simulated or served from the cache, into campaign totals. Flows are
+	// merged in campaign order after the parallel phase completes, so the
+	// totals (including float distributions) are bit-identical at any
+	// Parallelism.
 	Telemetry *telemetry.Campaign
 	// Progress, when non-nil, is invoked after each flow finishes (success
 	// or failure) with the number of flows completed so far and the campaign
 	// total. It is called from worker goroutines and must be safe for
 	// concurrent use.
 	Progress func(done, total int)
-	// Trace, when non-nil, records one span per flow (wall interval, plus
-	// the simulated-time interval when telemetry is attached) under
-	// TraceParent. Tracing is strictly host-side observation: it never
-	// perturbs seeds, flow order or results.
+	// Trace, when non-nil, records one span per flow (wall interval and
+	// simulated-time interval) under TraceParent. Tracing is strictly
+	// host-side observation: it never perturbs seeds, flow order or results.
 	Trace       *tracing.Trace
 	TraceParent string
 }
@@ -193,11 +192,8 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	}
 
 	results := make([]FlowResult, len(jobs))
+	states := make([]*telemetry.FlowState, len(jobs))
 	errs := make([]error, len(jobs))
-	var flows []*telemetry.Flow
-	if cfg.Telemetry != nil {
-		flows = make([]*telemetry.Flow, len(jobs))
-	}
 	var done atomic.Int64
 	par := cfg.Parallelism
 	if par <= 0 {
@@ -211,10 +207,6 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 			continue
 		}
 		j := j
-		if flows != nil {
-			flows[j.Index] = telemetry.NewFlow()
-			j.Scenario.Telemetry = flows[j.Index]
-		}
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -232,18 +224,11 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 				sp.SetAttr("error", err.Error())
 			} else {
 				results[j.Index] = FlowResult{Row: j.Row, Metrics: ent.Metrics}
-				if hit && flows != nil {
-					// Served from the cache or another campaign's
-					// in-flight simulation: no simulation ran here, so
-					// this flow has no kernel/TCP/link counters to merge.
-					flows[j.Index] = nil
-				}
+				states[j.Index] = ent.Telemetry
+				sp.SetVirtual(0, ent.Telemetry.Kernel.VirtualNS)
 			}
 			if sp != nil {
 				sp.SetAttr("cached", strconv.FormatBool(hit))
-				if flows != nil && flows[j.Index] != nil {
-					sp.SetVirtual(0, flows[j.Index].Kernel.VirtualNS)
-				}
 				sp.End()
 			}
 			if cfg.Progress != nil {
@@ -259,12 +244,12 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	}
 	// Merge per-flow telemetry strictly in campaign order, after the parallel
 	// phase: float aggregates (Dist merges) are order-sensitive, and a fixed
-	// order makes the totals bit-identical at any Parallelism.
+	// order makes the totals bit-identical at any Parallelism. Every flow
+	// merges its restored state, hit or miss, exactly as a distributed
+	// campaign merges the states its workers ship.
 	if cfg.Telemetry != nil {
-		for _, f := range flows {
-			if f != nil {
-				cfg.Telemetry.AddFlow(f)
-			}
+		for _, st := range states {
+			cfg.Telemetry.AddFlow(st.Restore())
 		}
 	}
 	return &Campaign{Config: cfg, Results: results}, nil
@@ -272,10 +257,10 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 
 // RunFlowFull simulates one flow with a fresh telemetry bundle attached and
 // returns a telemetry-complete cache entry: metrics, endpoint stats, and the
-// flow's exact telemetry state in wire form. It is the compute function for
-// distributed work-unit execution, where every flow must contribute its
-// kernel/TCP/link counters to the coordinator's campaign totals even when
-// the metrics themselves could have been served from a thinner cache entry.
+// flow's exact telemetry state in wire form. It is the computation behind
+// every cache-or-simulate call (GetOrSimulate, and GetOrComputeFull for
+// distributed work units), so every flow a campaign runs or reads back
+// contributes its kernel/TCP/link counters to the campaign totals.
 func RunFlowFull(sc Scenario) (CachedFlow, error) {
 	tel := telemetry.NewFlow()
 	sc.Telemetry = tel

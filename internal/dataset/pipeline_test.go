@@ -113,6 +113,56 @@ func TestCampaignPipelineEquivalence(t *testing.T) {
 	}
 }
 
+// campaignCounters runs cfg with a fresh telemetry collector and returns
+// its deterministic sections (everything but wall-clock time) as JSON.
+func campaignCounters(t *testing.T, cfg CampaignConfig) []byte {
+	t.Helper()
+	camp := telemetry.NewCampaign()
+	cfg.Telemetry = camp
+	if _, err := RunCampaign(cfg); err != nil {
+		t.Fatalf("RunCampaign: %v", err)
+	}
+	flows, kernel, tcp, net, faults := camp.Counters()
+	raw, err := json.Marshal(struct {
+		Flows   int64
+		Kernel  telemetry.Kernel
+		TCP     telemetry.TCP
+		Net     telemetry.Net
+		Faults  telemetry.Faults
+		Channel telemetry.Channel
+	}{flows, kernel, tcp, net, faults, camp.ChannelCounters()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestCampaignTelemetryCacheInvariant runs one small campaign uncached,
+// against a cold cache and against the then-warm cache: every flow carries
+// its telemetry through the cache, so the campaign totals are identical
+// whether the flows simulated or were served as hits.
+func TestCampaignTelemetryCacheInvariant(t *testing.T) {
+	base := CampaignConfig{Seed: 4, FlowDuration: 10 * time.Second, FlowsPerRow: 2, Parallelism: 2}
+	want := campaignCounters(t, base)
+
+	cache, err := OpenFlowCacheVersion(t.TempDir(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := base
+	cached.Cache = cache
+	if got := campaignCounters(t, cached); string(got) != string(want) {
+		t.Errorf("cache-cold campaign telemetry differs from uncached:\nuncached: %s\ncold:     %s", want, got)
+	}
+	cached.Parallelism = 3
+	if got := campaignCounters(t, cached); string(got) != string(want) {
+		t.Errorf("warm campaign telemetry differs from uncached:\nuncached: %s\nwarm:     %s", want, got)
+	}
+	if c := cache.Counters(); c.Hits != 8 || c.Misses != 8 || c.Errors != 0 {
+		t.Errorf("cache counters %+v, want 8 hits / 8 misses / 0 errors", c)
+	}
+}
+
 // TestDefaultCampaignPipelineEquivalence is the full-scale version of the
 // equivalence check: the complete Default() Table I campaign (255 HSR flows,
 // 120 s each) streaming and through a cold then warm cache. -short skips it

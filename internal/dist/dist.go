@@ -347,9 +347,10 @@ func (c *Coordinator) complete(r *run, u *unit, flows []unitFlow, err error) boo
 // RunCampaign executes the campaign over the worker fleet. It satisfies
 // experiments.CampaignRunner and honors the full CampaignConfig contract:
 // results and telemetry (merged in global flow order) are byte-identical in
-// the Counters() sense to dataset.RunCampaign without a cache — every flow
-// simulates exactly once logically, wherever it physically ran, and
-// wall-clock resource fields are host measurements by design.
+// the Counters() sense to dataset.RunCampaign, cached or not — every flow
+// contributes its telemetry exactly once, wherever it physically ran and
+// whether it simulated or was served from a worker's cache, and wall-clock
+// resource fields are host measurements by design.
 func (c *Coordinator) RunCampaign(cfg dataset.CampaignConfig) (*dataset.Campaign, error) {
 	plan, err := dataset.PlanCampaign(cfg)
 	if err != nil {

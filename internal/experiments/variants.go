@@ -85,16 +85,6 @@ func Variants(cfg Config) (*VariantsResult, error) {
 	return res, nil
 }
 
-// ByName returns the outcome for a variant name.
-func (r *VariantsResult) ByName(name string) (VariantOutcome, bool) {
-	for _, o := range r.Outcomes {
-		if o.Name == name {
-			return o, true
-		}
-	}
-	return VariantOutcome{}, false
-}
-
 // Section prints the comparison.
 func (r *VariantsResult) Section() export.Section {
 	t := export.NewTable("variant", "mean pps", "timeout seqs", "spurious", "mean recovery")

@@ -51,15 +51,6 @@ type LinkStats struct {
 	VectorPackets int
 }
 
-// LossRate returns the fraction of offered packets that were dropped for any
-// reason, or 0 if nothing was offered.
-func (s LinkStats) LossRate() float64 {
-	if s.Offered == 0 {
-		return 0
-	}
-	return float64(s.Offered-s.Delivered) / float64(s.Offered)
-}
-
 // LinkConfig describes one unidirectional link.
 type LinkConfig struct {
 	// Rate is the line rate in bits per second; 0 means infinitely fast

@@ -113,9 +113,6 @@ func TestLinkChannelDrop(t *testing.T) {
 	if st.ChannelDrops != 1 || st.Delivered != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.LossRate() != 1 {
-		t.Errorf("LossRate = %v, want 1", st.LossRate())
-	}
 }
 
 func TestLinkNoReordering(t *testing.T) {
@@ -158,13 +155,6 @@ func TestLinkPanics(t *testing.T) {
 	l := NewLink(s, LinkConfig{Delay: FixedDelay(0)})
 	assertPanics("zero size", func() { l.Send(0, HandlerFunc(func() {})) })
 	assertPanics("nil deliver", func() { l.Send(10, nil) })
-}
-
-func TestLinkStatsLossRateEmpty(t *testing.T) {
-	var st LinkStats
-	if got := st.LossRate(); got != 0 {
-		t.Errorf("LossRate of empty stats = %v, want 0", got)
-	}
 }
 
 func TestQueueDepth(t *testing.T) {

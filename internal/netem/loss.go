@@ -48,32 +48,6 @@ func (b *Bernoulli) Drop(_, _ time.Duration) bool {
 	return b.P > 0 && b.rng.Float64() < b.P
 }
 
-// LossFunc adapts a time-indexed loss probability function to a LossModel.
-// The cellular channel exposes its handoff outages and speed-dependent
-// residual loss this way.
-type LossFunc struct {
-	Prob func(now time.Duration) float64
-	rng  *rand.Rand
-}
-
-// NewLossFunc wraps prob (which must return values in [0, 1]) as a LossModel.
-func NewLossFunc(prob func(time.Duration) float64, rng *rand.Rand) *LossFunc {
-	if prob == nil {
-		panic("netem: NewLossFunc with nil probability function")
-	}
-	return &LossFunc{Prob: prob, rng: rng}
-}
-
-// Drop implements LossModel: the packet faces the worse of the channel
-// conditions at its two transit epochs.
-func (f *LossFunc) Drop(sent, arrival time.Duration) bool {
-	p := f.Prob(sent)
-	if pa := f.Prob(arrival); pa > p {
-		p = pa
-	}
-	return p > 0 && f.rng.Float64() < p
-}
-
 // TransitLossFunc adapts a loss probability function of both transit epochs
 // to a LossModel. The cellular channel uses it to distinguish packets sent
 // while the radio bearer is down (retransmission probes, ACKs from a

@@ -120,7 +120,9 @@ func TestServeCampaignMatchesCLI(t *testing.T) {
 
 // TestServeCampaignWarmCache runs the same campaign job twice against one
 // cached server: the second run must be served from the cache (every flow a
-// hit, no campaign telemetry — matching a warm hsrbench run) and fast.
+// hit) and fast, and report the same campaign telemetry as the cold run —
+// every cached flow carries its telemetry, so a warm campaign section
+// equals a cold one on both surfaces.
 func TestServeCampaignWarmCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second campaign")
@@ -140,13 +142,14 @@ func TestServeCampaignWarmCache(t *testing.T) {
 	if cold.Cache == nil || cold.Cache.Misses == 0 || cold.Cache.Hits != 0 {
 		t.Fatalf("cold run cache counters %+v", cold.Cache)
 	}
+	want := campaignJSON(t, cold)
 
 	warm, elapsed := serveCampaignReport(t, srv)
-	// Cache hits skip the simulation entirely, so a warm run carries no
-	// campaign telemetry — the same shape a warm `hsrbench -cache` run
-	// reports. Flow results still come back bit-identical from disk.
-	if warm.Campaign != nil {
-		t.Fatalf("warm run re-simulated flows: %s", campaignJSON(t, warm))
+	if warm.Campaign == nil {
+		t.Fatalf("warm run reported no campaign telemetry")
+	}
+	if got := campaignJSON(t, warm); !bytes.Equal(got, want) {
+		t.Errorf("warm campaign section differs from the cold one:\ncold: %s\nwarm: %s", want, got)
 	}
 	if warm.Cache == nil || warm.Cache.Hits == 0 {
 		t.Fatalf("warm run cache counters %+v", warm.Cache)
@@ -159,14 +162,20 @@ func TestServeCampaignWarmCache(t *testing.T) {
 	}
 
 	// A warm direct (CLI-path) run against the same cache directory must
-	// agree with the warm HTTP run: no campaign section on either surface.
+	// agree with the warm HTTP run.
 	cliCache, err := dataset.OpenFlowCache(dir)
 	if err != nil {
 		t.Fatalf("cache reopen: %v", err)
 	}
 	direct := directCampaignReport(t, cliCache)
-	if direct.Campaign != nil {
-		t.Fatalf("warm CLI run re-simulated flows")
+	if direct.Campaign == nil {
+		t.Fatalf("warm CLI run reported no campaign telemetry")
+	}
+	if got := campaignJSON(t, direct); !bytes.Equal(got, want) {
+		t.Errorf("warm CLI campaign section differs from the cold HTTP one:\ncold: %s\nwarm: %s", want, got)
+	}
+	if c := cliCache.Counters(); c.Misses != 0 || c.Hits == 0 {
+		t.Errorf("warm CLI run cache counters %+v, want hits only", c)
 	}
 }
 
@@ -201,5 +210,9 @@ func TestServeFlowJobCached(t *testing.T) {
 	b, _ := json.Marshal(second.Flow)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("cached flow differs:\nfirst:  %s\nsecond: %s", a, b)
+	}
+	// The cache entry carries the flow's telemetry; the response does not.
+	if first.Flow.Telemetry != nil || second.Flow.Telemetry != nil {
+		t.Fatalf("flow job response carries telemetry: %s", a)
 	}
 }

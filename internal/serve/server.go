@@ -469,6 +469,9 @@ func (s *Server) runFlowJob(spec *JobSpec, meta *jobMeta) Event {
 	if err != nil {
 		return Event{Event: "error", Status: "error", Error: err.Error()}
 	}
+	// A flow job reports metrics and stats; the entry's telemetry stays out
+	// of the response.
+	ent.Telemetry = nil
 	return Event{Event: "result", Status: "ok", Flow: &ent, Cached: shared}
 }
 
@@ -476,11 +479,12 @@ func (s *Server) runFlowJob(spec *JobSpec, meta *jobMeta) Event {
 // it re-derives the campaign's flow plan from the unit's parameters (the
 // plan is a pure function of them, so it matches the coordinator's), then
 // simulates the unit's index range with telemetry attached to every flow.
-// Results go through the telemetry-complete cache path when a cache is
-// configured, so a reassigned or hedged duplicate of this unit re-serves
-// bit-identical payloads from disk instead of simulating again. Either way
-// each flow ships as encoded payload bytes: a hit forwards the verified
-// entry bytes without decoding them, a computed flow is encoded once.
+// Results go through the telemetry-complete cache path (a nil cache
+// computes directly), so with a cache a reassigned or hedged duplicate of
+// this unit re-serves bit-identical payloads from disk instead of
+// simulating again. Each flow ships as encoded payload bytes: a hit
+// forwards the verified entry bytes without decoding them, a computed flow
+// is encoded once.
 func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta *jobMeta) Event {
 	cfg, err := spec.Unit.campaignConfig()
 	if err != nil {
@@ -527,48 +531,31 @@ func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta
 				fsp.SetAttr("index", strconv.Itoa(j.Index))
 				fsp.SetAttr("operator", j.Row.Operator.Name)
 			}
-			var p dataset.FlowPayload
-			var hit bool
-			var err error
-			if s.cfg.Cache != nil {
-				var csp *tracing.Span
-				if fsp != nil {
-					csp = meta.tr.StartSpan(fsp.ID(), "cache", j.Scenario.ID)
-				}
-				p, hit, err = s.cfg.Cache.GetOrComputeFull(j.Scenario, func() (dataset.CachedFlow, error) {
-					var ksp *tracing.Span
-					if fsp != nil {
-						ksp = meta.tr.StartSpan(csp.ID(), "compute", j.Scenario.ID)
-					}
-					full, err := dataset.RunFlowFull(j.Scenario)
-					if ksp != nil {
-						if err == nil {
-							ksp.SetVirtual(0, full.Telemetry.Kernel.VirtualNS)
-						}
-						ksp.End()
-					}
-					return full, err
-				})
-				if csp != nil {
-					csp.SetAttr("hit", strconv.FormatBool(hit))
-					csp.End()
-				}
-			} else {
+			// The compute span hangs under a cache span when there is a
+			// cache, directly under the flow span otherwise.
+			var csp *tracing.Span
+			computeParent := fsp.ID()
+			if fsp != nil && s.cfg.Cache != nil {
+				csp = meta.tr.StartSpan(fsp.ID(), "cache", j.Scenario.ID)
+				computeParent = csp.ID()
+			}
+			p, hit, err := s.cfg.Cache.GetOrComputeFull(j.Scenario, func() (dataset.CachedFlow, error) {
 				var ksp *tracing.Span
 				if fsp != nil {
-					ksp = meta.tr.StartSpan(fsp.ID(), "compute", j.Scenario.ID)
+					ksp = meta.tr.StartSpan(computeParent, "compute", j.Scenario.ID)
 				}
-				var full dataset.CachedFlow
-				full, err = dataset.RunFlowFull(j.Scenario)
+				full, err := dataset.RunFlowFull(j.Scenario)
 				if ksp != nil {
 					if err == nil {
 						ksp.SetVirtual(0, full.Telemetry.Kernel.VirtualNS)
 					}
 					ksp.End()
 				}
-				if err == nil {
-					p, err = dataset.EncodeFlowPayload(full)
-				}
+				return full, err
+			})
+			if csp != nil {
+				csp.SetAttr("hit", strconv.FormatBool(hit))
+				csp.End()
 			}
 			if err != nil {
 				if fsp != nil {

@@ -61,6 +61,11 @@ const (
 	timerInDue    = -2 // sitting in the sorted due batch
 )
 
+// dueCompactMin is the dispatched-prefix length from which dueAdd compacts
+// the due batch; below it the prefix is cheaper to keep until the tick
+// drains.
+const dueCompactMin = 256
+
 // dueEntry is one slot of the dense due batch: the timers of the tick being
 // dispatched, sorted by (at, seq). The gen snapshot detects entries
 // invalidated by Stop/Reschedule after the batch was formed; they are
@@ -112,7 +117,7 @@ type Simulator struct {
 func (s *Simulator) SetTelemetry(k *telemetry.Kernel) { s.tel = k }
 
 // Budget is a runaway-loop guard: it bounds how much work a simulation run
-// may do before Step refuses to execute further events. A pathological
+// may do before the kernel refuses to execute further events. A pathological
 // workload (e.g. a fault schedule that provokes a zero-delay reschedule
 // loop) then stops gracefully — the clock and queue stay intact and
 // Exhausted reports the refusal — instead of spinning forever. Zero fields
@@ -318,12 +323,19 @@ func (s *Simulator) unlink(t *Timer) {
 // current tick, e.g. zero delay) the entry is placed by binary search so the
 // batch stays dispatchable in (at, seq) order. The freshly stamped seq is
 // larger than every queued one, so equal timestamps land after their elders.
+// Once the dispatched prefix dominates the batch it is compacted away, so a
+// tick that never drains (a zero-delay event loop) holds only its pending
+// entries instead of every event it has dispatched.
 func (s *Simulator) dueAdd(t *Timer) {
 	t.level = timerInDue
 	e := dueEntry{at: t.at, seq: t.seq, gen: t.gen, t: t}
 	if s.draining {
 		s.due = append(s.due, e)
 		return
+	}
+	if s.dueHead >= dueCompactMin && 2*s.dueHead >= len(s.due) {
+		s.due = s.due[:copy(s.due, s.due[s.dueHead:])]
+		s.dueHead = 0
 	}
 	pending := s.due[s.dueHead:]
 	i, _ := slices.BinarySearchFunc(pending, e, cmpDue)
@@ -515,22 +527,6 @@ func (s *Simulator) recycle(ev *Timer) {
 	s.free = ev
 }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports whether an event was executed (false means the
-// queue is empty, or the run budget is exhausted — see Exhausted).
-func (s *Simulator) Step() bool {
-	t := s.refill()
-	if t == nil {
-		return false
-	}
-	if s.refuses(t.at) {
-		return false
-	}
-	s.dueHead++
-	s.fire(t)
-	return true
-}
-
 // RunBatch executes the next dense batch of due events — one wheel tick's
 // worth, in (at, seq) order, including events their handlers schedule back
 // into the same tick — and returns how many fired. Zero means the queue is
@@ -592,7 +588,7 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 }
 
 // invariantAuditPeriod is how many executed events separate full-wheel
-// audits in self-check mode; the cheap per-event checks run every Step.
+// audits in self-check mode; the cheap per-event checks run on every event.
 const invariantAuditPeriod = 4096
 
 // checkInvariants verifies kernel state in self-check mode. Every event it

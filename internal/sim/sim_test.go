@@ -526,6 +526,39 @@ func TestBudgetMaxEventsStopsRunawayLoop(t *testing.T) {
 	}
 }
 
+// TestZeroDelayLoopKeepsDueBounded pins the kernel's memory on a tick that
+// never drains: three interleaved zero-delay self-rescheduling chains
+// dispatch 100k events on one wheel tick. They must keep firing in
+// round-robin (at, seq) order across every compaction of the due batch,
+// and the batch must hold only its pending entries plus a bounded
+// dispatched prefix rather than every event it dispatched.
+func TestZeroDelayLoopKeepsDueBounded(t *testing.T) {
+	s := New()
+	s.SetBudget(Budget{MaxEvents: 100_000})
+	const chains = 3
+	var fired []int
+	var chain [chains]func()
+	for c := range chain {
+		chain[c] = func() {
+			fired = append(fired, c)
+			s.Schedule(0, chain[c])
+		}
+		s.Schedule(0, chain[c])
+	}
+	s.Run()
+	if !s.Exhausted() || len(fired) != 100_000 {
+		t.Fatalf("executed %d events (exhausted %v), want the 100000 budget", len(fired), s.Exhausted())
+	}
+	for i, c := range fired {
+		if c != i%chains {
+			t.Fatalf("event %d came from chain %d, want %d", i, c, i%chains)
+		}
+	}
+	if n := cap(s.due); n > 4*dueCompactMin {
+		t.Errorf("due batch grew to capacity %d, want at most %d", n, 4*dueCompactMin)
+	}
+}
+
 func TestBudgetRunUntilTerminates(t *testing.T) {
 	// The regression this guards: RunUntil must stop when Step refuses an
 	// event, not keep peeking at it forever.

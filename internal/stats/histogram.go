@@ -47,18 +47,3 @@ func (h *Histogram) Add(x float64) {
 
 // Total returns the number of samples added, including out-of-range ones.
 func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of all samples that landed in bin i,
-// or NaN when the histogram is empty.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}

@@ -112,15 +112,3 @@ func quantileSorted(sorted []float64, p float64) float64 {
 func Median(xs []float64) float64 {
 	return Quantile(xs, 0.5)
 }
-
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo
-	case x > hi:
-		return hi
-	default:
-		return x
-	}
-}

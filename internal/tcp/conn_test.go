@@ -59,7 +59,9 @@ func newHarness(t *testing.T, cfg Config) *testHarness {
 	rng := sim.NewRand(1, sim.StreamDataLoss)
 	fwd := netem.NewLink(h.sim, netem.LinkConfig{
 		Delay: netem.FixedDelay(30 * time.Millisecond),
-		Loss:  netem.NewLossFunc(h.dataLossProb, rng),
+		Loss: netem.NewTransitLossFunc(func(sent, arrival time.Duration) float64 {
+			return max(h.dataLossProb(sent), h.dataLossProb(arrival))
+		}, rng),
 	})
 	// ACK loss applies at the send epoch only (the radio sits at the start
 	// of an ACK's journey), matching the cellular channel's semantics.

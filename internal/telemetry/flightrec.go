@@ -22,7 +22,6 @@ type FlightRecorder struct {
 	next    int
 	full    bool
 	matched int64
-	keepAll bool
 }
 
 // NewFlightRecorder returns a recorder retaining the last capacity
@@ -33,10 +32,6 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	}
 	return &FlightRecorder{ring: make([]trace.Event, capacity)}
 }
-
-// SetKeepAll switches the recorder from state-transition events only to
-// every event type (a short full-detail window before a failure).
-func (r *FlightRecorder) SetKeepAll(on bool) { r.keepAll = on }
 
 // transition reports whether t is a state-transition or loss-episode event.
 func transition(t trace.EventType) bool {
@@ -50,7 +45,7 @@ func transition(t trace.EventType) bool {
 
 // Record implements trace.Recorder. It is allocation-free.
 func (r *FlightRecorder) Record(ev trace.Event) {
-	if !r.keepAll && !transition(ev.Type) {
+	if !transition(ev.Type) {
 		return
 	}
 	r.matched++

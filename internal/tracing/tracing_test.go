@@ -209,6 +209,13 @@ func TestValidate(t *testing.T) {
 		{"dangling parent", []SpanRecord{
 			{ID: "a", Parent: "ghost", EndNS: 1},
 		}, "parent ghost not in trace"},
+		{"self parent", []SpanRecord{
+			{ID: "a", Parent: "a", EndNS: 1},
+		}, "parent chain cycles"},
+		{"parent cycle", []SpanRecord{
+			{ID: "r", EndNS: 1}, {ID: "a", Parent: "b", EndNS: 1},
+			{ID: "b", Parent: "c", EndNS: 1}, {ID: "c", Parent: "a", EndNS: 1},
+		}, "parent chain cycles"},
 		{"inverted wall", []SpanRecord{
 			{ID: "a", StartNS: 10, EndNS: 5},
 		}, "wall interval inverted"},

@@ -14,7 +14,8 @@ const wallSlack = int64(2 * time.Millisecond)
 // Validate checks a span set for structural well-formedness:
 //
 //   - IDs are present and unique;
-//   - every non-empty parent reference resolves within the set;
+//   - every non-empty parent reference resolves within the set, and no
+//     parent chain cycles (a span that is its own ancestor);
 //   - every wall interval is ordered (start <= end);
 //   - same-node children nest inside their parent's wall interval (within
 //     wallSlack) — cross-node edges are exempt (clocks are not comparable),
@@ -38,6 +39,32 @@ func Validate(spans []SpanRecord) error {
 			continue
 		}
 		byID[s.ID] = s
+	}
+	// Walk each parent chain once: a chain that reaches a span already on
+	// the current walk is a cycle; one that reaches a finished span or a
+	// root is not.
+	const onWalk, walked = 1, 2
+	state := make(map[string]uint8, len(byID))
+	var walk []string
+	for i := range spans {
+		walk = walk[:0]
+		for id := spans[i].ID; id != "" && state[id] == 0; {
+			s, ok := byID[id]
+			if !ok {
+				break
+			}
+			state[id] = onWalk
+			walk = append(walk, id)
+			if state[s.Parent] == onWalk {
+				errs = append(errs, fmt.Errorf("span %s (%s %q): parent chain cycles back to %s",
+					s.ID, s.Kind, s.Name, s.Parent))
+				break
+			}
+			id = s.Parent
+		}
+		for _, id := range walk {
+			state[id] = walked
+		}
 	}
 	for i := range spans {
 		s := &spans[i]
