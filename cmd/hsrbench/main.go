@@ -277,7 +277,7 @@ func run(args []string, stdout io.Writer) error {
 				completed, total, r.Name, status, r.Wall.Round(time.Millisecond))
 		}
 	}
-	results, err := experiments.RunDAGProgress(ctx, tasks, *jobs, onDone)
+	results, err := experiments.RunDAG(ctx, tasks, *jobs, onDone)
 	if err != nil {
 		return err
 	}

@@ -193,6 +193,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 
 	results := make([]FlowResult, len(jobs))
 	states := make([]*telemetry.FlowState, len(jobs))
+	hits := make([]bool, len(jobs))
 	errs := make([]error, len(jobs))
 	var done atomic.Int64
 	par := cfg.Parallelism
@@ -224,7 +225,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 				sp.SetAttr("error", err.Error())
 			} else {
 				results[j.Index] = FlowResult{Row: j.Row, Metrics: ent.Metrics}
-				states[j.Index] = ent.Telemetry
+				states[j.Index], hits[j.Index] = ent.Telemetry, hit
 				sp.SetVirtual(0, ent.Telemetry.Kernel.VirtualNS)
 			}
 			if sp != nil {
@@ -246,10 +247,15 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	// phase: float aggregates (Dist merges) are order-sensitive, and a fixed
 	// order makes the totals bit-identical at any Parallelism. Every flow
 	// merges its restored state, hit or miss, exactly as a distributed
-	// campaign merges the states its workers ship.
+	// campaign merges the states its workers ship; only a flow this campaign
+	// simulated itself adds wall time.
 	if cfg.Telemetry != nil {
-		for _, st := range states {
-			cfg.Telemetry.AddFlow(st.Restore())
+		for i, st := range states {
+			f := st.Restore()
+			if hits[i] {
+				f.WallNS = 0
+			}
+			cfg.Telemetry.AddFlow(f)
 		}
 	}
 	return &Campaign{Config: cfg, Results: results}, nil

@@ -115,7 +115,7 @@ func TestCampaignPipelineEquivalence(t *testing.T) {
 
 // campaignCounters runs cfg with a fresh telemetry collector and returns
 // its deterministic sections (everything but wall-clock time) as JSON.
-func campaignCounters(t *testing.T, cfg CampaignConfig) []byte {
+func campaignCounters(t *testing.T, cfg CampaignConfig) ([]byte, int64) {
 	t.Helper()
 	camp := telemetry.NewCampaign()
 	cfg.Telemetry = camp
@@ -134,16 +134,18 @@ func campaignCounters(t *testing.T, cfg CampaignConfig) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw
+	return raw, camp.WallNS
 }
 
 // TestCampaignTelemetryCacheInvariant runs one small campaign uncached,
 // against a cold cache and against the then-warm cache: every flow carries
 // its telemetry through the cache, so the campaign totals are identical
-// whether the flows simulated or were served as hits.
+// whether the flows simulated or were served as hits. Wall time is the one
+// exception: only a flow the campaign simulated itself adds to it, so a
+// fully warm campaign reports none.
 func TestCampaignTelemetryCacheInvariant(t *testing.T) {
 	base := CampaignConfig{Seed: 4, FlowDuration: 10 * time.Second, FlowsPerRow: 2, Parallelism: 2}
-	want := campaignCounters(t, base)
+	want, _ := campaignCounters(t, base)
 
 	cache, err := OpenFlowCacheVersion(t.TempDir(), "test")
 	if err != nil {
@@ -151,12 +153,20 @@ func TestCampaignTelemetryCacheInvariant(t *testing.T) {
 	}
 	cached := base
 	cached.Cache = cache
-	if got := campaignCounters(t, cached); string(got) != string(want) {
+	got, coldWall := campaignCounters(t, cached)
+	if string(got) != string(want) {
 		t.Errorf("cache-cold campaign telemetry differs from uncached:\nuncached: %s\ncold:     %s", want, got)
 	}
+	if coldWall <= 0 {
+		t.Errorf("cold campaign wall_ns = %d, want > 0", coldWall)
+	}
 	cached.Parallelism = 3
-	if got := campaignCounters(t, cached); string(got) != string(want) {
+	got, warmWall := campaignCounters(t, cached)
+	if string(got) != string(want) {
 		t.Errorf("warm campaign telemetry differs from uncached:\nuncached: %s\nwarm:     %s", want, got)
+	}
+	if warmWall != 0 {
+		t.Errorf("warm campaign wall_ns = %d, want 0: every flow was a cache hit", warmWall)
 	}
 	if c := cache.Counters(); c.Hits != 8 || c.Misses != 8 || c.Errors != 0 {
 		t.Errorf("cache counters %+v, want 8 hits / 8 misses / 0 errors", c)

@@ -18,9 +18,12 @@ import (
 
 // unitFlow is one flow of a unit result, decoded: the wire form of
 // serve.UnitFlow with its payload bytes read straight into a CachedFlow.
+// Cached marks a flow the worker served from its cache (or another job's
+// simulation) rather than simulated.
 type unitFlow struct {
-	Index int                `json:"index"`
-	Flow  dataset.CachedFlow `json:"flow"`
+	Index  int                `json:"index"`
+	Flow   dataset.CachedFlow `json:"flow"`
+	Cached bool               `json:"cached"`
 }
 
 // unitEvent is the part of a serve.Event line the coordinator reads from a

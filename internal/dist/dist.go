@@ -465,6 +465,9 @@ func (c *Coordinator) RunCampaign(cfg dataset.CampaignConfig) (*dataset.Campaign
 			results[idx] = dataset.FlowResult{Row: plan[idx].Row, Metrics: uf.Flow.Metrics}
 			if flows != nil {
 				flows[idx] = uf.Flow.Telemetry.Restore()
+				if uf.Cached {
+					flows[idx].WallNS = 0 // no simulation ran for it
+				}
 			}
 		}
 	}

@@ -114,6 +114,60 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 	}
 }
 
+// TestCoordinatorWarmCampaignWallTime runs one campaign twice through two
+// workers that share a flow cache. The warm run's flows all come back as
+// cache hits: its counters equal the cold run's, and since no flow
+// simulated, it adds nothing to wall_ns.
+func TestCoordinatorWarmCampaignWallTime(t *testing.T) {
+	cache, err := dataset.OpenFlowCacheVersion(t.TempDir(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv := serve.New(serve.Config{Workers: 2, QueueDepth: 8, Cache: cache})
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(func() { ts.Close(); srv.Drain() })
+		urls = append(urls, ts.URL)
+	}
+	c, err := New(Config{
+		Workers:           urls,
+		UnitFlows:         3,
+		UnitTimeout:       30 * time.Second,
+		HeartbeatInterval: 100 * time.Millisecond,
+		Seed:              1,
+	})
+	if err != nil {
+		t.Fatalf("new coordinator: %v", err)
+	}
+	defer c.Close()
+
+	run := func() ([]byte, int64) {
+		got := telemetry.NewCampaign()
+		cfg := quickCampaign(13)
+		cfg.Telemetry = got
+		if _, err := c.RunCampaign(cfg); err != nil {
+			t.Fatalf("distributed campaign: %v", err)
+		}
+		return countersJSON(t, got), got.WallNS
+	}
+	cold, coldWall := run()
+	misses := cache.Counters().Misses
+	warm, warmWall := run()
+	if string(cold) != string(warm) {
+		t.Fatalf("warm counters differ from cold:\n%s\nvs\n%s", cold, warm)
+	}
+	if cc := cache.Counters(); cc.Misses != misses || cc.Hits < misses {
+		t.Fatalf("warm run was not served from the cache: %+v (cold misses %d)", cc, misses)
+	}
+	if coldWall <= 0 {
+		t.Errorf("cold campaign wall_ns = %d, want > 0", coldWall)
+	}
+	if warmWall != 0 {
+		t.Errorf("warm campaign wall_ns = %d, want 0: every flow was a worker cache hit", warmWall)
+	}
+}
+
 // TestCoordinatorWorkerKilledMidCampaign closes one of two workers while
 // the campaign runs: its in-flight and queued units must be retried onto
 // the survivor (or locally) and the output must stay byte-identical.

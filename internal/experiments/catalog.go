@@ -177,7 +177,7 @@ type CatalogOptions struct {
 
 // Catalog is a buildable schedule over the named experiments: the dependency
 // tasks for shared state plus one task per requested experiment. Run the
-// Tasks with RunDAGProgress; once the run returned, Sections returns every
+// Tasks with RunDAG; once the run returned, Sections returns every
 // completed experiment's section.
 type Catalog struct {
 	// Tasks is the dependency-aware schedule, in canonical render order.
@@ -238,7 +238,7 @@ func (c *Catalog) Sections() []export.Section {
 // cfg. Unknown names are an error (callers that want to ignore them filter
 // with IsCatalogName first); duplicate names collapse to one task. The
 // returned tasks run under ctx: once it is done, unstarted tasks are
-// skipped, exactly like RunDAGContext.
+// skipped, exactly as RunDAG skips them under a done context.
 func NewCatalog(ctx context.Context, cfg Config, names []string, opt CatalogOptions) (*Catalog, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -54,7 +54,7 @@ func TestCatalogRunsSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunDAG(cat.Tasks, 2)
+	results, err := RunDAG(context.Background(), cat.Tasks, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

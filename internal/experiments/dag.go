@@ -74,28 +74,20 @@ func runTask(t Task) (out string, err error) {
 // the panic is recovered into a *PanicError — only skips its dependents,
 // and every other branch of the campaign still runs to completion.
 //
+// Once ctx is done no further task starts: tasks already running finish
+// (their results stand), and every task that never started is reported
+// Skipped with the context's error, so even a cancelled campaign renders its
+// completed prefix deterministically.
+//
+// onDone, if non-nil, is invoked once per task, in completion order, with
+// the task's result and the running completed count. It runs on the single
+// coordinator goroutine, never concurrently with itself, so a progress
+// printer needs no locking against other onDone calls.
+//
 // RunDAG itself returns an error only for malformed graphs (unknown or
 // duplicate names, dependency cycles); per-task failures are reported in
 // the results.
-func RunDAG(tasks []Task, jobs int) ([]TaskResult, error) {
-	return RunDAGContext(context.Background(), tasks, jobs)
-}
-
-// RunDAGContext is RunDAG with cancellation: once ctx is done, no further
-// task starts — tasks already running finish (their results stand), and
-// every task that never started is reported Skipped with the context's
-// error. The results keep input order, so even a cancelled campaign renders
-// its completed prefix deterministically.
-func RunDAGContext(ctx context.Context, tasks []Task, jobs int) ([]TaskResult, error) {
-	return RunDAGProgress(ctx, tasks, jobs, nil)
-}
-
-// RunDAGProgress is RunDAGContext with completion notification: onDone (if
-// non-nil) is invoked once per task, in completion order, with the task's
-// result and the running completed count. It runs on the single coordinator
-// goroutine — never concurrently with itself — so a progress printer needs
-// no locking against other onDone calls.
-func RunDAGProgress(ctx context.Context, tasks []Task, jobs int, onDone func(res TaskResult, completed, total int)) ([]TaskResult, error) {
+func RunDAG(ctx context.Context, tasks []Task, jobs int, onDone func(res TaskResult, completed, total int)) ([]TaskResult, error) {
 	n := len(tasks)
 	idx := make(map[string]int, n)
 	for i, t := range tasks {

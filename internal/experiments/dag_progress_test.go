@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func TestRunDAGProgressReportsEveryTask(t *testing.T) {
+func TestRunDAGReportsEveryTask(t *testing.T) {
 	tasks := []Task{
 		{Name: "a", Run: func() (string, error) { return "A", nil }},
 		{Name: "b", Deps: []string{"a"}, Run: func() (string, error) { return "", errors.New("boom") }},
@@ -17,14 +17,14 @@ func TestRunDAGProgressReportsEveryTask(t *testing.T) {
 	seen := map[string]TaskResult{}
 	var completedSeq []int
 	total := -1
-	results, err := RunDAGProgress(context.Background(), tasks, 3,
+	results, err := RunDAG(context.Background(), tasks, 3,
 		func(res TaskResult, completed, tot int) {
 			seen[res.Name] = res
 			completedSeq = append(completedSeq, completed)
 			total = tot
 		})
 	if err != nil {
-		t.Fatalf("RunDAGProgress: %v", err)
+		t.Fatalf("RunDAG: %v", err)
 	}
 	if len(seen) != len(tasks) || total != len(tasks) {
 		t.Fatalf("onDone saw %d tasks (total %d), want %d", len(seen), total, len(tasks))
@@ -63,7 +63,7 @@ func TestRunDAGWallAndAllocTracking(t *testing.T) {
 		{Name: "skipped", Deps: []string{"fail"}, Run: func() (string, error) { return "", nil }},
 	}
 	// Sequential run: wall time and allocation deltas are both attributable.
-	results, err := RunDAG(tasks, 1)
+	results, err := RunDAG(context.Background(), tasks, 1, nil)
 	if err != nil {
 		t.Fatalf("RunDAG: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestRunDAGWallAndAllocTracking(t *testing.T) {
 
 	// Parallel run: wall is still tracked, allocation deltas are not (the
 	// process-global counters cannot be attributed to one task).
-	results, err = RunDAG(tasks, 2)
+	results, err = RunDAG(context.Background(), tasks, 2, nil)
 	if err != nil {
 		t.Fatalf("RunDAG(jobs=2): %v", err)
 	}

@@ -28,7 +28,7 @@ func TestRunDAGResultsInInputOrder(t *testing.T) {
 			},
 		})
 	}
-	res, err := RunDAG(tasks, 4)
+	res, err := RunDAG(context.Background(), tasks, 4, nil)
 	if err != nil {
 		t.Fatalf("RunDAG: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestRunDAGDependencyHappensBefore(t *testing.T) {
 	tasks := []Task{
 		link("c", "b"), link("a", ""), link("b", "a"), link("d", "c"),
 	}
-	if _, err := RunDAG(tasks, 8); err != nil {
+	if _, err := RunDAG(context.Background(), tasks, 8, nil); err != nil {
 		t.Fatalf("RunDAG: %v", err)
 	}
 	if order != "abcd" {
@@ -97,12 +97,12 @@ func TestRunDAGParallelMatchesSequential(t *testing.T) {
 		}
 		return out
 	}
-	seq, err := RunDAG(build(), 1)
+	seq, err := RunDAG(context.Background(), build(), 1, nil)
 	if err != nil {
 		t.Fatalf("sequential RunDAG: %v", err)
 	}
 	for _, jobs := range []int{2, 8, 0} {
-		par, err := RunDAG(build(), jobs)
+		par, err := RunDAG(context.Background(), build(), jobs, nil)
 		if err != nil {
 			t.Fatalf("RunDAG(jobs=%d): %v", jobs, err)
 		}
@@ -127,7 +127,7 @@ func TestRunDAGSkipsDependentsOfFailedTask(t *testing.T) {
 		}},
 		{Name: "bystander", Run: func() (string, error) { return "ok", nil }},
 	}
-	res, err := RunDAG(tasks, 4)
+	res, err := RunDAG(context.Background(), tasks, 4, nil)
 	if err != nil {
 		t.Fatalf("RunDAG: %v", err)
 	}
@@ -165,14 +165,14 @@ func TestRunDAGRejectsMalformedGraphs(t *testing.T) {
 		}, "cycle"},
 	}
 	for _, tc := range cases {
-		if _, err := RunDAG(tc.tasks, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := RunDAG(context.Background(), tc.tasks, 1, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: RunDAG error = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
 }
 
 func TestRunDAGEmpty(t *testing.T) {
-	res, err := RunDAG(nil, 4)
+	res, err := RunDAG(context.Background(), nil, 4, nil)
 	if err != nil {
 		t.Fatalf("RunDAG(nil): %v", err)
 	}
@@ -189,7 +189,7 @@ func TestRunDAGRecoversPanickingTask(t *testing.T) {
 		{Name: "c", Run: func() (string, error) { cRan = true; return "c-out", nil }},
 		{Name: "d", Deps: []string{"c"}, Run: func() (string, error) { dRan = true; return "d-out", nil }},
 	}
-	results, err := RunDAG(tasks, 2)
+	results, err := RunDAG(context.Background(), tasks, 2, nil)
 	if err != nil {
 		t.Fatalf("RunDAG: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestRunDAGRecoversPanickingTask(t *testing.T) {
 	}
 }
 
-func TestRunDAGContextCancellation(t *testing.T) {
+func TestRunDAGCancellation(t *testing.T) {
 	// The first task cancels the context while running; it must finish
 	// normally, and every task that has not started yet must be reported
 	// Skipped with the context error (including transitively).
@@ -238,9 +238,9 @@ func TestRunDAGContextCancellation(t *testing.T) {
 			return "", nil
 		}},
 	}
-	results, err := RunDAGContext(ctx, tasks, 1)
+	results, err := RunDAG(ctx, tasks, 1, nil)
 	if err != nil {
-		t.Fatalf("RunDAGContext: %v", err)
+		t.Fatalf("RunDAG: %v", err)
 	}
 	if results[0].Err != nil || results[0].Output != "first-out" {
 		t.Errorf("running task's result was disturbed: %+v", results[0])
@@ -257,15 +257,15 @@ func TestRunDAGContextCancellation(t *testing.T) {
 	}
 }
 
-func TestRunDAGContextPreCancelled(t *testing.T) {
+func TestRunDAGPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	results, err := RunDAGContext(ctx, []Task{
+	results, err := RunDAG(ctx, []Task{
 		{Name: "only", Run: func() (string, error) { ran = true; return "", nil }},
-	}, 4)
+	}, 4, nil)
 	if err != nil {
-		t.Fatalf("RunDAGContext: %v", err)
+		t.Fatalf("RunDAG: %v", err)
 	}
 	if ran {
 		t.Error("task ran under a pre-cancelled context")

@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"repro/internal/cellular"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/export"
-	"repro/internal/railway"
 	"repro/internal/stats"
 )
 
@@ -37,39 +35,26 @@ func Eifel(cfg Config) (*EifelResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
+	res := &EifelResult{Operator: cellular.ChinaMobileLTE.Name}
+	// Two levels paired by flow index: plain TCP, then the same flows with
+	// the spurious-RTO response on.
+	levels, err := runSweep(cfg, 2, cfg.PairsPerOperator*2, func(l, i int) dataset.Scenario {
+		sc := cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("eifel-%d", i),
+			cfg.Seed*613+int64(i), time.Duration(i)*31*time.Second)
+		sc.TCP.SpuriousRTORecovery = l == 1
+		return sc
+	})
 	if err != nil {
 		return nil, err
 	}
-	start, _ := trip.CruiseWindow()
-	res := &EifelResult{Operator: cellular.ChinaMobileLTE.Name}
 	var gains []float64
-	for i := 0; i < cfg.PairsPerOperator*2; i++ {
-		base := dataset.Scenario{
-			ID:           fmt.Sprintf("eifel-%d", i),
-			Operator:     cellular.ChinaMobileLTE,
-			Trip:         trip,
-			TripOffset:   start + time.Duration(i)*31*time.Second,
-			FlowDuration: cfg.FlowDuration,
-			Seed:         cfg.Seed*613 + int64(i),
-			TCP:          defaultTCP(),
-			Scenario:     "hsr",
-		}
-		_, plainStats, err := dataset.RunFlowMetrics(base)
-		if err != nil {
-			return nil, err
-		}
-		withEifel := base
-		withEifel.TCP.SpuriousRTORecovery = true
-		_, eifelStats, err := dataset.RunFlowMetrics(withEifel)
-		if err != nil {
-			return nil, err
-		}
+	for i, plain := range levels[0] {
+		eifel := levels[1][i].Stats
 		pt := EifelPoint{
-			PlainPps:           plainStats.ThroughputPps(),
-			EifelPps:           eifelStats.ThroughputPps(),
-			Timeouts:           int(eifelStats.Timeouts),
-			SpuriousRecoveries: eifelStats.SpuriousRecoveries,
+			PlainPps:           plain.Stats.ThroughputPps(),
+			EifelPps:           eifel.ThroughputPps(),
+			Timeouts:           int(eifel.Timeouts),
+			SpuriousRecoveries: eifel.SpuriousRecoveries,
 		}
 		res.Points = append(res.Points, pt)
 		res.TotalUndo += pt.SpuriousRecoveries
@@ -104,11 +89,10 @@ func (r *EifelResult) Section() export.Section {
 
 // SensitivityLevel is one handoff-duration scale factor's outcome.
 type SensitivityLevel struct {
-	Scale        float64
-	MeanRecovery time.Duration
-	MeanDPadhye  float64
-	MeanDEnh     float64
-	MeanTputPps  float64
+	Scale float64
+	flowMeans
+	MeanDPadhye float64
+	MeanDEnh    float64
 }
 
 // ChannelSensitivityResult sweeps the handoff outage duration (the
@@ -126,61 +110,34 @@ func ChannelSensitivity(cfg Config) (*ChannelSensitivityResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
+	res := &ChannelSensitivityResult{Operator: cellular.ChinaMobileLTE.Name}
+	scales := []float64{0.5, 1, 2}
+	levels, err := runSweep(cfg, len(scales), cfg.PairsPerOperator*2, func(l, i int) dataset.Scenario {
+		sc := cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("sens-%.1f-%d", scales[l], i),
+			cfg.Seed*827+int64(i), time.Duration(i)*31*time.Second)
+		sc.Operator.HandoffMin = time.Duration(float64(sc.Operator.HandoffMin) * scales[l])
+		sc.Operator.HandoffMax = time.Duration(float64(sc.Operator.HandoffMax) * scales[l])
+		return sc
+	})
 	if err != nil {
 		return nil, err
 	}
-	start, _ := trip.CruiseWindow()
-	res := &ChannelSensitivityResult{Operator: cellular.ChinaMobileLTE.Name}
-	for _, scale := range []float64{0.5, 1, 2} {
-		op := cellular.ChinaMobileLTE
-		op.HandoffMin = time.Duration(float64(op.HandoffMin) * scale)
-		op.HandoffMax = time.Duration(float64(op.HandoffMax) * scale)
-		var rec time.Duration
-		var recN int
-		var padDs, enhDs, tputs []float64
-		for i := 0; i < cfg.PairsPerOperator*2; i++ {
-			sc := dataset.Scenario{
-				ID:           fmt.Sprintf("sens-%.1f-%d", scale, i),
-				Operator:     op,
-				Trip:         trip,
-				TripOffset:   start + time.Duration(i)*31*time.Second,
-				FlowDuration: cfg.FlowDuration,
-				Seed:         cfg.Seed*827 + int64(i),
-				TCP:          defaultTCP(),
-				Scenario:     "hsr",
-			}
-			m, err := cfg.analyzeFlow(sc)
+	for l, scale := range scales {
+		var padDs, enhDs []float64
+		for _, f := range levels[l] {
+			fit, err := fitModels(f.Metrics)
 			if err != nil {
 				return nil, err
 			}
-			prm := core.ParamsFromMetrics(m)
-			pad, err := core.Padhye(prm)
-			if err != nil {
-				return nil, err
-			}
-			enh, err := core.Enhanced(prm)
-			if err != nil {
-				return nil, err
-			}
-			padDs = append(padDs, core.Deviation(pad, m.ThroughputPps))
-			enhDs = append(enhDs, core.Deviation(enh, m.ThroughputPps))
-			tputs = append(tputs, m.ThroughputPps)
-			if len(m.Recoveries) > 0 {
-				rec += m.MeanRecoveryDuration
-				recN++
-			}
+			padDs = append(padDs, fit.DPadhye)
+			enhDs = append(enhDs, fit.DEnhanced)
 		}
-		lvl := SensitivityLevel{
+		res.Levels = append(res.Levels, SensitivityLevel{
 			Scale:       scale,
+			flowMeans:   meansOf(levels[l]),
 			MeanDPadhye: stats.Mean(padDs),
 			MeanDEnh:    stats.Mean(enhDs),
-			MeanTputPps: stats.Mean(tputs),
-		}
-		if recN > 0 {
-			lvl.MeanRecovery = rec / time.Duration(recN)
-		}
-		res.Levels = append(res.Levels, lvl)
+		})
 	}
 	return res, nil
 }

@@ -7,6 +7,12 @@
 // to -report, and bench_test.go reports the headline numbers as benchmark
 // metrics. The paper's reference values live in one table (paper.go).
 //
+// The cruise-flow studies share one shape, per level N flows on the
+// Beijing–Tianjin cruise reduced to means, and one implementation of it
+// (sweep.go): cruiseFlow builds every such flow's scenario, runSweep runs a
+// study's flows through the flow cache, and meansOf reduces one level. Every
+// sweep, Eifel included, consults Config.Cache.
+//
 // Per-experiment index (see DESIGN.md for the full mapping):
 //
 //	Table1        — the dataset (paper Table I)
@@ -26,12 +32,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/dataset"
-	"repro/internal/tcp"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
 )
@@ -53,10 +56,11 @@ type Config struct {
 	PairsPerOperator int
 	// Parallelism bounds concurrent flow simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// Cache, when non-nil, is the flow result cache every campaign and
-	// metrics-only sweep consults before simulating a flow and populates
-	// afterwards (hsrbench -cache). Results are bit-identical either way;
-	// a warm cache only changes the wall clock.
+	// Cache, when non-nil, is the flow result cache both campaigns and every
+	// cruise-flow sweep (runSweep: the delayed-ACK, handoff, variant, speed,
+	// fault and Eifel studies, and BackupQ's plain flows) consult before
+	// simulating a flow and populate afterwards (hsrbench -cache). Results
+	// are bit-identical either way; a warm cache only changes the wall clock.
 	Cache *dataset.FlowCache
 	// Telemetry, when non-nil, aggregates telemetry from both shared
 	// campaigns (HSR and stationary) into one collector; totals are
@@ -130,21 +134,6 @@ type Context struct {
 	Cfg        Config
 	HSR        *dataset.Campaign
 	Stationary *dataset.Campaign
-
-	fig1Once sync.Once
-	fig1     *Figure1Result
-	fig1Err  error
-}
-
-// Figure1 returns the Context's exemplar cruise-speed flow (the paper's
-// Fig 1 trace), simulating it at most once and caching the result so
-// Figure 2, the window trace, and the benchmarks can reuse the flow trace
-// instead of re-simulating it. Safe for concurrent use.
-func (c *Context) Figure1() (*Figure1Result, error) {
-	c.fig1Once.Do(func() {
-		c.fig1, c.fig1Err = Figure1(c.Cfg)
-	})
-	return c.fig1, c.fig1Err
 }
 
 // NewContext runs the HSR and stationary campaigns for the configuration.
@@ -199,15 +188,4 @@ func NewContextWith(ctx context.Context, cfg Config) (*Context, error) {
 		return nil, fmt.Errorf("experiments: stationary campaign: %w", err)
 	}
 	return &Context{Cfg: cfg, HSR: hsr, Stationary: stat}, nil
-}
-
-// defaultTCP returns the endpoint configuration experiments use.
-func defaultTCP() tcp.Config { return tcp.DefaultConfig() }
-
-// analyzeFlow reduces one scenario to metrics through the shared result
-// cache (if any) and the streaming analyzer. Every metrics-only sweep
-// funnels through here so -cache applies uniformly.
-func (c Config) analyzeFlow(sc dataset.Scenario) (*analysis.FlowMetrics, error) {
-	ent, _, err := c.Cache.GetOrSimulate(sc)
-	return ent.Metrics, err
 }

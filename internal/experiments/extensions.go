@@ -10,20 +10,16 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/mptcp"
-	"repro/internal/railway"
 	"repro/internal/stats"
 )
 
 // DelayedAckPoint is one delayed-ACK receiver setting's outcome.
 type DelayedAckPoint struct {
-	Label            string // "b=4" or "adaptive<=8"
-	B                int
-	Adaptive         bool
-	MeanTputPps      float64
-	MeanAcksPerSec   float64
-	TimeoutSequences int
-	SpuriousTimeouts int
-	MeanAckLoss      float64
+	Label    string // "b=4" or "adaptive<=8"
+	B        int
+	Adaptive bool
+	flowMeans
+	MeanAcksPerSec float64
 }
 
 // DelayedAckResult is the Section V-A study: sweeping the delayed-ACK
@@ -41,11 +37,6 @@ func DelayedAck(cfg Config) (*DelayedAckResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
-	if err != nil {
-		return nil, err
-	}
-	start, _ := trip.CruiseWindow()
 	flows := cfg.PairsPerOperator * 2
 	res := &DelayedAckResult{Operator: cellular.ChinaMobileLTE.Name, Flows: flows}
 	type setting struct {
@@ -60,36 +51,24 @@ func DelayedAck(cfg Config) (*DelayedAckResult, error) {
 		// disturbed.
 		{"adaptive<=8", 8, true},
 	}
-	for _, set := range settings {
-		tcpCfg := defaultTCP()
-		tcpCfg.DelayedAckB = set.b
-		tcpCfg.AdaptiveDelAck = set.adaptive
-		var tput, acks, aloss stats.Running
-		pt := DelayedAckPoint{Label: set.label, B: set.b, Adaptive: set.adaptive}
-		for f := 0; f < flows; f++ {
-			sc := dataset.Scenario{
-				ID:           fmt.Sprintf("delack-%s-%d", set.label, f),
-				Operator:     cellular.ChinaMobileLTE,
-				Trip:         trip,
-				TripOffset:   start + time.Duration(f)*43*time.Second,
-				FlowDuration: cfg.FlowDuration,
-				Seed:         cfg.Seed*211 + int64(f), // same seeds across b: paired comparison
-				TCP:          tcpCfg,
-				Scenario:     "hsr",
-			}
-			m, err := cfg.analyzeFlow(sc)
-			if err != nil {
-				return nil, err
-			}
-			tput.Add(m.ThroughputPps)
-			acks.Add(float64(m.AcksSent) / cfg.FlowDuration.Seconds())
-			aloss.Add(m.AckLossRate)
-			pt.TimeoutSequences += m.TimeoutSequences
-			pt.SpuriousTimeouts += m.SpuriousTimeouts
+	levels, err := runSweep(cfg, len(settings), flows, func(l, f int) dataset.Scenario {
+		set := settings[l]
+		sc := cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("delack-%s-%d", set.label, f),
+			cfg.Seed*211+int64(f), time.Duration(f)*43*time.Second) // same seeds across b: paired comparison
+		sc.TCP.DelayedAckB = set.b
+		sc.TCP.AdaptiveDelAck = set.adaptive
+		return sc
+	})
+	if err != nil {
+		return nil, err
+	}
+	for l, set := range settings {
+		pt := DelayedAckPoint{Label: set.label, B: set.b, Adaptive: set.adaptive, flowMeans: meansOf(levels[l])}
+		var acks stats.Running
+		for _, f := range levels[l] {
+			acks.Add(float64(f.Metrics.AcksSent) / cfg.FlowDuration.Seconds())
 		}
-		pt.MeanTputPps = tput.Mean()
 		pt.MeanAcksPerSec = acks.Mean()
-		pt.MeanAckLoss = aloss.Mean()
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
@@ -243,27 +222,15 @@ func BackupQ(cfg Config) (*BackupQResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
-	if err != nil {
-		return nil, err
-	}
-	start, _ := trip.CruiseWindow()
 	res := &BackupQResult{Operator: cellular.ChinaMobileLTE.Name}
 	for i := 0; i < cfg.PairsPerOperator; i++ {
-		sc := dataset.Scenario{
-			ID:           fmt.Sprintf("backupq-%d", i),
-			Operator:     cellular.ChinaMobileLTE,
-			Trip:         trip,
-			TripOffset:   start + time.Duration(i)*47*time.Second,
-			FlowDuration: cfg.FlowDuration,
-			Seed:         cfg.Seed*389 + int64(i),
-			TCP:          defaultTCP(),
-			Scenario:     "hsr",
-		}
-		plain, err := cfg.analyzeFlow(sc)
+		sc := cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("backupq-%d", i),
+			cfg.Seed*389+int64(i), time.Duration(i)*47*time.Second)
+		ent, _, err := cfg.Cache.GetOrSimulate(sc)
 		if err != nil {
 			return nil, err
 		}
+		plain := ent.Metrics
 		backup, err := mptcp.RunBackup(sc)
 		if err != nil {
 			return nil, err

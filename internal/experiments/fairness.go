@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/faults"
-	"repro/internal/railway"
 	"repro/internal/tcp"
 	"repro/internal/telemetry"
 )
@@ -88,23 +87,13 @@ func fairnessConditions(flowDur time.Duration) []struct {
 // one per listed variant (repeat a variant to get same-CC contention).
 // Seeds are derived from cfg.Seed, the group ordinal and the flow index, so
 // every group is reproducible and distinct.
-func contendedGroup(cfg Config, trip railway.Trip, start time.Duration,
-	groupOrdinal int64, variants []tcp.Variant, schedule *faults.Schedule) ([]dataset.ContendedResult, error) {
+func contendedGroup(cfg Config, groupOrdinal int64, variants []tcp.Variant, schedule *faults.Schedule) ([]dataset.ContendedResult, error) {
 	flows := make([]dataset.Scenario, len(variants))
 	for i, v := range variants {
-		tcpCfg := defaultTCP()
-		tcpCfg.Variant = v
-		flows[i] = dataset.Scenario{
-			ID:           fmt.Sprintf("cc-%d-%s-%d", groupOrdinal, v, i),
-			Operator:     cellular.ChinaMobileLTE,
-			Trip:         trip,
-			TripOffset:   start + time.Duration(i)*17*time.Second,
-			FlowDuration: cfg.FlowDuration,
-			Seed:         cfg.Seed*700_001 + groupOrdinal*10_007 + int64(i),
-			TCP:          tcpCfg,
-			Scenario:     "hsr",
-			Faults:       schedule,
-		}
+		flows[i] = cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("cc-%d-%s-%d", groupOrdinal, v, i),
+			cfg.Seed*700_001+groupOrdinal*10_007+int64(i), time.Duration(i)*17*time.Second)
+		flows[i].TCP.Variant = v
+		flows[i].Faults = schedule
 	}
 	return dataset.RunContended(dataset.ContendedConfig{Flows: flows})
 }
@@ -114,11 +103,6 @@ func Fairness(cfg Config) (*FairnessResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
-	if err != nil {
-		return nil, err
-	}
-	start, _ := trip.CruiseWindow()
 	res := &FairnessResult{Operator: cellular.ChinaMobileLTE.Name}
 	ordinal := int64(0)
 	for _, v := range tcp.Variants() {
@@ -128,7 +112,7 @@ func Fairness(cfg Config) (*FairnessResult, error) {
 		}
 		for _, cond := range fairnessConditions(cfg.FlowDuration) {
 			ordinal++
-			flows, err := contendedGroup(cfg, trip, start, ordinal, variants, cond.schedule)
+			flows, err := contendedGroup(cfg, ordinal, variants, cond.schedule)
 			if err != nil {
 				return nil, err
 			}
@@ -185,18 +169,13 @@ func CCMix(cfg Config) (*CCMixResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
-	if err != nil {
-		return nil, err
-	}
-	start, _ := trip.CruiseWindow()
 	res := &CCMixResult{Operator: cellular.ChinaMobileLTE.Name}
 	// Ordinals continue past the fairness groups so the two experiments
 	// never share flow seeds.
 	ordinal := int64(1000)
 	for _, cond := range fairnessConditions(cfg.FlowDuration) {
 		ordinal++
-		flows, err := contendedGroup(cfg, trip, start, ordinal, tcp.Variants(), cond.schedule)
+		flows, err := contendedGroup(cfg, ordinal, tcp.Variants(), cond.schedule)
 		if err != nil {
 			return nil, err
 		}

@@ -129,7 +129,7 @@ func TestCatalogFairnessTaskPopulatesCCReport(t *testing.T) {
 	if cat.CCReport() != nil {
 		t.Fatal("CC report non-nil before any task ran")
 	}
-	results, err := RunDAG(cat.Tasks, 2)
+	results, err := RunDAG(context.Background(), cat.Tasks, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

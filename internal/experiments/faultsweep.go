@@ -10,21 +10,15 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/faults"
-	"repro/internal/railway"
 	"repro/internal/stats"
 )
 
 // FaultPoint is one fault-severity level's outcome.
 type FaultPoint struct {
-	Severity         float64
-	MeanTputPps      float64
-	MeanAckLoss      float64       // p_a
-	MeanRecLoss      float64       // q, the recovery-phase retransmission loss
-	TimeoutSequences int           // summed over the level's flows
-	SpuriousTimeouts int           // summed over the level's flows
-	MeanRecovery     time.Duration // mean timeout-recovery duration
-	PadhyeDev        float64       // mean |D| of the Padhye model
-	EnhancedDev      float64       // mean |D| of the enhanced model (Eq. 21)
+	Severity float64
+	flowMeans
+	PadhyeDev   float64 // mean |D| of the Padhye model
+	EnhancedDev float64 // mean |D| of the enhanced model (Eq. 21)
 }
 
 // FaultSweepResult is the fault-injection severity sweep: the same carrier
@@ -60,42 +54,22 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 		Schedule: sched.String(),
 		Flows:    flows,
 	}
-	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
+	levels, err := runSweep(cfg, len(faultSeverities), flows, func(l, i int) dataset.Scenario {
+		sev := faultSeverities[l]
+		sc := cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("fault-%.2f-%d", sev, i),
+			cfg.Seed*613+int64(i), time.Duration(i)*29*time.Second)
+		sc.Scenario = "faults"
+		sc.Faults = sched.Scale(sev)
+		return sc
+	})
 	if err != nil {
 		return nil, err
 	}
-	offsetBase, _ := trip.CruiseWindow()
-	for _, sev := range faultSeverities {
-		scaled := sched.Scale(sev)
-		pt := FaultPoint{Severity: sev}
-		var tput, aloss, rloss, padDev, enhDev stats.Running
-		var rec time.Duration
-		var recN int
-		for i := 0; i < flows; i++ {
-			sc := dataset.Scenario{
-				ID:           fmt.Sprintf("fault-%.2f-%d", sev, i),
-				Operator:     cellular.ChinaMobileLTE,
-				Trip:         trip,
-				TripOffset:   offsetBase + time.Duration(i)*29*time.Second,
-				FlowDuration: cfg.FlowDuration,
-				Seed:         cfg.Seed*613 + int64(i),
-				TCP:          defaultTCP(),
-				Scenario:     "faults",
-				Faults:       scaled,
-			}
-			m, err := cfg.analyzeFlow(sc)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fault sweep severity %.2f: %w", sev, err)
-			}
-			tput.Add(m.ThroughputPps)
-			aloss.Add(m.AckLossRate)
-			rloss.Add(m.RecoveryLossRate)
-			pt.TimeoutSequences += m.TimeoutSequences
-			pt.SpuriousTimeouts += m.SpuriousTimeouts
-			if len(m.Recoveries) > 0 {
-				rec += m.MeanRecoveryDuration
-				recN++
-			}
+	for l, sev := range faultSeverities {
+		pt := FaultPoint{Severity: sev, flowMeans: meansOf(levels[l])}
+		var padDev, enhDev stats.Running
+		for _, f := range levels[l] {
+			m := f.Metrics
 			prm := core.ParamsFromMetrics(m)
 			if pad, err := core.Padhye(prm); err == nil {
 				if d := math.Abs(core.Deviation(pad, m.ThroughputPps)); !math.IsNaN(d) {
@@ -108,14 +82,8 @@ func FaultSweep(cfg Config) (*FaultSweepResult, error) {
 				}
 			}
 		}
-		pt.MeanTputPps = tput.Mean()
-		pt.MeanAckLoss = aloss.Mean()
-		pt.MeanRecLoss = rloss.Mean()
 		pt.PadhyeDev = padDev.Mean()
 		pt.EnhancedDev = enhDev.Mean()
-		if recN > 0 {
-			pt.MeanRecovery = rec / time.Duration(recN)
-		}
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cellular"
 	"repro/internal/dataset"
 	"repro/internal/export"
-	"repro/internal/railway"
 	"repro/internal/trace"
 )
 
@@ -34,24 +33,11 @@ func Figure1(cfg Config) (*Figure1Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
-	if err != nil {
-		return nil, err
-	}
-	start, _ := trip.CruiseWindow()
 	const minTimeouts = 6
 	var best *Figure1Result
 	for attempt := int64(0); attempt < 16; attempt++ {
-		sc := dataset.Scenario{
-			ID:           fmt.Sprintf("fig1-%d", attempt),
-			Operator:     cellular.ChinaMobileLTE,
-			Trip:         trip,
-			TripOffset:   start + time.Duration(attempt)*37*time.Second,
-			FlowDuration: cfg.FlowDuration,
-			Seed:         cfg.Seed*131 + attempt,
-			TCP:          defaultTCP(),
-			Scenario:     "hsr",
-		}
+		sc := cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("fig1-%d", attempt),
+			cfg.Seed*131+attempt, time.Duration(attempt)*37*time.Second)
 		ft, _, err := dataset.RunFlow(sc)
 		if err != nil {
 			return nil, err

@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"repro/internal/cellular"
-	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/mptcp"
-	"repro/internal/railway"
 	"repro/internal/stats"
 )
 
@@ -39,11 +37,6 @@ func Figure12(cfg Config) (*Figure12Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
-	if err != nil {
-		return nil, err
-	}
-	start, _ := trip.CruiseWindow()
 	// A generous horizon: dead zones can stall a sized flow for a long time.
 	horizon := 10 * cfg.FlowDuration
 	if horizon < 5*time.Minute {
@@ -54,16 +47,9 @@ func Figure12(cfg Config) (*Figure12Result, error) {
 		agg := Figure12Operator{Name: op.Name}
 		var imps []float64
 		for pair := 0; pair < cfg.PairsPerOperator; pair++ {
-			sc := dataset.Scenario{
-				ID:           fmt.Sprintf("fig12-%s-%d", op.Name, pair),
-				Operator:     op,
-				Trip:         trip,
-				TripOffset:   start + time.Duration(pair)*41*time.Second,
-				FlowDuration: horizon,
-				Seed:         cfg.Seed*977 + int64(pair),
-				TCP:          defaultTCP(),
-				Scenario:     "hsr",
-			}
+			sc := cruiseFlow(cfg, op, fmt.Sprintf("fig12-%s-%d", op.Name, pair),
+				cfg.Seed*977+int64(pair), time.Duration(pair)*41*time.Second)
+			sc.FlowDuration = horizon
 			single, duplex, imp, err := mptcp.CompareSized(sc, cfg.SizedSegments)
 			if err != nil {
 				return nil, err

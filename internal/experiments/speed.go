@@ -8,16 +8,12 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/railway"
-	"repro/internal/stats"
 )
 
 // SpeedPoint is one cruise-speed level's outcome.
 type SpeedPoint struct {
-	SpeedKmh         float64
-	MeanTputPps      float64
-	MeanAckLoss      float64
-	TimeoutSequences int
-	MeanRecovery     time.Duration
+	SpeedKmh float64
+	flowMeans
 }
 
 // SpeedSweepResult reproduces the premise the paper builds on (its
@@ -40,56 +36,33 @@ func SpeedSweep(cfg Config) (*SpeedSweepResult, error) {
 	}
 	flows := cfg.PairsPerOperator * 2
 	res := &SpeedSweepResult{Operator: cellular.ChinaMobileLTE.Name, Flows: flows}
-	for _, speed := range []float64{0, 100, 200, 300} {
+	speeds := []float64{0, 100, 200, 300}
+	trips := make([]railway.Trip, len(speeds))
+	for l, speed := range speeds {
 		profile := railway.StationaryProfile
 		if speed > 0 {
 			profile = railway.SpeedProfile{CruiseKmh: speed, AccelMS2: 0.35}
 		}
-		trip, err := railway.NewTrip(railway.BeijingTianjin, profile)
-		if err != nil {
+		var err error
+		if trips[l], err = railway.NewTrip(railway.BeijingTianjin, profile); err != nil {
 			return nil, err
 		}
-		var offsetBase time.Duration
-		if !trip.Stationary() {
-			offsetBase, _ = trip.CruiseWindow()
+	}
+	levels, err := runSweep(cfg, len(speeds), flows, func(l, i int) dataset.Scenario {
+		sc := cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("speed-%.0f-%d", speeds[l], i), cfg.Seed*271+int64(i), 0)
+		sc.Trip, sc.TripOffset = trips[l], 0
+		if !sc.Trip.Stationary() {
+			start, _ := sc.Trip.CruiseWindow()
+			sc.TripOffset = start + time.Duration(i)*23*time.Second
 		}
-		pt := SpeedPoint{SpeedKmh: speed}
-		var tput, aloss stats.Running
-		var rec time.Duration
-		var recN int
-		for i := 0; i < flows; i++ {
-			offset := offsetBase
-			if !trip.Stationary() {
-				offset += time.Duration(i) * 23 * time.Second
-			}
-			sc := dataset.Scenario{
-				ID:           fmt.Sprintf("speed-%.0f-%d", speed, i),
-				Operator:     cellular.ChinaMobileLTE,
-				Trip:         trip,
-				TripOffset:   offset,
-				FlowDuration: cfg.FlowDuration,
-				Seed:         cfg.Seed*271 + int64(i),
-				TCP:          defaultTCP(),
-				Scenario:     fmt.Sprintf("speed-%.0f", speed),
-			}
-			m, err := cfg.analyzeFlow(sc)
-			if err != nil {
-				return nil, err
-			}
-			tput.Add(m.ThroughputPps)
-			aloss.Add(m.AckLossRate)
-			pt.TimeoutSequences += m.TimeoutSequences
-			if len(m.Recoveries) > 0 {
-				rec += m.MeanRecoveryDuration
-				recN++
-			}
-		}
-		pt.MeanTputPps = tput.Mean()
-		pt.MeanAckLoss = aloss.Mean()
-		if recN > 0 {
-			pt.MeanRecovery = rec / time.Duration(recN)
-		}
-		res.Points = append(res.Points, pt)
+		sc.Scenario = fmt.Sprintf("speed-%.0f", speeds[l])
+		return sc
+	})
+	if err != nil {
+		return nil, err
+	}
+	for l, speed := range speeds {
+		res.Points = append(res.Points, SpeedPoint{SpeedKmh: speed, flowMeans: meansOf(levels[l])})
 	}
 	return res, nil
 }

@@ -21,7 +21,7 @@ func renderCatalog(t *testing.T, jobs int, tr *tracing.Trace, parent string) str
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := RunDAG(cat.Tasks, jobs)
+	results, err := RunDAG(context.Background(), cat.Tasks, jobs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

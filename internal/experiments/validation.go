@@ -87,7 +87,7 @@ func runStaticFlow(cfg Config, pd float64) (float64, *analysis.FlowMetrics, erro
 	rev := netem.NewLink(s, netem.LinkConfig{
 		Delay: netem.NewUniformDelay(28*time.Millisecond, 4*time.Millisecond, sim.NewRand(cfg.Seed+1, sim.StreamDelay)),
 	})
-	tcpCfg := defaultTCP()
+	tcpCfg := tcp.DefaultConfig()
 	tcpCfg.WindowLimit = 64 // keep the sweep in the unconstrained regime
 	id := fmt.Sprintf("static-%.4f", pd)
 	inc := analysis.AcquireIncremental(trace.FlowMeta{

@@ -7,19 +7,14 @@ import (
 	"repro/internal/cellular"
 	"repro/internal/dataset"
 	"repro/internal/export"
-	"repro/internal/railway"
-	"repro/internal/stats"
 	"repro/internal/tcp"
 )
 
 // VariantOutcome summarizes one congestion-control variant on the HSR
 // channel.
 type VariantOutcome struct {
-	Name             string
-	MeanTputPps      float64
-	TimeoutSequences int
-	SpuriousTimeouts int
-	MeanRecovery     time.Duration
+	Name string
+	flowMeans
 }
 
 // VariantsResult compares TCP Reno (the paper's subject) with NewReno on
@@ -39,48 +34,20 @@ func Variants(cfg Config) (*VariantsResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trip, err := railway.NewTrip(railway.BeijingTianjin, railway.DefaultProfile)
+	flows := cfg.PairsPerOperator * 2
+	res := &VariantsResult{Operator: cellular.ChinaMobileLTE.Name, Flows: flows}
+	variants := []tcp.Variant{tcp.VariantReno, tcp.VariantNewReno}
+	levels, err := runSweep(cfg, len(variants), flows, func(l, i int) dataset.Scenario {
+		sc := cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("variant-%s-%d", variants[l], i),
+			cfg.Seed*449+int64(i), time.Duration(i)*31*time.Second) // seeds paired across variants
+		sc.TCP.Variant = variants[l]
+		return sc
+	})
 	if err != nil {
 		return nil, err
 	}
-	start, _ := trip.CruiseWindow()
-	flows := cfg.PairsPerOperator * 2
-	res := &VariantsResult{Operator: cellular.ChinaMobileLTE.Name, Flows: flows}
-	for _, v := range []tcp.Variant{tcp.VariantReno, tcp.VariantNewReno} {
-		tcpCfg := defaultTCP()
-		tcpCfg.Variant = v
-		var tput stats.Running
-		var rec time.Duration
-		var recN int
-		out := VariantOutcome{Name: v.String()}
-		for i := 0; i < flows; i++ {
-			sc := dataset.Scenario{
-				ID:           fmt.Sprintf("variant-%s-%d", v, i),
-				Operator:     cellular.ChinaMobileLTE,
-				Trip:         trip,
-				TripOffset:   start + time.Duration(i)*31*time.Second,
-				FlowDuration: cfg.FlowDuration,
-				Seed:         cfg.Seed*449 + int64(i), // paired across variants
-				TCP:          tcpCfg,
-				Scenario:     "hsr",
-			}
-			m, err := cfg.analyzeFlow(sc)
-			if err != nil {
-				return nil, err
-			}
-			tput.Add(m.ThroughputPps)
-			out.TimeoutSequences += m.TimeoutSequences
-			out.SpuriousTimeouts += m.SpuriousTimeouts
-			if len(m.Recoveries) > 0 {
-				rec += m.MeanRecoveryDuration
-				recN++
-			}
-		}
-		out.MeanTputPps = tput.Mean()
-		if recN > 0 {
-			out.MeanRecovery = rec / time.Duration(recN)
-		}
-		res.Outcomes = append(res.Outcomes, out)
+	for l, v := range variants {
+		res.Outcomes = append(res.Outcomes, VariantOutcome{Name: v.String(), flowMeans: meansOf(levels[l])})
 	}
 	return res, nil
 }

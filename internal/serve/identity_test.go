@@ -34,7 +34,7 @@ func directCampaignReport(t *testing.T, cache *dataset.FlowCache) *telemetry.Rep
 	if err != nil {
 		t.Fatalf("catalog: %v", err)
 	}
-	results, err := experiments.RunDAGProgress(context.Background(), cat.Tasks, 1, nil)
+	results, err := experiments.RunDAG(context.Background(), cat.Tasks, 1, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

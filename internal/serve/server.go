@@ -610,7 +610,7 @@ func (s *Server) runScheduledJob(ctx context.Context, spec *JobSpec, st *stream,
 	if err != nil {
 		return Event{Event: "error", Status: "error", Error: err.Error()}
 	}
-	results, err := experiments.RunDAGProgress(ctx, cat.Tasks, s.cfg.DAGJobs,
+	results, err := experiments.RunDAG(ctx, cat.Tasks, s.cfg.DAGJobs,
 		func(res experiments.TaskResult, completed, total int) {
 			status := "ok"
 			switch {
