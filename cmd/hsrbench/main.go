@@ -89,7 +89,7 @@ func run(args []string, stdout io.Writer) error {
 	csvDir := fs.String("csv", "", "also write figure series as CSV files into this directory")
 	reportPath := fs.String("report", "", "also write the selected experiments as a markdown report to this file, from the same results stdout prints")
 	progress := fs.Bool("progress", false, "print flow and experiment completion progress to stderr")
-	cacheDir := fs.String("cache", "", "flow result cache directory: serve (scenario, seed, version)-keyed flow metrics from disk instead of re-simulating, and store every simulated flow")
+	cacheDir := fs.String("cache", "", "flow result cache directory: the Table I campaigns and the cruise-flow sweeps (delack, sensitivity, variants, speed, faults, eifel, backupq's single-path flows) serve (scenario, seed, version)-keyed flows from disk instead of re-simulating and store the flows they simulate; fig1/fig2/window, fig12, backupq's MPTCP runs, validation and fairness/ccmix always simulate")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "bound the cache directory's entry bytes, evicting oldest entries first (0 = unbounded)")
 	metricsPath := fs.String("metrics", "", "write a JSON telemetry report (kernel/TCP/link/fault counters, per-task resources) to this file")
 	traceOut := fs.String("trace-out", "", "write the run's span trace (task, campaign and flow spans with wall and virtual timelines) to this file in the Perfetto/Chrome trace-event format")

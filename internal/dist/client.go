@@ -104,8 +104,11 @@ func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string)
 // retry path instead of reaching campaign assembly. The terminal event's
 // span batch is returned whenever one arrived.
 func readUnitResult(r io.Reader, start, end int) ([]unitFlow, []tracing.SpanRecord, error) {
+	// The buffer starts small and grows to the longest line (a 16-flow unit
+	// is ~64 KB); the 64 MiB cap bounds what a hostile worker can make the
+	// coordinator hold.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	sc.Buffer(nil, 1<<26)
 	var terminal *unitEvent
 	for sc.Scan() {
 		var e unitEvent

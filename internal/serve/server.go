@@ -349,7 +349,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Job-Id", jobID)
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
 	alive := true
 	writeEvent := func(e Event) {
 		if !alive {
@@ -363,7 +362,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		// (test recorders don't support it); a plain write error means the
 		// client is gone and aborts the same way.
 		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
-		if err := enc.Encode(e); err != nil {
+		if err := WriteEvent(w, &e); err != nil {
 			alive = false
 			s.streamsAborted.Add(1)
 			st.abort()
@@ -411,7 +410,7 @@ func (s *Server) runJob(ctx context.Context, jobID string, spec *JobSpec, st *st
 	case KindFlow:
 		terminal = s.runFlowJob(spec, meta)
 	case KindUnit:
-		terminal = s.runUnitJob(ctx, spec, st, meta)
+		terminal = s.runUnitJob(ctx, spec, meta)
 	default:
 		terminal = s.runScheduledJob(ctx, spec, st, start, meta)
 	}
@@ -484,8 +483,10 @@ func (s *Server) runFlowJob(spec *JobSpec, meta *jobMeta) Event {
 // this unit re-serves bit-identical payloads from disk instead of
 // simulating again. Each flow ships as encoded payload bytes: a hit
 // forwards the verified entry bytes without decoding them, a computed flow
-// is encoded once.
-func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta *jobMeta) Event {
+// is encoded once, and WriteEvent copies both onto the wire verbatim. A unit
+// job streams no progress: its only reader, the coordinator, waits for the
+// terminal line.
+func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, meta *jobMeta) Event {
 	cfg, err := spec.Unit.campaignConfig()
 	if err != nil {
 		return Event{Event: "error", Status: "error", Error: err.Error()}
@@ -513,7 +514,7 @@ func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	var done, hits atomic.Int64
+	var hits atomic.Int64
 	for i := start; i < end; i++ {
 		if ctx.Err() != nil {
 			errs[i-start] = fmt.Errorf("flow %s: %w", plan[i].Scenario.ID, ctx.Err())
@@ -574,7 +575,6 @@ func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, st *stream, meta
 				fsp.End()
 			}
 			res.Flows[j.Index-start] = UnitFlow{Index: j.Index, Flow: p.JSON, Cached: hit}
-			st.tryEmit(Event{Event: "flows", Done: int(done.Add(1)), Total: end - start})
 		}()
 	}
 	wg.Wait()

@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"strconv"
 	"sync"
 
 	"repro/internal/dataset"
@@ -10,8 +14,9 @@ import (
 )
 
 // Event is one NDJSON line of a job's response stream. The first line is
-// always "accepted"; "flows" and "task" lines report progress while the job
-// runs; exactly one terminal "result" or "error" line closes the stream.
+// always "accepted"; "flows" and "task" lines report a campaign or
+// experiment job's progress while it runs (a unit job sends none); exactly
+// one terminal "result" or "error" line closes the stream.
 type Event struct {
 	// Event is the line type: accepted, flows, task, result, error.
 	Event string `json:"event"`
@@ -67,7 +72,8 @@ type UnitResult struct {
 // cache-entry payload (a dataset.CachedFlow with metrics, endpoint stats and
 // exact telemetry state) as the encoded bytes a cache entry stores — a
 // cached flow ships its verified entry bytes unchanged, an uncached one the
-// same bytes encoded once.
+// same bytes encoded once. WriteEvent copies Flow onto the wire verbatim, so
+// it must already be valid JSON.
 type UnitFlow struct {
 	Index  int             `json:"index"`
 	Flow   json.RawMessage `json:"flow"`
@@ -85,6 +91,111 @@ type Summary struct {
 type TaskOutput struct {
 	Name   string `json:"name"`
 	Output string `json:"output"`
+}
+
+// WriteEvent writes e to w as one NDJSON line: the bytes
+// json.NewEncoder(w).Encode(e) writes, except that a unit result's flow
+// payloads are copied verbatim instead of being re-validated and compacted
+// by the encoder. They need neither: a cached payload passed the cache's
+// checksum and json.Valid on its way out, and a computed one is what
+// json.Marshal just wrote, which is already compact. A payload holding a
+// newline (insignificant whitespace an entry could carry) is compacted so
+// it cannot split the line. The envelope goes through encoding/json, and
+// the pieces go to w as they are built, so a buffered w never holds the
+// whole line.
+func WriteEvent(w io.Writer, e *Event) error {
+	if e.Unit == nil {
+		return json.NewEncoder(w).Encode(e)
+	}
+	// Unit and Spans are Event's last two fields: encode the rest, reopen
+	// the object and append them in field order.
+	env := *e
+	env.Unit, env.Spans = nil, nil
+	head, err := json.Marshal(&env)
+	if err != nil {
+		return err
+	}
+	var spans []byte
+	if len(e.Spans) > 0 {
+		if spans, err = json.Marshal(e.Spans); err != nil {
+			return err
+		}
+	}
+	lw := lineWriter{w: w}
+	lw.write(head[:len(head)-1])
+	u := e.Unit
+	buf := make([]byte, 0, 64)
+	buf = append(buf, `,"unit":{"start":`...)
+	buf = strconv.AppendInt(buf, int64(u.Start), 10)
+	buf = append(buf, `,"end":`...)
+	buf = strconv.AppendInt(buf, int64(u.End), 10)
+	buf = append(buf, `,"flows":`...)
+	if u.Flows == nil {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for i, f := range u.Flows {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, `{"index":`...)
+			buf = strconv.AppendInt(buf, int64(f.Index), 10)
+			buf = append(buf, `,"flow":`...)
+			lw.write(buf)
+			buf = buf[:0]
+			lw.payload(f.Flow)
+			if f.Cached {
+				buf = append(buf, `,"cached":true`...)
+			}
+			buf = append(buf, '}')
+		}
+		buf = append(buf, ']')
+	}
+	if u.CacheHits != 0 {
+		buf = append(buf, `,"cache_hits":`...)
+		buf = strconv.AppendInt(buf, int64(u.CacheHits), 10)
+	}
+	buf = append(buf, '}')
+	if spans != nil {
+		buf = append(buf, `,"spans":`...)
+		lw.write(buf)
+		buf = buf[:0]
+		lw.write(spans)
+	}
+	lw.write(append(buf, "}\n"...))
+	return lw.err
+}
+
+// lineWriter writes the pieces of one event line, keeping the first error.
+type lineWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (lw *lineWriter) write(p []byte) {
+	if lw.err == nil {
+		_, lw.err = lw.w.Write(p)
+	}
+}
+
+// payload writes one flow's encoded bytes: null when empty, like
+// json.RawMessage; compacted when a newline would split the line.
+func (lw *lineWriter) payload(p []byte) {
+	switch {
+	case len(p) == 0:
+		lw.write([]byte("null"))
+	case bytes.IndexByte(p, '\n') >= 0:
+		var c bytes.Buffer
+		if err := json.Compact(&c, p); err != nil {
+			if lw.err == nil {
+				lw.err = fmt.Errorf("serve: unit flow payload: %w", err)
+			}
+			return
+		}
+		lw.write(c.Bytes())
+	default:
+		lw.write(p)
+	}
 }
 
 // stream carries a job's events from the worker goroutine to the HTTP

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/telemetry"
+	"repro/internal/tracing"
 )
 
 // countersJSON marshals a campaign's deterministic counter sections (the
@@ -222,5 +223,89 @@ func TestStreamAbortUnblocksEmit(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("emit blocked on a full, aborted stream")
+	}
+}
+
+// TestWriteEventMatchesEncoder pins the unit-result writer to encoding/json:
+// for unit results built from real cache payloads, WriteEvent's line is
+// byte-identical to json.NewEncoder(w).Encode(e) — cached and computed
+// flows, with and without cache hits, with and without a span batch.
+func TestWriteEventMatchesEncoder(t *testing.T) {
+	cache, err := dataset.OpenFlowCacheVersion(t.TempDir(), "test")
+	if err != nil {
+		t.Fatalf("open cache: %v", err)
+	}
+	plan, err := dataset.PlanCampaign(dataset.CampaignConfig{Seed: 4, FlowDuration: 2 * time.Second, FlowsPerRow: 1})
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	payload := func(i int) []byte {
+		p, _, err := cache.GetOrComputeFull(plan[i].Scenario, func() (dataset.CachedFlow, error) {
+			return dataset.RunFlowFull(plan[i].Scenario)
+		})
+		if err != nil {
+			t.Fatalf("flow %d: %v", i, err)
+		}
+		return p.JSON
+	}
+	computed := []UnitFlow{{Index: 0, Flow: payload(0)}, {Index: 1, Flow: payload(1)}}
+	hit := []UnitFlow{{Index: 0, Flow: payload(0), Cached: true}, {Index: 1, Flow: payload(1), Cached: true}}
+	mixed := []UnitFlow{{Index: 0, Flow: payload(0), Cached: true}, {Index: 1, Flow: payload(1)}}
+
+	tr := tracing.New("trace-<&>")
+	sp := tr.StartSpan("", "job", "job-1")
+	sp.SetAttr("unit", "[0,2) <&>  ")
+	sp.End()
+	spans := tr.Spans()
+
+	units := map[string]*UnitResult{
+		"computed":    {Start: 0, End: 2, Flows: computed},
+		"all hits":    {Start: 0, End: 2, Flows: hit, CacheHits: 2},
+		"mixed":       {Start: 0, End: 2, Flows: mixed, CacheHits: 1},
+		"empty":       {Start: 5, End: 5, Flows: []UnitFlow{}},
+		"nil flows":   {Start: 5, End: 5},
+		"nil payload": {Start: 9, End: 10, Flows: []UnitFlow{{Index: 9}}},
+	}
+	for name, u := range units {
+		for _, withSpans := range []bool{false, true} {
+			e := Event{Event: "result", JobID: "job-7", Version: "v1", Status: "ok", ElapsedMS: 12.5, Unit: u}
+			if withSpans {
+				e.Spans = spans
+			}
+			var want, got bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(e); err != nil {
+				t.Fatalf("%s: encode: %v", name, err)
+			}
+			if err := WriteEvent(&got, &e); err != nil {
+				t.Fatalf("%s: WriteEvent: %v", name, err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s (spans %v): WriteEvent diverged from encoding/json:\n%s\nvs\n%s", name, withSpans, got.Bytes(), want.Bytes())
+			}
+		}
+	}
+}
+
+// TestUnitJobStreamsNoProgress checks a unit job's stream is exactly two
+// lines, accepted and the terminal one: per-flow progress has no reader on
+// a unit stream, so none is sent.
+func TestUnitJobStreamsNoProgress(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 2})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp := postJob(t, ts.Client(), ts.URL, `{"kind":"unit","unit":{"seed":3,"duration":"2s","flows_per_row":1,"start":0,"end":4}}`)
+	defer resp.Body.Close()
+	events := readEvents(t, resp.Body)
+	if len(events) != 2 || events[0].Event != "accepted" || events[1].Event != "result" {
+		kinds := make([]string, len(events))
+		for i, e := range events {
+			kinds[i] = e.Event
+		}
+		t.Fatalf("unit stream lines %v, want [accepted result]", kinds)
+	}
+	if n := len(events[1].Unit.Flows); n != 4 {
+		t.Fatalf("unit result carries %d flows, want 4", n)
 	}
 }
