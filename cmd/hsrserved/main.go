@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -54,7 +55,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/dataset"
 	"repro/internal/dist"
-	"repro/internal/logging"
 	"repro/internal/serve"
 )
 
@@ -98,11 +98,11 @@ func run(args []string) error {
 		return nil
 	}
 
-	level, err := logging.ParseLevel(*logLevel)
-	if err != nil {
-		return err
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("-log-level: %w", err)
 	}
-	log := logging.New(os.Stderr, level, "svc", "hsrserved")
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})).With("svc", "hsrserved")
 	cfg := serve.Config{
 		Workers:            *workers,
 		QueueDepth:         *queue,

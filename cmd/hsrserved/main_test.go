@@ -24,3 +24,10 @@ func TestBadCacheDir(t *testing.T) {
 		t.Fatalf("bad cache dir: %v", err)
 	}
 }
+
+func TestBadLogLevel(t *testing.T) {
+	err := run([]string{"-log-level", "loud", "-addr", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), "-log-level") {
+		t.Fatalf("bad log level: %v", err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -69,8 +70,8 @@ type FlowCache struct {
 	evictMu   sync.Mutex
 
 	// flightMu/flight deduplicate concurrent computations of the same key:
-	// the first caller (of GetOrSimulate or GetOrComputeFull) for a missing
-	// key simulates, everyone else waits for its result.
+	// the first caller (GetOrSimulate or RunPlan) for a missing key
+	// simulates, everyone else waits for its result.
 	flightMu sync.Mutex
 	flight   map[string]*flightCall
 }
@@ -105,14 +106,28 @@ func OpenFlowCacheVersion(dir, version string) (*FlowCache, error) {
 
 // CachedFlow is one cache entry's payload: a flow's metrics, its endpoint
 // stats and its exact telemetry bundle in wire form. Every entry that
-// GetOrSimulate and GetOrComputeFull write carries Telemetry, so a campaign
-// restores a hit's kernel/TCP/link counters bit for bit, exactly as if the
-// flow had simulated again. Only Put writes entries without it; those
-// decode for Get and are a miss for the telemetry-complete reads.
+// GetOrSimulate and RunPlan write carries Telemetry, so a campaign restores
+// a hit's kernel/TCP/link counters bit for bit, exactly as if the flow had
+// simulated again. Only Put writes entries without it; those decode for Get
+// and are a miss for the telemetry-complete reads.
 type CachedFlow struct {
 	Metrics   *analysis.FlowMetrics `json:"metrics"`
 	Stats     tcp.Stats             `json:"stats"`
 	Telemetry *telemetry.FlowState  `json:"telemetry,omitempty"`
+}
+
+// CheckComplete is the one completeness check for a telemetry-complete
+// result read from outside the process (a cache entry or a worker's unit
+// line): metrics and telemetry present, and a telemetry state that passes
+// FlowState.Validate, so a campaign can restore and merge it.
+func (f *CachedFlow) CheckComplete() error {
+	switch {
+	case f.Metrics == nil:
+		return errors.New("missing metrics")
+	case f.Telemetry == nil:
+		return errors.New("missing telemetry")
+	}
+	return f.Telemetry.Validate()
 }
 
 // FlowPayload is a telemetry-complete flow result in wire form: JSON holds
@@ -220,6 +235,14 @@ type flowResult struct {
 	payload FlowPayload
 }
 
+// virtualNS is the flow's simulated duration, from whichever form it has.
+func (r flowResult) virtualNS() int64 {
+	if r.payload.JSON != nil {
+		return r.payload.VirtualNS
+	}
+	return r.ent.Telemetry.Kernel.VirtualNS
+}
+
 // getFull serves a telemetry-complete entry's verified payload bytes. With
 // decode set it also decodes them into ent; without, the bytes are served
 // undecoded. A metrics-only entry is a plain miss (the caller recomputes and
@@ -276,32 +299,22 @@ func (c *FlowCache) served(raw []byte) {
 	c.hits.Add(1)
 }
 
-// GetOrSimulate is the one cache-or-simulate call: it returns the
-// scenario's telemetry-complete result, served from a verified full entry
-// when the cache holds one and simulated with RunFlowFull (then stored)
-// otherwise. Concurrent misses of one key simulate once: shared reports
-// that the result came from the cache or another caller's simulation
-// rather than this call's own (no simulation work of its own happened). A
-// nil cache simulates directly (shared is then false). A simulation error
-// is returned to the leader and every waiter, and nothing is stored.
+// GetOrSimulate returns one scenario's telemetry-complete result, served
+// from a verified full entry when the cache holds one and simulated (then
+// stored) otherwise. Concurrent misses of one key simulate once: shared
+// reports that the result came from the cache or another caller's
+// simulation rather than this call's own (no simulation work of its own
+// happened). A nil cache simulates directly (shared is then false). A
+// simulation error is returned to the leader and every waiter, and nothing
+// is stored. Flows of a campaign plan go through RunPlan instead.
 func (c *FlowCache) GetOrSimulate(sc Scenario) (CachedFlow, bool, error) {
-	r, shared, err := c.getOrCompute(sc, true, func() (CachedFlow, error) { return RunFlowFull(sc) })
+	r, shared, err := c.getOrCompute(sc, true, func() (CachedFlow, error) { return runFlowFull(sc) })
 	return r.ent, shared, err
 }
 
-// GetOrComputeFull is GetOrSimulate in wire form, with the caller's compute
-// (distributed work-unit execution wraps RunFlowFull in trace spans): a hit
-// returns the entry's checksum-verified payload bytes and header duration
-// without decoding them. compute's result must carry metrics and
-// telemetry; it is encoded once, and the stored entry and the returned
-// payload share those bytes. A nil cache computes directly.
-func (c *FlowCache) GetOrComputeFull(sc Scenario, compute func() (CachedFlow, error)) (FlowPayload, bool, error) {
-	r, shared, err := c.getOrCompute(sc, false, compute)
-	return r.payload, shared, err
-}
-
-// getOrCompute is the one cached read-or-compute under both public calls.
-// A verified full entry is a hit (decoded when decode is set). Otherwise
+// getOrCompute is the one cached read-or-compute, under GetOrSimulate and
+// RunPlan. compute must return a telemetry-complete result. A verified full
+// entry is a hit (served as bytes only unless decode is set). Otherwise
 // compute runs as the key's only in-flight computation, its result is
 // encoded once and stored, and the leader and every follower get both its
 // decoded and its encoded form. A cached entry without telemetry is a miss:
@@ -617,18 +630,13 @@ func verifyEntry(raw []byte) (entryHeader, []byte, error) {
 	return h, body[nl+1:], nil
 }
 
-// decodeFull decodes a full entry's payload, which must carry metrics and a
-// telemetry state that passes FlowState.Validate (so a campaign can restore
-// and merge it).
+// decodeFull decodes a full entry's payload, which must pass CheckComplete.
 func decodeFull(payload []byte) (CachedFlow, error) {
 	var ent CachedFlow
 	if err := json.Unmarshal(payload, &ent); err != nil {
 		return CachedFlow{}, fmt.Errorf("dataset: cache entry: %w", err)
 	}
-	if ent.Metrics == nil || ent.Telemetry == nil {
-		return CachedFlow{}, fmt.Errorf("dataset: cache entry: missing metrics or telemetry")
-	}
-	if err := ent.Telemetry.Validate(); err != nil {
+	if err := ent.CheckComplete(); err != nil {
 		return CachedFlow{}, fmt.Errorf("dataset: cache entry: %w", err)
 	}
 	return ent, nil

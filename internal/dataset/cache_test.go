@@ -224,11 +224,18 @@ func TestFlowCacheDetectsCorruption(t *testing.T) {
 	}
 }
 
+// getOrComputeFull is the wire-form read-or-compute RunPlan makes, with the
+// test's compute in place of the simulation.
+func getOrComputeFull(c *FlowCache, sc Scenario, compute func() (CachedFlow, error)) (FlowPayload, bool, error) {
+	r, shared, err := c.getOrCompute(sc, false, compute)
+	return r.payload, shared, err
+}
+
 // fullFlow simulates sc with telemetry once and returns the result with a
 // compute function that serves it, counting its calls.
 func fullFlow(t *testing.T, sc Scenario) (CachedFlow, func() (CachedFlow, error), *int) {
 	t.Helper()
-	want, err := RunFlowFull(sc)
+	want, err := runFlowFull(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +247,7 @@ func fullFlow(t *testing.T, sc Scenario) (CachedFlow, func() (CachedFlow, error)
 }
 
 // TestFlowCacheFullRoundTrip stores a telemetry-complete result through
-// GetOrComputeFull and serves it back: the warm payload is the cold one byte
+// the wire-form read-or-compute and serves it back: the warm payload is the cold one byte
 // for byte, equals json.Marshal of both the original and the decoded entry
 // (so shipping the entry bytes is shipping what an encoder would write), and
 // carries the flow's virtual duration from the header.
@@ -251,11 +258,11 @@ func TestFlowCacheFullRoundTrip(t *testing.T) {
 	}
 	sc := cachedScenario(t, 7)
 	want, compute, calls := fullFlow(t, sc)
-	cold, hit, err := cache.GetOrComputeFull(sc, compute)
+	cold, hit, err := getOrComputeFull(cache, sc, compute)
 	if err != nil || hit || *calls != 1 {
 		t.Fatalf("cold: hit=%v computes=%d err=%v, want a computed miss", hit, *calls, err)
 	}
-	warm, hit, err := cache.GetOrComputeFull(sc, compute)
+	warm, hit, err := getOrComputeFull(cache, sc, compute)
 	if err != nil || !hit || *calls != 1 {
 		t.Fatalf("warm: hit=%v computes=%d err=%v, want a hit", hit, *calls, err)
 	}
@@ -303,6 +310,46 @@ func TestFlowCacheFullRoundTrip(t *testing.T) {
 	}
 }
 
+// TestColdCachesByteIdentical runs one campaign cold into two fresh cache
+// directories: the two must hold the same entry files, byte for byte. An
+// entry is a pure function of its flow; the host wall time a simulation
+// took travels on the flow's outcome, never in the stored payload.
+func TestColdCachesByteIdentical(t *testing.T) {
+	cold := func() map[string][]byte {
+		dir := t.TempDir()
+		cache, err := OpenFlowCacheVersion(dir, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := CampaignConfig{Seed: 5, FlowDuration: 5 * time.Second, FlowsPerRow: 1, Parallelism: 2, Cache: cache}
+		if _, err := RunCampaign(cfg); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, e := range ents {
+			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = raw
+		}
+		return files
+	}
+	a, b := cold(), cold()
+	if len(a) != 4 || len(b) != len(a) {
+		t.Fatalf("cold caches hold %d and %d entries, want 4 each", len(a), len(b))
+	}
+	for name, raw := range a {
+		if !bytes.Equal(raw, b[name]) {
+			t.Fatalf("entry %s differs between two cold runs:\n%s\nvs\n%s", name, raw, b[name])
+		}
+	}
+}
+
 // TestFlowCacheFullUpgradesThinEntry checks a metrics-only entry (as Put
 // writes it, and as older builds' flow runs left on disk) is a plain miss
 // for both telemetry-complete reads (no error, nothing served), and the
@@ -311,9 +358,12 @@ func TestFlowCacheFullUpgradesThinEntry(t *testing.T) {
 	sc := cachedScenario(t, 7)
 	want, compute, calls := fullFlow(t, sc)
 	reads := map[string]func(*FlowCache) (bool, error){
-		"GetOrComputeFull": func(c *FlowCache) (bool, error) {
-			_, hit, err := c.GetOrComputeFull(sc, compute)
-			return hit, err
+		"RunPlan": func(c *FlowCache) (bool, error) {
+			outs, err := RunPlan(CampaignConfig{Cache: c}, []PlannedFlow{{Scenario: sc}}, true)
+			if err != nil {
+				return false, err
+			}
+			return outs[0].Cached, nil
 		},
 		"GetOrSimulate": func(c *FlowCache) (bool, error) {
 			ent, hit, err := c.GetOrSimulate(sc)
@@ -337,7 +387,7 @@ func TestFlowCacheFullUpgradesThinEntry(t *testing.T) {
 				t.Errorf("counters %+v, want 0 hits / 1 miss / 0 errors", c)
 			}
 			*calls = 0
-			if _, hit, err := cache.GetOrComputeFull(sc, compute); err != nil || !hit || *calls != 0 {
+			if _, hit, err := getOrComputeFull(cache, sc, compute); err != nil || !hit || *calls != 0 {
 				t.Fatalf("upgraded entry: hit=%v computes=%d err=%v, want a hit", hit, *calls, err)
 			}
 			if ent, ok := cache.Get(sc); !ok || ent.Telemetry == nil {
@@ -362,12 +412,12 @@ func TestFlowCacheFullDetectsCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, _, err := cache.GetOrComputeFull(sc, compute)
+			ref, _, err := getOrComputeFull(cache, sc, compute)
 			if err != nil {
 				t.Fatal(err)
 			}
 			corruptEntry(t, dir, corrupt)
-			got, hit, err := cache.GetOrComputeFull(sc, compute)
+			got, hit, err := getOrComputeFull(cache, sc, compute)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -380,7 +430,7 @@ func TestFlowCacheFullDetectsCorruption(t *testing.T) {
 			if !bytes.Equal(ref.JSON, got.JSON) || ref.VirtualNS != got.VirtualNS {
 				t.Error("recomputed payload diverged")
 			}
-			if _, hit, _ := cache.GetOrComputeFull(sc, compute); !hit {
+			if _, hit, _ := getOrComputeFull(cache, sc, compute); !hit {
 				t.Error("entry not rewritten after the recompute")
 			}
 		})
@@ -436,14 +486,14 @@ func TestFlowCacheConcurrentWriters(t *testing.T) {
 }
 
 // TestFlowCacheGetOrComputeDeduplicates launches many concurrent misses of
-// the same key through both public calls of getOrCompute and checks they
-// share one in-flight computation: a held GetOrComputeFull leader reports
-// shared=false, every follower — GetOrSimulate and GetOrComputeFull alike —
+// the same key through both forms of getOrCompute and checks they share
+// one in-flight computation: a held wire-form leader reports shared=false,
+// every follower — GetOrSimulate and wire-form reads alike —
 // shares its result (shared=true, counted in Dedups) without simulating,
 // and afterwards the entry is on disk.
 func TestFlowCacheGetOrComputeDeduplicates(t *testing.T) {
 	sc := cachedScenario(t, 7)
-	full, err := RunFlowFull(sc)
+	full, err := runFlowFull(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +521,7 @@ func TestFlowCacheGetOrComputeDeduplicates(t *testing.T) {
 		}
 	}
 	full1 := func() {
-		p, shared, err := cache.GetOrComputeFull(sc, compute)
+		p, shared, err := getOrComputeFull(cache, sc, compute)
 		var ent CachedFlow
 		if err == nil {
 			err = json.Unmarshal(p.JSON, &ent)
@@ -516,8 +566,8 @@ func TestFlowCacheGetOrComputeDeduplicates(t *testing.T) {
 }
 
 // TestFlowCacheGetOrComputeErrorPropagates checks a failing computation
-// in getOrCompute reaches the leader and every waiter of either public
-// call, and stores nothing.
+// in getOrCompute reaches the leader and every waiter of either form, and
+// stores nothing.
 func TestFlowCacheGetOrComputeErrorPropagates(t *testing.T) {
 	cache, err := OpenFlowCacheVersion(t.TempDir(), "test")
 	if err != nil {
@@ -530,13 +580,13 @@ func TestFlowCacheGetOrComputeErrorPropagates(t *testing.T) {
 	var wg sync.WaitGroup
 	full := func() {
 		defer wg.Done()
-		_, _, err := cache.GetOrComputeFull(sc, func() (CachedFlow, error) {
+		_, _, err := getOrComputeFull(cache, sc, func() (CachedFlow, error) {
 			close(started)
 			<-release
 			return CachedFlow{}, wantErr
 		})
 		if !errors.Is(err, wantErr) {
-			t.Errorf("GetOrComputeFull error = %v, want %v", err, wantErr)
+			t.Errorf("wire-form read error = %v, want %v", err, wantErr)
 		}
 	}
 	wg.Add(1)
@@ -650,7 +700,7 @@ func TestFlowCacheEviction(t *testing.T) {
 
 // FuzzFlowCacheEntry plants arbitrary bytes at an entry's path and reads
 // them through every read path: Get, the decoding full read under
-// GetOrSimulate, and the undecoded one under GetOrComputeFull. None may
+// GetOrSimulate, and the undecoded one under RunPlan's wire form. None may
 // panic; a served metrics-only result carries metrics; a decoded full hit
 // carries metrics and a telemetry state that validates; a served full
 // payload decodes with metrics and telemetry present; anything else is a

@@ -184,17 +184,54 @@ func PlanCampaign(cfg CampaignConfig) ([]PlannedFlow, error) {
 }
 
 // RunCampaign simulates every flow of the campaign (concurrently, each in
-// its own deterministic simulation) and reduces the traces to metrics.
+// its own deterministic simulation) and reduces the traces to metrics: the
+// plan, run by RunPlan and merged by ReduceCampaign.
 func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
-	jobs, err := PlanCampaign(cfg)
+	plan, err := PlanCampaign(cfg)
 	if err != nil {
 		return nil, err
 	}
+	outs, err := RunPlan(cfg, plan, false)
+	if err != nil {
+		return nil, err
+	}
+	return ReduceCampaign(cfg, plan, outs)
+}
 
-	results := make([]FlowResult, len(jobs))
-	states := make([]*telemetry.FlowState, len(jobs))
-	hits := make([]bool, len(jobs))
-	errs := make([]error, len(jobs))
+// FlowOutcome is one planned flow's result: its plan index, its
+// telemetry-complete result, whether it was served from the cache or from
+// another caller's simulation of the same key, and the host wall time this
+// run spent simulating it (0 when it did not simulate). The JSON fields are
+// the per-flow fields of the distributed unit wire, so a coordinator decodes
+// a worker's unit line straight into outcomes.
+type FlowOutcome struct {
+	Index int `json:"index"`
+	// Flow is the decoded result. A wire-form run leaves it zero for a hit,
+	// which it serves as Payload bytes only.
+	Flow   CachedFlow `json:"flow"`
+	Cached bool       `json:"cached"`
+	WallNS int64      `json:"wall_ns"`
+	// Payload is the result's encoded form: set by a wire-form run, and by
+	// any run with a cache, which stores those bytes.
+	Payload FlowPayload `json:"-"`
+}
+
+// RunPlan runs a contiguous range of a campaign plan with telemetry attached
+// to every flow and returns one outcome per flow, in plan order. It is the
+// one loop that executes planned flows, for a local campaign, a worker's
+// unit and a coordinator's fallback alike: at most cfg.Parallelism flows run
+// at once, each through cfg.Cache (nil simulates), and once cfg.Ctx is
+// cancelled no further flow starts. cfg.Progress counts finished flows of
+// the range. With cfg.Trace, each flow gets a "flow" span under
+// cfg.TraceParent (index, operator, cached, virtual interval), holding a
+// "cache" span when there is a cache and a "compute" span (under the cache
+// span, if any) when the flow simulated. wire selects the result's form: a
+// wire-form run returns Payload bytes and never decodes a hit; otherwise
+// results are decoded, and without a cache no flow is encoded. The first
+// failure in plan order is returned.
+func RunPlan(cfg CampaignConfig, plan []PlannedFlow, wire bool) ([]FlowOutcome, error) {
+	outs := make([]FlowOutcome, len(plan))
+	errs := make([]error, len(plan))
 	var done atomic.Int64
 	par := cfg.Parallelism
 	if par <= 0 {
@@ -202,38 +239,20 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	for _, j := range jobs {
+	for i, j := range plan {
+		sem <- struct{}{}
 		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-			errs[j.Index] = fmt.Errorf("flow %s: %w", j.Scenario.ID, cfg.Ctx.Err())
+			<-sem
+			errs[i] = fmt.Errorf("flow %s: %w", j.Scenario.ID, cfg.Ctx.Err())
 			continue
 		}
-		j := j
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var sp *tracing.Span
-			if cfg.Trace != nil {
-				sp = cfg.Trace.StartSpan(cfg.TraceParent, "flow", j.Scenario.ID)
-				sp.SetAttr("index", strconv.Itoa(j.Index))
-				sp.SetAttr("operator", j.Row.Operator.Name)
-			}
-			ent, hit, err := cfg.Cache.GetOrSimulate(j.Scenario)
-			if err != nil {
-				errs[j.Index] = fmt.Errorf("flow %s: %w", j.Scenario.ID, err)
-				sp.SetAttr("error", err.Error())
-			} else {
-				results[j.Index] = FlowResult{Row: j.Row, Metrics: ent.Metrics}
-				states[j.Index], hits[j.Index] = ent.Telemetry, hit
-				sp.SetVirtual(0, ent.Telemetry.Kernel.VirtualNS)
-			}
-			if sp != nil {
-				sp.SetAttr("cached", strconv.FormatBool(hit))
-				sp.End()
-			}
+			outs[i], errs[i] = runPlanned(cfg, j, wire)
 			if cfg.Progress != nil {
-				cfg.Progress(int(done.Add(1)), len(jobs))
+				cfg.Progress(int(done.Add(1)), len(plan))
 			}
 		}()
 	}
@@ -243,34 +262,97 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 			return nil, err
 		}
 	}
-	// Merge per-flow telemetry strictly in campaign order, after the parallel
-	// phase: float aggregates (Dist merges) are order-sensitive, and a fixed
-	// order makes the totals bit-identical at any Parallelism. Every flow
-	// merges its restored state, hit or miss, exactly as a distributed
-	// campaign merges the states its workers ship; only a flow this campaign
-	// simulated itself adds wall time.
-	if cfg.Telemetry != nil {
-		for i, st := range states {
-			f := st.Restore()
-			if hits[i] {
-				f.WallNS = 0
-			}
-			cfg.Telemetry.AddFlow(f)
+	return outs, nil
+}
+
+// runPlanned runs one planned flow through the cache under its spans.
+func runPlanned(cfg CampaignConfig, j PlannedFlow, wire bool) (FlowOutcome, error) {
+	id := j.Scenario.ID
+	// under is the compute span's parent: the cache span if any, else the
+	// flow span.
+	var fsp, csp, under *tracing.Span
+	if cfg.Trace != nil {
+		fsp = cfg.Trace.StartSpan(cfg.TraceParent, "flow", id)
+		fsp.SetAttr("index", strconv.Itoa(j.Index))
+		fsp.SetAttr("operator", j.Row.Operator.Name)
+		under = fsp
+		if cfg.Cache != nil {
+			csp = cfg.Trace.StartSpan(fsp.ID(), "cache", id)
+			under = csp
 		}
+	}
+	// Only a call that simulates sets wall: a hit or a deduplicated flow
+	// keeps 0.
+	var wall int64
+	r, cached, err := cfg.Cache.getOrCompute(j.Scenario, !wire, func() (CachedFlow, error) {
+		ksp := cfg.Trace.StartSpan(under.ID(), "compute", id)
+		start := time.Now()
+		full, err := runFlowFull(j.Scenario)
+		wall = time.Since(start).Nanoseconds()
+		if err == nil {
+			ksp.SetVirtual(0, full.Telemetry.Kernel.VirtualNS)
+		}
+		ksp.End()
+		return full, err
+	})
+	csp.SetAttr("hit", strconv.FormatBool(cached))
+	csp.End()
+	if err != nil {
+		fsp.SetAttr("error", err.Error())
+		fsp.End()
+		return FlowOutcome{}, fmt.Errorf("flow %s: %w", id, err)
+	}
+	if fsp != nil {
+		fsp.SetAttr("cached", strconv.FormatBool(cached))
+		fsp.SetVirtual(0, r.virtualNS())
+		fsp.End()
+	}
+	return FlowOutcome{Index: j.Index, Flow: r.ent, Cached: cached, WallNS: wall, Payload: r.payload}, nil
+}
+
+// ReduceCampaign builds the campaign of plan from one decoded outcome per
+// flow in plan order, given as one or more consecutive chunks: the outcomes
+// RunPlan returns, or a coordinator's units as they came back. With
+// cfg.Telemetry it merges every flow's restored telemetry, hit or miss,
+// strictly in plan order: float aggregates (Dist merges) are
+// order-sensitive, and a fixed order makes the totals bit-identical at any
+// Parallelism and worker count. Each flow adds its outcome's wall time, so
+// only flows this campaign simulated add any.
+func ReduceCampaign(cfg CampaignConfig, plan []PlannedFlow, chunks ...[]FlowOutcome) (*Campaign, error) {
+	results := make([]FlowResult, len(plan))
+	i := 0
+	for _, chunk := range chunks {
+		for _, o := range chunk {
+			if i == len(plan) || o.Index != plan[i].Index {
+				return nil, fmt.Errorf("dataset: outcome for flow %d at plan position %d of %d", o.Index, i, len(plan))
+			}
+			results[i] = FlowResult{Row: plan[i].Row, Metrics: o.Flow.Metrics}
+			if cfg.Telemetry != nil {
+				f := o.Flow.Telemetry.Restore()
+				f.WallNS = o.WallNS
+				cfg.Telemetry.AddFlow(f)
+			}
+			i++
+		}
+	}
+	if i != len(plan) {
+		return nil, fmt.Errorf("dataset: %d outcomes for a %d-flow plan", i, len(plan))
 	}
 	return &Campaign{Config: cfg, Results: results}, nil
 }
 
-// RunFlowFull simulates one flow with a fresh telemetry bundle attached and
+// runFlowFull simulates one flow with a fresh telemetry bundle attached and
 // returns a telemetry-complete cache entry: metrics, endpoint stats, and the
 // flow's exact telemetry state in wire form. It is the computation behind
-// every cache-or-simulate call (GetOrSimulate, and GetOrComputeFull for
-// distributed work units), so every flow a campaign runs or reads back
-// contributes its kernel/TCP/link counters to the campaign totals.
-func RunFlowFull(sc Scenario) (CachedFlow, error) {
+// every cache-or-simulate call, so every flow a campaign runs or reads back
+// contributes its kernel/TCP/link counters to the campaign totals. The state
+// holds no host wall time (whoever times the call holds that), so the entry
+// is a pure function of the scenario and two cold caches write the same
+// bytes.
+func runFlowFull(sc Scenario) (CachedFlow, error) {
 	tel := telemetry.NewFlow()
 	sc.Telemetry = tel
-	m, st, err := RunFlowMetrics(sc)
+	m, st, err := analyzeScenario(sc)
 	if err != nil {
 		return CachedFlow{}, err
 	}

@@ -210,10 +210,6 @@ func runScenario(sc Scenario, rec trace.Recorder) (tcp.Stats, error) {
 		return tcp.Stats{}, err
 	}
 	tel := sc.Telemetry
-	var wallStart time.Time
-	if tel != nil {
-		wallStart = time.Now()
-	}
 	simulator := sim.New()
 	if tel != nil {
 		simulator.SetTelemetry(&tel.Kernel)
@@ -240,7 +236,7 @@ func runScenario(sc Scenario, rec trace.Recorder) (tcp.Stats, error) {
 		return tcp.Stats{}, err
 	}
 	if tel != nil {
-		harvestFlow(tel, sc, simulator, path, ch, conn, budget, wallStart)
+		harvestFlow(tel, sc, simulator, path, ch, conn, budget)
 	}
 	return conn.Stats(), nil
 }
@@ -251,6 +247,7 @@ func runScenario(sc Scenario, rec trace.Recorder) (tcp.Stats, error) {
 // metrics should use RunFlowMetrics, which never materializes the event
 // list.
 func RunFlow(sc Scenario) (*trace.FlowTrace, tcp.Stats, error) {
+	start := time.Now()
 	ft := &trace.FlowTrace{Meta: sc.FlowMeta()}
 	// A materialized flow produces on the order of a thousand events per
 	// flow-second (four per delivered packet, operator-dependent); reserving
@@ -261,6 +258,7 @@ func RunFlow(sc Scenario) (*trace.FlowTrace, tcp.Stats, error) {
 	if err != nil {
 		return nil, tcp.Stats{}, err
 	}
+	stampWall(sc.Telemetry, start)
 	return ft, st, nil
 }
 
@@ -270,6 +268,27 @@ func RunFlow(sc Scenario) (*trace.FlowTrace, tcp.Stats, error) {
 // and the analyzer's tables are reused across flows. The metrics are
 // identical to analyzing the materialized trace of the same scenario.
 func RunFlowMetrics(sc Scenario) (*analysis.FlowMetrics, tcp.Stats, error) {
+	start := time.Now()
+	m, st, err := analyzeScenario(sc)
+	if err != nil {
+		return nil, tcp.Stats{}, err
+	}
+	stampWall(sc.Telemetry, start)
+	return m, st, nil
+}
+
+// stampWall records the host wall time since start on a flow's telemetry
+// bundle, if it has one. Only the public single-flow calls stamp it: a
+// campaign's flows carry their wall time on their outcomes instead, so the
+// telemetry they store stays a pure function of the scenario.
+func stampWall(tel *telemetry.Flow, start time.Time) {
+	if tel != nil {
+		tel.WallNS = time.Since(start).Nanoseconds()
+	}
+}
+
+// analyzeScenario is RunFlowMetrics without the wall-time stamp.
+func analyzeScenario(sc Scenario) (*analysis.FlowMetrics, tcp.Stats, error) {
 	inc := analysis.AcquireIncremental(sc.FlowMeta())
 	defer inc.Release()
 	st, err := runScenario(sc, inc)
@@ -286,7 +305,7 @@ func RunFlowMetrics(sc Scenario) (*analysis.FlowMetrics, tcp.Stats, error) {
 // harvestFlow fills the telemetry bundle's end-of-run sections: kernel time
 // and budget, link counters (read once from the links instead of per-packet
 // instrumentation), fault-schedule activity, and the endpoint flush.
-func harvestFlow(tel *telemetry.Flow, sc Scenario, simulator *sim.Simulator, path *netem.Path, ch *cellular.Channel, conn *tcp.Conn, budget int64, wallStart time.Time) {
+func harvestFlow(tel *telemetry.Flow, sc Scenario, simulator *sim.Simulator, path *netem.Path, ch *cellular.Channel, conn *tcp.Conn, budget int64) {
 	tel.Kernel.VirtualNS = int64(simulator.Now())
 	tel.Kernel.BudgetEvents = budget
 	if l, ok := path.Forward.(*netem.Link); ok {
@@ -310,7 +329,6 @@ func harvestFlow(tel *telemetry.Flow, sc Scenario, simulator *sim.Simulator, pat
 		tel.Faults.StormOutages += int64(storms)
 	}
 	conn.FlushTelemetry()
-	tel.WallNS = time.Since(wallStart).Nanoseconds()
 }
 
 // harvestLink copies one direction's netem.LinkStats into telemetry form.

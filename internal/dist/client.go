@@ -16,25 +16,15 @@ import (
 	"repro/internal/tracing"
 )
 
-// unitFlow is one flow of a unit result, decoded: the wire form of
-// serve.UnitFlow with its payload bytes read straight into a CachedFlow.
-// Cached marks a flow the worker served from its cache (or another job's
-// simulation) rather than simulated.
-type unitFlow struct {
-	Index  int                `json:"index"`
-	Flow   dataset.CachedFlow `json:"flow"`
-	Cached bool               `json:"cached"`
-}
-
 // unitEvent is the part of a serve.Event line the coordinator reads from a
 // unit job's stream. Decoding into it (rather than serve.Event, whose unit
-// flows are raw bytes) decodes every flow in the same single pass as the
-// line itself.
+// flows are raw bytes) decodes every flow straight into a
+// dataset.FlowOutcome in the same single pass as the line itself.
 type unitEvent struct {
 	Event string `json:"event"`
 	Error string `json:"error"`
 	Unit  *struct {
-		Flows []unitFlow `json:"flows"`
+		Flows []dataset.FlowOutcome `json:"flows"`
 	} `json:"unit"`
 	Spans []tracing.SpanRecord `json:"spans"`
 }
@@ -50,7 +40,7 @@ type unitEvent struct {
 // own job/flow/cache spans into the same trace and ships the batch back on
 // the terminal event — returned here for stitching, and empty when no
 // terminal event arrived.
-func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string) ([]unitFlow, []tracing.SpanRecord, error) {
+func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string) ([]dataset.FlowOutcome, []tracing.SpanRecord, error) {
 	ctx, cancel := context.WithTimeout(r.ctx, c.cfg.UnitTimeout)
 	defer cancel()
 
@@ -97,13 +87,13 @@ func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string)
 
 // readUnitResult reads a unit job's NDJSON stream up to its terminal line
 // and validates the result for the plan range [start, end): one flow per
-// index, in order, each with metrics and telemetry whose histograms and
-// accumulator pass telemetry.FlowState.Validate. Every defect — an
-// undecodable line, a missing terminal event, a worker error or a
-// malformed result — is an error, so the unit takes the coordinator's
-// retry path instead of reaching campaign assembly. The terminal event's
-// span batch is returned whenever one arrived.
-func readUnitResult(r io.Reader, start, end int) ([]unitFlow, []tracing.SpanRecord, error) {
+// index, in order, each passing CachedFlow.CheckComplete, with a
+// non-negative wall time. Every defect — an undecodable line, a missing
+// terminal event, a worker error or a malformed result — is an error, so
+// the unit takes the coordinator's retry path instead of reaching campaign
+// assembly. The terminal event's span batch is returned whenever one
+// arrived.
+func readUnitResult(r io.Reader, start, end int) ([]dataset.FlowOutcome, []tracing.SpanRecord, error) {
 	// The buffer starts small and grows to the longest line (a 16-flow unit
 	// is ~64 KB); the 64 MiB cap bounds what a hostile worker can make the
 	// coordinator hold.
@@ -136,12 +126,10 @@ func readUnitResult(r io.Reader, start, end int) ([]unitFlow, []tracing.SpanReco
 		switch {
 		case f.Index != start+i:
 			return nil, terminal.Spans, fmt.Errorf("unit [%d, %d) shipped index %d at offset %d", start, end, f.Index, i)
-		case f.Flow.Metrics == nil:
-			return nil, terminal.Spans, fmt.Errorf("flow %d arrived without metrics", f.Index)
-		case f.Flow.Telemetry == nil:
-			return nil, terminal.Spans, fmt.Errorf("flow %d arrived without telemetry", f.Index)
+		case f.WallNS < 0:
+			return nil, terminal.Spans, fmt.Errorf("flow %d arrived with wall time %d", f.Index, f.WallNS)
 		}
-		if err := f.Flow.Telemetry.Validate(); err != nil {
+		if err := f.Flow.CheckComplete(); err != nil {
 			return nil, terminal.Spans, fmt.Errorf("flow %d: %w", f.Index, err)
 		}
 	}

@@ -27,6 +27,9 @@ package dist
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -34,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/logging"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
@@ -75,7 +77,7 @@ type Config struct {
 	// Log, when non-nil, receives one structured line per dispatch edge
 	// (unit range, worker URL, attempt and trace IDs as fields). Nil logs
 	// nothing.
-	Log *logging.Logger
+	Log *slog.Logger
 	// HTTPClient, when non-nil, overrides the fleet transport (tests inject
 	// chaos here).
 	HTTPClient *http.Client
@@ -146,6 +148,11 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 2
+	}
+	if cfg.Log == nil {
+		// Discard, at a level above every slog level: a line is dropped
+		// before it is formatted.
+		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	c := &Coordinator{
 		cfg:    cfg,
@@ -292,7 +299,7 @@ type unit struct {
 	// reassignment counter. Guarded by the dispatch loop (benign racing:
 	// it only feeds a counter).
 	lastWorker atomic.Value // string
-	flows      []unitFlow
+	flows      []dataset.FlowOutcome
 	err        error
 	mu         sync.Mutex // guards flows/err writes before the CAS publishes
 	// span is the unit's trace span (nil when the campaign is untraced),
@@ -318,7 +325,7 @@ type run struct {
 
 // complete publishes a unit result (first writer wins) and unblocks the
 // campaign when it was the last open unit.
-func (c *Coordinator) complete(r *run, u *unit, flows []unitFlow, err error) bool {
+func (c *Coordinator) complete(r *run, u *unit, flows []dataset.FlowOutcome, err error) bool {
 	u.mu.Lock()
 	if !u.state.CompareAndSwap(0, 1) {
 		u.mu.Unlock()
@@ -447,36 +454,18 @@ func (c *Coordinator) RunCampaign(cfg dataset.CampaignConfig) (*dataset.Campaign
 		return nil, fmt.Errorf("dist: campaign: %w", err)
 	}
 
-	// Reassemble in global flow order — the coordinator's half of the
-	// byte-identity contract. Every completed unit was validated on arrival
-	// (readUnitResult) or computed here (runUnitLocal), so its flows are
-	// in plan order and telemetry-complete.
-	results := make([]dataset.FlowResult, len(plan))
-	var flows []*telemetry.Flow
-	if cfg.Telemetry != nil {
-		flows = make([]*telemetry.Flow, len(plan))
-	}
-	for _, u := range r.units {
+	// Units cover the plan in order, and every completed one was validated
+	// on arrival (readUnitResult) or run here (runUnitLocal), so their
+	// outcomes are the plan-ordered chunks the reducer merges — the
+	// coordinator's half of the byte-identity contract.
+	chunks := make([][]dataset.FlowOutcome, len(r.units))
+	for i, u := range r.units {
 		if u.err != nil {
 			return nil, u.err
 		}
-		for _, uf := range u.flows {
-			idx := uf.Index
-			results[idx] = dataset.FlowResult{Row: plan[idx].Row, Metrics: uf.Flow.Metrics}
-			if flows != nil {
-				flows[idx] = uf.Flow.Telemetry.Restore()
-				if uf.Cached {
-					flows[idx].WallNS = 0 // no simulation ran for it
-				}
-			}
-		}
+		chunks[i] = u.flows
 	}
-	if cfg.Telemetry != nil {
-		for _, f := range flows {
-			cfg.Telemetry.AddFlow(f)
-		}
-	}
-	return &dataset.Campaign{Config: cfg, Results: results}, nil
+	return dataset.ReduceCampaign(cfg, plan, chunks...)
 }
 
 // healthyWorkers counts workers currently in dispatch rotation.
@@ -590,8 +579,11 @@ func (c *Coordinator) dispatchLoop(r *run, w *worker) {
 	}
 }
 
-// runUnitLocal executes a unit in-process, telemetry attached, exactly like
-// a worker would — the degraded-mode and retry-exhaustion fallback.
+// runUnitLocal executes a unit in-process through dataset.RunPlan, exactly
+// like a worker would, with a copy of the campaign's config (so with its
+// cache, when it has one) — the degraded-mode and retry-exhaustion
+// fallback. Its flow spans hang under the local attempt span; progress is
+// left to complete, which reports it per unit.
 func (c *Coordinator) runUnitLocal(r *run, u *unit) {
 	if u.state.Load() != 0 {
 		return
@@ -603,32 +595,19 @@ func (c *Coordinator) runUnitLocal(r *run, u *unit) {
 		asp.SetAttr("worker", "local")
 		asp.SetAttr("local", "true")
 	}
-	flows := make([]unitFlow, 0, u.end-u.start)
-	for i := u.start; i < u.end; i++ {
-		if r.ctx.Err() != nil {
-			asp.SetAttr("outcome", "canceled")
-			asp.End()
-			return
-		}
-		var fsp *tracing.Span
-		if asp != nil {
-			fsp = r.tr.StartSpan(asp.ID(), "flow", r.plan[i].Scenario.ID)
-			fsp.SetAttr("index", fmt.Sprintf("%d", i))
-		}
-		ent, err := dataset.RunFlowFull(r.plan[i].Scenario)
-		if err != nil {
-			fsp.SetAttr("error", err.Error())
-			fsp.End()
-			asp.SetAttr("outcome", "failed")
-			asp.End()
-			c.complete(r, u, nil, fmt.Errorf("dist: local flow %s: %w", r.plan[i].Scenario.ID, err))
-			return
-		}
-		if fsp != nil {
-			fsp.SetVirtual(0, ent.Telemetry.Kernel.VirtualNS)
-		}
-		fsp.End()
-		flows = append(flows, unitFlow{Index: i, Flow: ent})
+	cfg := r.cfg
+	cfg.Ctx, cfg.TraceParent, cfg.Progress = r.ctx, asp.ID(), nil
+	flows, err := dataset.RunPlan(cfg, r.plan[u.start:u.end], false)
+	switch {
+	case r.ctx.Err() != nil:
+		asp.SetAttr("outcome", "canceled")
+		asp.End()
+		return
+	case err != nil:
+		asp.SetAttr("outcome", "failed")
+		asp.End()
+		c.complete(r, u, nil, fmt.Errorf("dist: local unit %s: %w", unitRange(u), err))
+		return
 	}
 	asp.SetAttr("outcome", "ok")
 	asp.End()

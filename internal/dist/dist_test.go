@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
+	"repro/internal/tracing"
 )
 
 // testWorker spins up one in-process hsrserved worker.
@@ -208,7 +211,10 @@ func TestCoordinatorWorkerKilledMidCampaign(t *testing.T) {
 
 // TestCoordinatorDegradedMode takes the whole fleet down before the
 // campaign: heartbeats eject every worker, the degraded watchdog finishes
-// the campaign locally, and output is still byte-identical.
+// the campaign locally, and output is still byte-identical. The local
+// fallback runs flows through dataset.RunPlan: a unit's outcomes equal the
+// single-node campaign's for the same range, its traced flow spans have
+// the one flow-span shape, and the campaign's cache serves a repeat.
 func TestCoordinatorDegradedMode(t *testing.T) {
 	w1, _ := testWorker(t)
 	c, err := New(Config{
@@ -252,6 +258,82 @@ func TestCoordinatorDegradedMode(t *testing.T) {
 	fh := c.FleetHealth()
 	if len(fh) != 1 || fh[0].Healthy {
 		t.Fatalf("fleet health after loss: %+v", fh)
+	}
+
+	cfg := quickCampaign(17)
+	_, refCamp := reference(t, cfg)
+	plan, err := dataset.PlanCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := dataset.OpenFlowCacheVersion(t.TempDir(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = cache
+	local := func() ([]dataset.FlowOutcome, []tracing.SpanRecord) {
+		tr := tracing.New("degraded")
+		lcfg := cfg
+		lcfg.Trace = tr
+		r := &run{cfg: lcfg, plan: plan, allDone: make(chan struct{}), ctx: context.Background(), tr: tr}
+		u := &unit{start: 1, end: 4, span: tr.StartSpan("", "unit", "unit[1,4)")}
+		r.units = []*unit{u}
+		r.remaining.Store(1)
+		c.runUnitLocal(r, u)
+		if u.err != nil {
+			t.Fatalf("local unit: %v", u.err)
+		}
+		spans := tr.Spans()
+		if err := tracing.Validate(spans); err != nil {
+			t.Fatalf("local unit trace: %v", err)
+		}
+		return u.flows, spans
+	}
+	for pass, wantCached := range []bool{false, true} {
+		flows, spans := local()
+		if len(flows) != 3 {
+			t.Fatalf("pass %d: %d local outcomes, want 3", pass, len(flows))
+		}
+		for i, o := range flows {
+			a, _ := json.Marshal(o.Flow.Metrics)
+			b, _ := json.Marshal(refCamp.Results[1+i].Metrics)
+			if o.Index != 1+i || string(a) != string(b) {
+				t.Fatalf("pass %d: local outcome %d (index %d) diverged from RunCampaign", pass, i, o.Index)
+			}
+			if o.Cached != wantCached || (o.WallNS > 0) == wantCached {
+				t.Fatalf("pass %d: outcome %d cached %v wall %d", pass, o.Index, o.Cached, o.WallNS)
+			}
+		}
+		byID := map[string]tracing.SpanRecord{}
+		kids := map[string][]tracing.SpanRecord{}
+		for _, sp := range spans {
+			byID[sp.ID] = sp
+			kids[sp.Parent] = append(kids[sp.Parent], sp)
+		}
+		nflows := 0
+		for _, sp := range spans {
+			if sp.Kind != "flow" {
+				continue
+			}
+			nflows++
+			if p := byID[sp.Parent]; p.Kind != "attempt" || p.Attrs["local"] != "true" {
+				t.Fatalf("pass %d: flow span %s not under the local attempt span", pass, sp.Name)
+			}
+			if sp.Attrs["operator"] == "" || sp.Attrs["cached"] != fmt.Sprint(wantCached) || !sp.Virtual {
+				t.Fatalf("pass %d: flow span %s attrs %v", pass, sp.Name, sp.Attrs)
+			}
+			cs := kids[sp.ID]
+			if len(cs) != 1 || cs[0].Kind != "cache" {
+				t.Fatalf("pass %d: flow span %s has %d children, want one cache span", pass, sp.Name, len(cs))
+			}
+			ks := kids[cs[0].ID]
+			if computed := len(ks) == 1 && ks[0].Kind == "compute"; computed == wantCached {
+				t.Fatalf("pass %d: flow span %s computed %v on a cached=%v pass", pass, sp.Name, computed, wantCached)
+			}
+		}
+		if nflows != 3 {
+			t.Fatalf("pass %d: %d flow spans, want 3", pass, nflows)
+		}
 	}
 }
 

@@ -21,11 +21,11 @@ func realFlow(tb testing.TB, i int) (dataset.CachedFlow, []byte) {
 	if err != nil {
 		tb.Fatalf("plan: %v", err)
 	}
-	ent, err := dataset.RunFlowFull(plan[i].Scenario)
+	outs, err := dataset.RunPlan(quickCampaign(11), plan[i:i+1], false)
 	if err != nil {
 		tb.Fatalf("flow %d: %v", i, err)
 	}
-	js, err := json.Marshal(ent)
+	js, err := json.Marshal(outs[0].Flow)
 	if err != nil {
 		tb.Fatalf("encode flow %d: %v", i, err)
 	}
@@ -57,7 +57,7 @@ func unitStream(tb testing.TB, w io.Writer, start int, payloads ...[]byte) {
 }
 
 // assertFlows checks a decoded unit equals want flow for flow.
-func assertFlows(t *testing.T, got []unitFlow, start int, want ...dataset.CachedFlow) {
+func assertFlows(t *testing.T, got []dataset.FlowOutcome, start int, want ...dataset.CachedFlow) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d flows, want %d", len(got), len(want))

@@ -11,9 +11,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,7 +24,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
-	"repro/internal/logging"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
 )
@@ -51,7 +52,7 @@ type Config struct {
 	Limits Limits
 	// Log, when non-nil, receives one structured line per job lifecycle
 	// edge (job/trace IDs on every line). Nil logs nothing.
-	Log *logging.Logger
+	Log *slog.Logger
 	// Trace records a span tree for every job (job, queue-wait, task,
 	// campaign, flow and cache spans), retained for TraceJobs completed jobs
 	// and served by GET /v1/jobs/{id}/trace. Independently of this flag, a
@@ -140,6 +141,11 @@ func New(cfg Config) *Server {
 	}
 	if cfg.TraceJobs < 1 {
 		cfg.TraceJobs = 64
+	}
+	if cfg.Log == nil {
+		// Discard, at a level above every slog level: a line is dropped
+		// before it is formatted.
+		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	s := &Server{
 		cfg:    cfg,
@@ -477,15 +483,15 @@ func (s *Server) runFlowJob(spec *JobSpec, meta *jobMeta) Event {
 // runUnitJob executes one flow-range work unit of a distributed campaign:
 // it re-derives the campaign's flow plan from the unit's parameters (the
 // plan is a pure function of them, so it matches the coordinator's), then
-// simulates the unit's index range with telemetry attached to every flow.
-// Results go through the telemetry-complete cache path (a nil cache
-// computes directly), so with a cache a reassigned or hedged duplicate of
-// this unit re-serves bit-identical payloads from disk instead of
-// simulating again. Each flow ships as encoded payload bytes: a hit
-// forwards the verified entry bytes without decoding them, a computed flow
-// is encoded once, and WriteEvent copies both onto the wire verbatim. A unit
-// job streams no progress: its only reader, the coordinator, waits for the
-// terminal line.
+// runs the unit's index range through dataset.RunPlan in wire form, under
+// the job's context and span, with this server's flow parallelism and
+// cache. With a cache, a reassigned or hedged duplicate of this unit
+// re-serves bit-identical payloads from disk instead of simulating again.
+// Each flow ships as encoded payload bytes: a hit forwards the verified
+// entry bytes without decoding them, a computed flow is encoded once, and
+// WriteEvent copies both onto the wire verbatim, next to the flow's wall
+// time. A unit job streams no progress: its only reader, the coordinator,
+// waits for the terminal line.
 func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, meta *jobMeta) Event {
 	cfg, err := spec.Unit.campaignConfig()
 	if err != nil {
@@ -500,90 +506,25 @@ func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, meta *jobMeta) E
 		return Event{Event: "error", Status: "error",
 			Error: fmt.Sprintf("serve: unit range [%d, %d) exceeds the campaign's %d flows", start, end, len(plan))}
 	}
+	cfg.Ctx, cfg.Parallelism, cfg.Cache = ctx, s.cfg.FlowParallelism, s.cfg.Cache
 	if meta.tr != nil {
+		cfg.Trace, cfg.TraceParent = meta.tr, meta.root.ID()
 		meta.root.SetAttr("unit", fmt.Sprintf("[%d,%d)", start, end))
 		if spec.Unit.Faults != "" {
 			meta.root.SetAttr("faults", spec.Unit.Faults)
 		}
 	}
-	res := &UnitResult{Start: start, End: end, Flows: make([]UnitFlow, end-start)}
-	errs := make([]error, end-start)
-	par := s.cfg.FlowParallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	outs, err := dataset.RunPlan(cfg, plan[start:end], true)
+	if err != nil {
+		return Event{Event: "error", Status: "error", Error: err.Error()}
 	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	var hits atomic.Int64
-	for i := start; i < end; i++ {
-		if ctx.Err() != nil {
-			errs[i-start] = fmt.Errorf("flow %s: %w", plan[i].Scenario.ID, ctx.Err())
-			continue
-		}
-		j := plan[i]
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			var fsp *tracing.Span
-			if meta.tr != nil {
-				fsp = meta.tr.StartSpan(meta.root.ID(), "flow", j.Scenario.ID)
-				fsp.SetAttr("index", strconv.Itoa(j.Index))
-				fsp.SetAttr("operator", j.Row.Operator.Name)
-			}
-			// The compute span hangs under a cache span when there is a
-			// cache, directly under the flow span otherwise.
-			var csp *tracing.Span
-			computeParent := fsp.ID()
-			if fsp != nil && s.cfg.Cache != nil {
-				csp = meta.tr.StartSpan(fsp.ID(), "cache", j.Scenario.ID)
-				computeParent = csp.ID()
-			}
-			p, hit, err := s.cfg.Cache.GetOrComputeFull(j.Scenario, func() (dataset.CachedFlow, error) {
-				var ksp *tracing.Span
-				if fsp != nil {
-					ksp = meta.tr.StartSpan(computeParent, "compute", j.Scenario.ID)
-				}
-				full, err := dataset.RunFlowFull(j.Scenario)
-				if ksp != nil {
-					if err == nil {
-						ksp.SetVirtual(0, full.Telemetry.Kernel.VirtualNS)
-					}
-					ksp.End()
-				}
-				return full, err
-			})
-			if csp != nil {
-				csp.SetAttr("hit", strconv.FormatBool(hit))
-				csp.End()
-			}
-			if err != nil {
-				if fsp != nil {
-					fsp.SetAttr("error", err.Error())
-					fsp.End()
-				}
-				errs[j.Index-start] = fmt.Errorf("flow %s: %w", j.Scenario.ID, err)
-				return
-			}
-			if hit {
-				hits.Add(1)
-			}
-			if fsp != nil {
-				fsp.SetAttr("cached", strconv.FormatBool(hit))
-				fsp.SetVirtual(0, p.VirtualNS)
-				fsp.End()
-			}
-			res.Flows[j.Index-start] = UnitFlow{Index: j.Index, Flow: p.JSON, Cached: hit}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Event{Event: "error", Status: "error", Error: err.Error()}
+	res := &UnitResult{Start: start, End: end, Flows: make([]UnitFlow, len(outs))}
+	for i, o := range outs {
+		res.Flows[i] = UnitFlow{Index: o.Index, Flow: o.Payload.JSON, Cached: o.Cached, WallNS: o.WallNS}
+		if o.Cached {
+			res.CacheHits++
 		}
 	}
-	res.CacheHits = int(hits.Load())
 	return Event{Event: "result", Status: "ok", Unit: res}
 }
 

@@ -68,16 +68,19 @@ type UnitResult struct {
 	CacheHits int `json:"cache_hits,omitempty"`
 }
 
-// UnitFlow is one flow of a unit result: its global plan index and the full
-// cache-entry payload (a dataset.CachedFlow with metrics, endpoint stats and
-// exact telemetry state) as the encoded bytes a cache entry stores — a
-// cached flow ships its verified entry bytes unchanged, an uncached one the
-// same bytes encoded once. WriteEvent copies Flow onto the wire verbatim, so
-// it must already be valid JSON.
+// UnitFlow is one flow of a unit result (a dataset.FlowOutcome in wire
+// form): its global plan index, the full cache-entry payload (a
+// dataset.CachedFlow with metrics, endpoint stats and exact telemetry state)
+// as the encoded bytes a cache entry stores — a cached flow ships its
+// verified entry bytes unchanged, an uncached one the same bytes encoded
+// once — and the host wall time the worker spent simulating it (0 for a
+// cached flow). WriteEvent copies Flow onto the wire verbatim, so it must
+// already be valid JSON.
 type UnitFlow struct {
 	Index  int             `json:"index"`
 	Flow   json.RawMessage `json:"flow"`
 	Cached bool            `json:"cached,omitempty"`
+	WallNS int64           `json:"wall_ns,omitempty"`
 }
 
 // Summary counts a scheduled job's task outcomes.
@@ -146,6 +149,10 @@ func WriteEvent(w io.Writer, e *Event) error {
 			lw.payload(f.Flow)
 			if f.Cached {
 				buf = append(buf, `,"cached":true`...)
+			}
+			if f.WallNS != 0 {
+				buf = append(buf, `,"wall_ns":`...)
+				buf = strconv.AppendInt(buf, f.WallNS, 10)
 			}
 			buf = append(buf, '}')
 		}

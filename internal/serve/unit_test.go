@@ -113,8 +113,8 @@ func TestUnitJobByteIdentity(t *testing.T) {
 // the second run must be served from telemetry-complete entries and carry
 // byte-identical flow payloads — the property reassignment and hedging
 // lean on for their at-most-once effect. A worker without a cache ships the
-// same encoding (host wall time aside): cached and computed flows share one
-// encoder.
+// same bytes: cached and computed flows share one encoder, and no payload
+// holds host wall time, which travels beside it (0 for a cached flow).
 func TestUnitJobCachedReplayIdentical(t *testing.T) {
 	cache, err := dataset.OpenFlowCacheVersion(t.TempDir(), "test")
 	if err != nil {
@@ -146,22 +146,19 @@ func TestUnitJobCachedReplayIdentical(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("cached replay of flow %d diverged:\n%s\nvs\n%s", i, a, b)
 		}
-		// The uncached flow was simulated again, so only its host wall time
-		// may differ; with that aligned, the encodings must agree byte for
-		// byte, and each must be what the encoder writes for its value.
-		var ca, cc dataset.CachedFlow
-		if err := json.Unmarshal(a, &ca); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(a, c) {
+			t.Fatalf("uncached flow %d diverged from the cached one:\n%s\nvs\n%s", i, c, a)
 		}
+		var cc dataset.CachedFlow
 		if err := json.Unmarshal(c, &cc); err != nil {
 			t.Fatal(err)
 		}
 		if enc, _ := json.Marshal(cc); !bytes.Equal(enc, c) {
 			t.Fatalf("uncached flow %d is not the encoder's bytes for its value", i)
 		}
-		cc.Telemetry.WallNS = ca.Telemetry.WallNS
-		if enc, _ := json.Marshal(cc); !bytes.Equal(enc, a) {
-			t.Fatalf("uncached flow %d diverged from the cached one:\n%s\nvs\n%s", i, enc, a)
+		if first.Flows[i].WallNS <= 0 || plain.Flows[i].WallNS <= 0 || second.Flows[i].WallNS != 0 {
+			t.Fatalf("flow %d wall times: cold %d, uncached %d, replayed %d; want >0, >0, 0",
+				i, first.Flows[i].WallNS, plain.Flows[i].WallNS, second.Flows[i].WallNS)
 		}
 	}
 }
@@ -229,7 +226,8 @@ func TestStreamAbortUnblocksEmit(t *testing.T) {
 // TestWriteEventMatchesEncoder pins the unit-result writer to encoding/json:
 // for unit results built from real cache payloads, WriteEvent's line is
 // byte-identical to json.NewEncoder(w).Encode(e) — cached and computed
-// flows, with and without cache hits, with and without a span batch.
+// flows (the latter with their wall time), with and without cache hits,
+// with and without a span batch.
 func TestWriteEventMatchesEncoder(t *testing.T) {
 	cache, err := dataset.OpenFlowCacheVersion(t.TempDir(), "test")
 	if err != nil {
@@ -239,18 +237,15 @@ func TestWriteEventMatchesEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	payload := func(i int) []byte {
-		p, _, err := cache.GetOrComputeFull(plan[i].Scenario, func() (dataset.CachedFlow, error) {
-			return dataset.RunFlowFull(plan[i].Scenario)
-		})
-		if err != nil {
-			t.Fatalf("flow %d: %v", i, err)
-		}
-		return p.JSON
+	outs, err := dataset.RunPlan(dataset.CampaignConfig{Cache: cache}, plan[:2], true)
+	if err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	computed := []UnitFlow{{Index: 0, Flow: payload(0)}, {Index: 1, Flow: payload(1)}}
+	payload := func(i int) []byte { return outs[i].Payload.JSON }
+	wall := func(i int) int64 { return outs[i].WallNS }
+	computed := []UnitFlow{{Index: 0, Flow: payload(0), WallNS: wall(0)}, {Index: 1, Flow: payload(1), WallNS: wall(1)}}
 	hit := []UnitFlow{{Index: 0, Flow: payload(0), Cached: true}, {Index: 1, Flow: payload(1), Cached: true}}
-	mixed := []UnitFlow{{Index: 0, Flow: payload(0), Cached: true}, {Index: 1, Flow: payload(1)}}
+	mixed := []UnitFlow{{Index: 0, Flow: payload(0), Cached: true}, {Index: 1, Flow: payload(1), WallNS: wall(1)}}
 
 	tr := tracing.New("trace-<&>")
 	sp := tr.StartSpan("", "job", "job-1")
