@@ -29,11 +29,20 @@ import (
 // content-addressed key, so bumping it orphans (never corrupts) every entry
 // written under the previous layout. Schema 2 added the congestion-control
 // variant name to the key; schema 3 added the checksummed completeness flag
-// and virtual duration to the entry header.
-const cacheSchema = 3
+// and virtual duration to the entry header; schema 4 replaced the JSON
+// payload with the binary flow payload (codec.go).
+const cacheSchema = 4
 
 // entryMagic is the first token of every cache entry file.
 const entryMagic = "hsrflowcache"
+
+// entrySuffix names entry files. Schema 3 and older wrote JSON entries
+// under legacySuffix; the eviction scan still counts those, so leftovers
+// stay inside the directory bound until they are evicted.
+const (
+	entrySuffix  = ".flow"
+	legacySuffix = ".json"
+)
 
 // FlowCache is a content-addressed, on-disk store of per-flow results: the
 // key is a stable hash of everything that determines a flow's outcome (the
@@ -109,17 +118,20 @@ func OpenFlowCacheVersion(dir, version string) (*FlowCache, error) {
 // GetOrSimulate and RunPlan write carries Telemetry, so a campaign restores
 // a hit's kernel/TCP/link counters bit for bit, exactly as if the flow had
 // simulated again. Only Put writes entries without it; those decode for Get
-// and are a miss for the telemetry-complete reads.
+// and are a miss for the telemetry-complete reads. Entries and unit lines
+// carry it as a binary flow payload (MarshalBinary, DecodeFlowPayload); the
+// JSON tags shape a flow job's response.
 type CachedFlow struct {
 	Metrics   *analysis.FlowMetrics `json:"metrics"`
 	Stats     tcp.Stats             `json:"stats"`
 	Telemetry *telemetry.FlowState  `json:"telemetry,omitempty"`
 }
 
-// CheckComplete is the one completeness check for a telemetry-complete
-// result read from outside the process (a cache entry or a worker's unit
-// line): metrics and telemetry present, and a telemetry state that passes
-// FlowState.Validate, so a campaign can restore and merge it.
+// CheckComplete is the completeness check DecodeFlowPayload runs on a
+// telemetry-complete result read from outside the process (a cache entry or
+// a worker's unit line): metrics and telemetry present, and a telemetry
+// state that passes FlowState.Validate, so a campaign can restore and merge
+// it.
 func (f *CachedFlow) CheckComplete() error {
 	switch {
 	case f.Metrics == nil:
@@ -130,27 +142,14 @@ func (f *CachedFlow) CheckComplete() error {
 	return f.Telemetry.Validate()
 }
 
-// FlowPayload is a telemetry-complete flow result in wire form: JSON holds
-// the CachedFlow encoded exactly as a cache entry stores it, and VirtualNS
-// the flow's simulated duration, so callers can ship the bytes on and still
-// time the flow without decoding them.
-type FlowPayload struct {
-	JSON      json.RawMessage
-	VirtualNS int64
-}
-
 // encodeFlowPayload encodes a telemetry-complete result. The stored entry
-// and the returned payload share these bytes, so an uncached result and a
+// and the shipped payload share these bytes, so an uncached result and a
 // cached one carry the same bytes.
-func encodeFlowPayload(ent CachedFlow) (FlowPayload, error) {
+func encodeFlowPayload(ent CachedFlow) ([]byte, error) {
 	if ent.Metrics == nil || ent.Telemetry == nil {
-		return FlowPayload{}, fmt.Errorf("dataset: flow payload needs metrics and telemetry")
+		return nil, fmt.Errorf("dataset: flow payload needs metrics and telemetry")
 	}
-	js, err := json.Marshal(ent)
-	if err != nil {
-		return FlowPayload{}, err
-	}
-	return FlowPayload{JSON: js, VirtualNS: ent.Telemetry.Kernel.VirtualNS}, nil
+	return ent.MarshalBinary()
 }
 
 // cacheKey is the canonical serialization hashed into an entry's address.
@@ -203,7 +202,7 @@ func (c *FlowCache) key(sc Scenario) (string, error) {
 
 // path maps a key to its entry file.
 func (c *FlowCache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+	return filepath.Join(c.dir, key+entrySuffix)
 }
 
 // Get looks the scenario up, returning its cached result and true on a hit.
@@ -219,7 +218,7 @@ func (c *FlowCache) Get(sc Scenario) (CachedFlow, bool) {
 	if !ok {
 		return CachedFlow{}, false
 	}
-	ent, err := decodeEntry(raw)
+	_, _, ent, err := decodeEntry(raw)
 	if err != nil {
 		c.reject(key)
 		return CachedFlow{}, false
@@ -228,50 +227,33 @@ func (c *FlowCache) Get(sc Scenario) (CachedFlow, bool) {
 	return ent, true
 }
 
-// flowResult is one telemetry-complete flow result: its wire form, and the
-// decoded entry unless it is a hit served as bytes only.
+// flowResult is one telemetry-complete flow result: the decoded entry, and
+// its payload bytes when the caller wants them or a cache stored them.
 type flowResult struct {
 	ent     CachedFlow
-	payload FlowPayload
+	payload []byte
 }
 
-// virtualNS is the flow's simulated duration, from whichever form it has.
-func (r flowResult) virtualNS() int64 {
-	if r.payload.JSON != nil {
-		return r.payload.VirtualNS
-	}
-	return r.ent.Telemetry.Kernel.VirtualNS
-}
-
-// getFull serves a telemetry-complete entry's verified payload bytes. With
-// decode set it also decodes them into ent; without, the bytes are served
-// undecoded. A metrics-only entry is a plain miss (the caller recomputes and
-// upgrades it); a damaged one, or with decode set one whose payload lacks
-// valid metrics or telemetry, is rejected.
-func (c *FlowCache) getFull(key string, decode bool) (flowResult, bool) {
+// getFull serves a telemetry-complete entry, decoded and with its payload
+// bytes. A metrics-only entry is a plain miss (the caller recomputes and
+// upgrades it); a damaged one, or one whose payload fails
+// DecodeFlowPayload, is rejected.
+func (c *FlowCache) getFull(key string) (flowResult, bool) {
 	raw, ok := c.read(key)
 	if !ok {
 		return flowResult{}, false
 	}
-	h, payload, err := verifyEntry(raw)
-	if err == nil && !h.full {
+	h, payload, ent, err := decodeEntry(raw)
+	switch {
+	case err != nil:
+		c.reject(key)
+		return flowResult{}, false
+	case !h.full:
 		c.misses.Add(1)
 		return flowResult{}, false
 	}
-	r := flowResult{payload: FlowPayload{JSON: payload, VirtualNS: h.virtualNS}}
-	switch {
-	case err != nil:
-	case decode:
-		r.ent, err = decodeFull(payload)
-	case !json.Valid(payload):
-		err = fmt.Errorf("dataset: cache entry: invalid JSON payload")
-	}
-	if err != nil {
-		c.reject(key)
-		return flowResult{}, false
-	}
 	c.served(raw)
-	return r, true
+	return flowResult{ent: ent, payload: payload}, true
 }
 
 // read loads an entry file, counting a miss when there is none.
@@ -308,22 +290,22 @@ func (c *FlowCache) served(raw []byte) {
 // simulation error is returned to the leader and every waiter, and nothing
 // is stored. Flows of a campaign plan go through RunPlan instead.
 func (c *FlowCache) GetOrSimulate(sc Scenario) (CachedFlow, bool, error) {
-	r, shared, err := c.getOrCompute(sc, true, func() (CachedFlow, error) { return runFlowFull(sc) })
+	r, shared, err := c.getOrCompute(sc, false, func() (CachedFlow, error) { return runFlowFull(sc) })
 	return r.ent, shared, err
 }
 
 // getOrCompute is the one cached read-or-compute, under GetOrSimulate and
-// RunPlan. compute must return a telemetry-complete result. A verified full
-// entry is a hit (served as bytes only unless decode is set). Otherwise
-// compute runs as the key's only in-flight computation, its result is
-// encoded once and stored, and the leader and every follower get both its
-// decoded and its encoded form. A cached entry without telemetry is a miss:
-// the recompute overwrites it, and because entries are content-addressed
-// over everything that determines the flow's outcome, the recompute is
-// bit-identical to the original. A nil cache or an unkeyable scenario
-// computes without storing, and encodes only for a caller that wants the
-// wire form (decode unset).
-func (c *FlowCache) getOrCompute(sc Scenario, decode bool, compute func() (CachedFlow, error)) (flowResult, bool, error) {
+// RunPlan. compute must return a telemetry-complete result. A full entry
+// that passes DecodeFlowPayload is a hit, served decoded and as its payload
+// bytes. Otherwise compute runs as the key's only in-flight computation,
+// its result is encoded once and stored, and the leader and every follower
+// get both its decoded and its encoded form. A cached entry without
+// telemetry is a miss: the recompute overwrites it, and because entries are
+// content-addressed over everything that determines the flow's outcome,
+// the recompute is bit-identical to the original. A nil cache or an
+// unkeyable scenario computes without storing, and encodes only for a
+// caller that wants the wire form.
+func (c *FlowCache) getOrCompute(sc Scenario, wire bool, compute func() (CachedFlow, error)) (flowResult, bool, error) {
 	run := func(encode bool) (flowResult, error) {
 		ent, err := compute()
 		if err != nil || !encode {
@@ -333,22 +315,23 @@ func (c *FlowCache) getOrCompute(sc Scenario, decode bool, compute func() (Cache
 		return flowResult{ent: ent, payload: p}, err
 	}
 	if c == nil {
-		r, err := run(!decode)
+		r, err := run(wire)
 		return r, false, err
 	}
 	key, err := c.key(sc)
 	if err != nil {
 		c.errors.Add(1)
-		r, err := run(!decode)
+		r, err := run(wire)
 		return r, false, err
 	}
-	if r, ok := c.getFull(key, decode); ok {
+	if r, ok := c.getFull(key); ok {
 		return r, true, nil
 	}
 	return c.share(key, func() (flowResult, error) {
 		r, err := run(true)
 		if err == nil {
-			c.writeEntry(key, sealEntry(entryHeader{full: true, virtualNS: r.payload.VirtualNS}, r.payload.JSON))
+			h := entryHeader{full: true, virtualNS: r.ent.Telemetry.Kernel.VirtualNS}
+			c.writeEntry(key, sealEntry(h, r.payload))
 		}
 		return r, err
 	})
@@ -395,7 +378,7 @@ func (c *FlowCache) Put(sc Scenario, m *analysis.FlowMetrics, st tcp.Stats) {
 		c.errors.Add(1)
 		return
 	}
-	payload, err := json.Marshal(CachedFlow{Metrics: m, Stats: st})
+	payload, err := (&CachedFlow{Metrics: m, Stats: st}).MarshalBinary()
 	if err != nil {
 		c.errors.Add(1)
 		return
@@ -477,7 +460,8 @@ type cacheEntryInfo struct {
 	mtime time.Time
 }
 
-// entries lists the cache directory's entry files (temp files excluded).
+// entries lists the cache directory's entry files, leftovers of older
+// schemas included (temp files excluded).
 func (c *FlowCache) entries() ([]cacheEntryInfo, error) {
 	dirents, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -486,7 +470,7 @@ func (c *FlowCache) entries() ([]cacheEntryInfo, error) {
 	ents := make([]cacheEntryInfo, 0, len(dirents))
 	for _, de := range dirents {
 		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
+		if ext := filepath.Ext(name); de.IsDir() || (ext != entrySuffix && ext != legacySuffix) {
 			continue
 		}
 		info, err := de.Info()
@@ -558,7 +542,7 @@ func (c *FlowCache) Counters() telemetry.Cache {
 	}
 }
 
-// An entry file is one header line, then the JSON payload:
+// An entry file is one header line, then the binary flow payload:
 //
 //	hsrflowcache <sha256> <full|thin> <virtual_ns>\n<payload>
 //
@@ -596,8 +580,7 @@ func sealEntry(h entryHeader, payload []byte) []byte {
 }
 
 // verifyEntry checks an entry file's magic, checksum and header flags and
-// returns the header and the (unparsed) JSON payload. Both read paths start
-// here.
+// returns the header and the (undecoded) payload.
 func verifyEntry(raw []byte) (entryHeader, []byte, error) {
 	if len(raw) < checksumOffset || string(raw[:len(entryMagic)+1]) != entryMagic+" " || raw[checksumOffset-1] != ' ' {
 		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: bad header")
@@ -630,30 +613,23 @@ func verifyEntry(raw []byte) (entryHeader, []byte, error) {
 	return h, body[nl+1:], nil
 }
 
-// decodeFull decodes a full entry's payload, which must pass CheckComplete.
-func decodeFull(payload []byte) (CachedFlow, error) {
-	var ent CachedFlow
-	if err := json.Unmarshal(payload, &ent); err != nil {
-		return CachedFlow{}, fmt.Errorf("dataset: cache entry: %w", err)
-	}
-	if err := ent.CheckComplete(); err != nil {
-		return CachedFlow{}, fmt.Errorf("dataset: cache entry: %w", err)
-	}
-	return ent, nil
-}
-
-// decodeEntry verifies and decodes an entry file of either kind.
-func decodeEntry(raw []byte) (CachedFlow, error) {
-	_, payload, err := verifyEntry(raw)
+// decodeEntry verifies an entry file and decodes its payload by kind: a
+// full entry must pass DecodeFlowPayload, a thin one must carry metrics. It
+// returns the header and the payload bytes with the decoded flow. Both read
+// paths start here.
+func decodeEntry(raw []byte) (entryHeader, []byte, CachedFlow, error) {
+	h, payload, err := verifyEntry(raw)
 	if err != nil {
-		return CachedFlow{}, err
+		return entryHeader{}, nil, CachedFlow{}, err
 	}
 	var ent CachedFlow
-	if err := json.Unmarshal(payload, &ent); err != nil {
-		return CachedFlow{}, fmt.Errorf("dataset: cache entry: %w", err)
+	if h.full {
+		ent, err = DecodeFlowPayload(payload)
+	} else if ent, err = decodeFlow(payload); err == nil && ent.Metrics == nil {
+		err = errors.New("dataset: cache entry: thin entry without metrics")
 	}
-	if ent.Metrics == nil {
-		return CachedFlow{}, fmt.Errorf("dataset: cache entry: missing metrics")
+	if err != nil {
+		return entryHeader{}, nil, CachedFlow{}, err
 	}
-	return ent, nil
+	return h, payload, ent, nil
 }

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -28,7 +27,7 @@ func cachedScenario(t *testing.T, seed int64) Scenario {
 // entryFile returns the path of the single entry a one-flow cache holds.
 func entryFile(t *testing.T, dir string) string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+entrySuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +225,8 @@ func TestFlowCacheDetectsCorruption(t *testing.T) {
 
 // getOrComputeFull is the wire-form read-or-compute RunPlan makes, with the
 // test's compute in place of the simulation.
-func getOrComputeFull(c *FlowCache, sc Scenario, compute func() (CachedFlow, error)) (FlowPayload, bool, error) {
-	r, shared, err := c.getOrCompute(sc, false, compute)
+func getOrComputeFull(c *FlowCache, sc Scenario, compute func() (CachedFlow, error)) ([]byte, bool, error) {
+	r, shared, err := c.getOrCompute(sc, true, compute)
 	return r.payload, shared, err
 }
 
@@ -247,12 +246,14 @@ func fullFlow(t *testing.T, sc Scenario) (CachedFlow, func() (CachedFlow, error)
 }
 
 // TestFlowCacheFullRoundTrip stores a telemetry-complete result through
-// the wire-form read-or-compute and serves it back: the warm payload is the cold one byte
-// for byte, equals json.Marshal of both the original and the decoded entry
-// (so shipping the entry bytes is shipping what an encoder would write), and
-// carries the flow's virtual duration from the header.
+// the wire-form read-or-compute and serves it back: the warm payload is the
+// cold one byte for byte, equals the binary encoding of both the original
+// and the decoded entry (so shipping the entry bytes is shipping what the
+// encoder would write), and the entry header carries the flow's virtual
+// duration.
 func TestFlowCacheFullRoundTrip(t *testing.T) {
-	cache, err := OpenFlowCacheVersion(t.TempDir(), "test")
+	dir := t.TempDir()
+	cache, err := OpenFlowCacheVersion(dir, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,32 +267,30 @@ func TestFlowCacheFullRoundTrip(t *testing.T) {
 	if err != nil || !hit || *calls != 1 {
 		t.Fatalf("warm: hit=%v computes=%d err=%v, want a hit", hit, *calls, err)
 	}
-	if !bytes.Equal(cold.JSON, warm.JSON) || cold.VirtualNS != warm.VirtualNS {
+	if !bytes.Equal(cold, warm) {
 		t.Fatal("warm payload differs from the cold one")
 	}
-	if warm.VirtualNS <= 0 || warm.VirtualNS != want.Telemetry.Kernel.VirtualNS {
-		t.Errorf("virtual duration %d, want %d", warm.VirtualNS, want.Telemetry.Kernel.VirtualNS)
-	}
-	encoded, err := json.Marshal(want)
+	raw, err := os.ReadFile(entryFile(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(warm.JSON, encoded) {
-		t.Error("payload bytes differ from json.Marshal of the computed result")
+	h, _, err := verifyEntry(raw)
+	if err != nil || !h.full || h.virtualNS <= 0 || h.virtualNS != want.Telemetry.Kernel.VirtualNS {
+		t.Errorf("entry header %+v (err %v), want full with virtual duration %d", h, err, want.Telemetry.Kernel.VirtualNS)
 	}
-	var got CachedFlow
-	if err := json.Unmarshal(warm.JSON, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Metrics == nil || got.Telemetry == nil {
-		t.Fatal("served payload lacks metrics or telemetry")
-	}
-	reencoded, err := json.Marshal(got)
+	encoded, err := want.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(warm.JSON, reencoded) {
-		t.Error("payload bytes differ from json.Marshal of the decoded entry")
+	if !bytes.Equal(warm, encoded) {
+		t.Error("payload bytes differ from the encoding of the computed result")
+	}
+	got, err := DecodeFlowPayload(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reencoded, err := got.MarshalBinary(); err != nil || !bytes.Equal(warm, reencoded) {
+		t.Errorf("payload bytes differ from the encoding of the decoded entry (err %v)", err)
 	}
 	// The metrics-only reader serves the same entry, and GetOrSimulate
 	// decodes it to the same result without simulating.
@@ -302,7 +301,7 @@ func TestFlowCacheFullRoundTrip(t *testing.T) {
 	if err != nil || !hit {
 		t.Fatalf("GetOrSimulate: hit=%v err=%v, want a hit", hit, err)
 	}
-	if decoded, err := json.Marshal(ent); err != nil || !bytes.Equal(decoded, warm.JSON) {
+	if decoded, err := ent.MarshalBinary(); err != nil || !bytes.Equal(decoded, warm) {
 		t.Errorf("GetOrSimulate's decoded entry does not re-encode to the payload (err %v)", err)
 	}
 	if c := cache.Counters(); c.Hits != 3 || c.Misses != 1 || c.Errors != 0 {
@@ -427,7 +426,7 @@ func TestFlowCacheFullDetectsCorruption(t *testing.T) {
 			if c := cache.Counters(); c.Errors != 1 || c.Misses != 2 {
 				t.Errorf("counters %+v, want 1 error / 2 misses", c)
 			}
-			if !bytes.Equal(ref.JSON, got.JSON) || ref.VirtualNS != got.VirtualNS {
+			if !bytes.Equal(ref, got) {
 				t.Error("recomputed payload diverged")
 			}
 			if _, hit, _ := getOrComputeFull(cache, sc, compute); !hit {
@@ -524,7 +523,7 @@ func TestFlowCacheGetOrComputeDeduplicates(t *testing.T) {
 		p, shared, err := getOrComputeFull(cache, sc, compute)
 		var ent CachedFlow
 		if err == nil {
-			err = json.Unmarshal(p.JSON, &ent)
+			ent, err = DecodeFlowPayload(p)
 		}
 		check(ent, shared, err)
 	}
@@ -628,7 +627,7 @@ func TestFlowCacheEviction(t *testing.T) {
 		s := sc
 		s.Seed = int64(1000 + i)
 		cache.Put(s, m, st)
-		all, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		all, err := filepath.Glob(filepath.Join(dir, "*"+entrySuffix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -671,7 +670,7 @@ func TestFlowCacheEviction(t *testing.T) {
 	s := sc
 	s.Seed = 2000
 	cache.Put(s, m, st)
-	left, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	left, err := filepath.Glob(filepath.Join(dir, "*"+entrySuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,20 +697,156 @@ func TestFlowCacheEviction(t *testing.T) {
 	}
 }
 
+// TestFlowCacheEvictionCountsLegacyEntries checks a leftover JSON entry of
+// an older schema counts toward the directory bound and, being older, is
+// evicted before any current entry.
+func TestFlowCacheEvictionCountsLegacyEntries(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := OpenFlowCacheVersion(dir, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := cachedScenario(t, 7)
+	m, st, err := RunFlowMetrics(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Put(sc, m, st)
+	info, err := os.Stat(entryFile(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, "0123"+legacySuffix)
+	if err := os.WriteFile(legacy, make([]byte, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(legacy, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.SetMaxBytes(info.Size() + 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
+		t.Errorf("legacy entry survived an over-budget directory (stat err %v)", err)
+	}
+	if _, ok := cache.Get(sc); !ok {
+		t.Error("current entry evicted before the older legacy one")
+	}
+	if c := cache.Counters(); c.Evictions != 1 {
+		t.Errorf("counters %+v, want 1 eviction", c)
+	}
+}
+
+// TestFlowCacheIncompleteFullEntry plants a sealed full entry whose payload
+// decodes but fails CheckComplete (a cwnd histogram with the wrong bounds).
+// RunPlan's wire-form read and GetOrSimulate must treat it alike: one error
+// and one miss, a recompute, and a rewritten entry that the next read
+// serves.
+func TestFlowCacheIncompleteFullEntry(t *testing.T) {
+	sc := cachedScenario(t, 7)
+	want, err := runFlowFull(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := *want.Telemetry
+	state.TCP.CwndHist = telemetry.Hist{
+		Bounds: slices.Clone(state.TCP.CwndHist.Bounds),
+		Counts: slices.Clone(state.TCP.CwndHist.Counts),
+	}
+	state.TCP.CwndHist.Bounds[0] = 0.5
+	bad := CachedFlow{Metrics: want.Metrics, Stats: want.Stats, Telemetry: &state}
+	badPayload, err := bad.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeFlowPayload(badPayload); err == nil {
+		t.Fatal("the planted payload passes DecodeFlowPayload")
+	}
+	wantPayload, err := want.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := map[string]func(*FlowCache) (bool, error){
+		"RunPlan": func(c *FlowCache) (bool, error) {
+			outs, err := RunPlan(CampaignConfig{Cache: c}, []PlannedFlow{{Scenario: sc}}, true)
+			if err != nil {
+				return false, err
+			}
+			if !bytes.Equal(outs[0].Payload, wantPayload) {
+				t.Error("RunPlan shipped a payload other than the recomputed one")
+			}
+			return outs[0].Cached, nil
+		},
+		"GetOrSimulate": func(c *FlowCache) (bool, error) {
+			_, hit, err := c.GetOrSimulate(sc)
+			return hit, err
+		},
+	}
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cache, err := OpenFlowCacheVersion(dir, "test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, err := cache.key(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache.writeEntry(key, sealEntry(entryHeader{full: true, virtualNS: state.Kernel.VirtualNS}, badPayload))
+			if hit, err := read(cache); err != nil || hit {
+				t.Fatalf("incomplete entry: hit=%v err=%v, want a computed miss", hit, err)
+			}
+			if c := cache.Counters(); c.Hits != 0 || c.Misses != 1 || c.Errors != 1 {
+				t.Errorf("counters %+v, want 0 hits / 1 miss / 1 error", c)
+			}
+			raw, err := os.ReadFile(entryFile(t, dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, payload, _, err := decodeEntry(raw); err != nil || !bytes.Equal(payload, wantPayload) {
+				t.Errorf("entry not rewritten with the recomputed payload (err %v)", err)
+			}
+			if hit, err := read(cache); err != nil || !hit {
+				t.Errorf("rewritten entry: hit=%v err=%v, want a hit", hit, err)
+			}
+		})
+	}
+}
+
+// minimalFlows returns the smallest telemetry-complete flow (zero counters,
+// the standard histogram shapes) and a metrics-only one: seeds small enough
+// for the fuzz targets' input cap.
+func minimalFlows() (full, thin CachedFlow) {
+	state := telemetry.NewFlow().State()
+	state.Kernel.VirtualNS = 7
+	return CachedFlow{Metrics: &analysis.FlowMetrics{}, Telemetry: &state}, CachedFlow{Metrics: &analysis.FlowMetrics{}}
+}
+
+// mustMarshal encodes f, failing the test on error.
+func mustMarshal(tb testing.TB, f CachedFlow) []byte {
+	tb.Helper()
+	b, err := f.MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 // FuzzFlowCacheEntry plants arbitrary bytes at an entry's path and reads
-// them through every read path: Get, the decoding full read under
-// GetOrSimulate, and the undecoded one under RunPlan's wire form. None may
-// panic; a served metrics-only result carries metrics; a decoded full hit
-// carries metrics and a telemetry state that validates; a served full
-// payload decodes with metrics and telemetry present; anything else is a
-// counted miss that recomputes. The seeds added here are sealed by the
-// current writer; the checked-in corpus adds damaged, flag-flipped and
-// schema-2 entries.
+// them through every read path: Get, and the full read under GetOrSimulate
+// and under RunPlan's wire form. None may panic; a served metrics-only
+// result carries metrics; a full hit carries a result that passes
+// CheckComplete and payload bytes that pass DecodeFlowPayload; anything
+// else is a counted miss that recomputes. The seeds added here are sealed
+// by the current writer; the checked-in corpus adds damaged, flag-flipped,
+// schema-2 and schema-3 (JSON payload) entries, which must all be rejected.
 func FuzzFlowCacheEntry(f *testing.F) {
-	full := sealEntry(entryHeader{full: true, virtualNS: 7}, []byte(`{"metrics":{},"telemetry":{"kernel":{"virtual_ns":7}}}`))
-	thin := sealEntry(entryHeader{}, []byte(`{"metrics":{}}`))
-	f.Add(full)
-	f.Add(thin)
+	complete, thin := minimalFlows()
+	f.Add(sealEntry(entryHeader{full: true, virtualNS: 7}, mustMarshal(f, complete)))
+	f.Add(sealEntry(entryHeader{}, mustMarshal(f, thin)))
+	f.Add(sealEntry(entryHeader{full: true, virtualNS: 7}, mustMarshal(f, thin)))
 
 	cache, err := OpenFlowCacheVersion(f.TempDir(), "fuzz")
 	if err != nil {
@@ -746,11 +881,11 @@ func FuzzFlowCacheEntry(f *testing.F) {
 			t.Fatalf("Get miss not counted: %+v -> %+v", before, after)
 		}
 
-		for _, decode := range []bool{true, false} {
+		for _, wire := range []bool{false, true} {
 			plant()
 			before = cache.Counters()
 			computed := false
-			r, hit, err := cache.getOrCompute(sc, decode, func() (CachedFlow, error) {
+			r, hit, err := cache.getOrCompute(sc, wire, func() (CachedFlow, error) {
 				computed = true
 				return stub, nil
 			})
@@ -759,23 +894,19 @@ func FuzzFlowCacheEntry(f *testing.F) {
 				t.Fatal(err)
 			}
 			if hit == computed {
-				t.Fatalf("decode=%v: hit=%v but computed=%v", decode, hit, computed)
+				t.Fatalf("wire=%v: hit=%v but computed=%v", wire, hit, computed)
 			}
 			if !hit {
 				if after.Misses != before.Misses+1 {
-					t.Fatalf("decode=%v: full miss not counted: %+v -> %+v", decode, before, after)
+					t.Fatalf("wire=%v: full miss not counted: %+v -> %+v", wire, before, after)
 				}
 				continue
 			}
-			if decode && (r.ent.Metrics == nil || r.ent.Telemetry == nil || r.ent.Telemetry.Validate() != nil) {
-				t.Fatal("decoded hit lacks metrics or a valid telemetry state")
+			if err := r.ent.CheckComplete(); err != nil {
+				t.Fatalf("wire=%v: hit fails CheckComplete: %v", wire, err)
 			}
-			var got CachedFlow
-			if err := json.Unmarshal(r.payload.JSON, &got); err != nil {
-				t.Fatalf("decode=%v: served payload does not decode: %v", decode, err)
-			}
-			if got.Metrics == nil || got.Telemetry == nil {
-				t.Fatalf("decode=%v: served payload lacks metrics or telemetry", decode)
+			if _, err := DecodeFlowPayload(r.payload); err != nil {
+				t.Fatalf("wire=%v: served payload fails DecodeFlowPayload: %v", wire, err)
 			}
 		}
 	})

@@ -201,19 +201,15 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 // FlowOutcome is one planned flow's result: its plan index, its
 // telemetry-complete result, whether it was served from the cache or from
 // another caller's simulation of the same key, and the host wall time this
-// run spent simulating it (0 when it did not simulate). The JSON fields are
-// the per-flow fields of the distributed unit wire, so a coordinator decodes
-// a worker's unit line straight into outcomes.
+// run spent simulating it (0 when it did not simulate).
 type FlowOutcome struct {
-	Index int `json:"index"`
-	// Flow is the decoded result. A wire-form run leaves it zero for a hit,
-	// which it serves as Payload bytes only.
-	Flow   CachedFlow `json:"flow"`
-	Cached bool       `json:"cached"`
-	WallNS int64      `json:"wall_ns"`
-	// Payload is the result's encoded form: set by a wire-form run, and by
-	// any run with a cache, which stores those bytes.
-	Payload FlowPayload `json:"-"`
+	Index  int
+	Flow   CachedFlow
+	Cached bool
+	WallNS int64
+	// Payload is the result's binary flow payload: set by a wire-form run,
+	// and by any run with a cache, which stores those bytes.
+	Payload []byte
 }
 
 // RunPlan runs a contiguous range of a campaign plan with telemetry attached
@@ -225,10 +221,9 @@ type FlowOutcome struct {
 // the range. With cfg.Trace, each flow gets a "flow" span under
 // cfg.TraceParent (index, operator, cached, virtual interval), holding a
 // "cache" span when there is a cache and a "compute" span (under the cache
-// span, if any) when the flow simulated. wire selects the result's form: a
-// wire-form run returns Payload bytes and never decodes a hit; otherwise
-// results are decoded, and without a cache no flow is encoded. The first
-// failure in plan order is returned.
+// span, if any) when the flow simulated. Every outcome is decoded; wire
+// also asks for Payload bytes, which a run without a cache otherwise never
+// encodes. The first failure in plan order is returned.
 func RunPlan(cfg CampaignConfig, plan []PlannedFlow, wire bool) ([]FlowOutcome, error) {
 	outs := make([]FlowOutcome, len(plan))
 	errs := make([]error, len(plan))
@@ -284,7 +279,7 @@ func runPlanned(cfg CampaignConfig, j PlannedFlow, wire bool) (FlowOutcome, erro
 	// Only a call that simulates sets wall: a hit or a deduplicated flow
 	// keeps 0.
 	var wall int64
-	r, cached, err := cfg.Cache.getOrCompute(j.Scenario, !wire, func() (CachedFlow, error) {
+	r, cached, err := cfg.Cache.getOrCompute(j.Scenario, wire, func() (CachedFlow, error) {
 		ksp := cfg.Trace.StartSpan(under.ID(), "compute", id)
 		start := time.Now()
 		full, err := runFlowFull(j.Scenario)
@@ -304,7 +299,7 @@ func runPlanned(cfg CampaignConfig, j PlannedFlow, wire bool) (FlowOutcome, erro
 	}
 	if fsp != nil {
 		fsp.SetAttr("cached", strconv.FormatBool(cached))
-		fsp.SetVirtual(0, r.virtualNS())
+		fsp.SetVirtual(0, r.ent.Telemetry.Kernel.VirtualNS)
 		fsp.End()
 	}
 	return FlowOutcome{Index: j.Index, Flow: r.ent, Cached: cached, WallNS: wall, Payload: r.payload}, nil

@@ -17,14 +17,12 @@ import (
 )
 
 // unitEvent is the part of a serve.Event line the coordinator reads from a
-// unit job's stream. Decoding into it (rather than serve.Event, whose unit
-// flows are raw bytes) decodes every flow straight into a
-// dataset.FlowOutcome in the same single pass as the line itself.
+// unit job's stream.
 type unitEvent struct {
 	Event string `json:"event"`
 	Error string `json:"error"`
 	Unit  *struct {
-		Flows []dataset.FlowOutcome `json:"flows"`
+		Flows []serve.UnitFlow `json:"flows"`
 	} `json:"unit"`
 	Spans []tracing.SpanRecord `json:"spans"`
 }
@@ -87,7 +85,7 @@ func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string)
 
 // readUnitResult reads a unit job's NDJSON stream up to its terminal line
 // and validates the result for the plan range [start, end): one flow per
-// index, in order, each passing CachedFlow.CheckComplete, with a
+// index, in order, each payload passing dataset.DecodeFlowPayload, with a
 // non-negative wall time. Every defect — an undecodable line, a missing
 // terminal event, a worker error or a malformed result — is an error, so
 // the unit takes the coordinator's retry path instead of reaching campaign
@@ -95,7 +93,7 @@ func (c *Coordinator) runUnitOn(r *run, w *worker, u *unit, parentSpanID string)
 // arrived.
 func readUnitResult(r io.Reader, start, end int) ([]dataset.FlowOutcome, []tracing.SpanRecord, error) {
 	// The buffer starts small and grows to the longest line (a 16-flow unit
-	// is ~64 KB); the 64 MiB cap bounds what a hostile worker can make the
+	// is ~13 KB); the 64 MiB cap bounds what a hostile worker can make the
 	// coordinator hold.
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<26)
@@ -122,6 +120,7 @@ func readUnitResult(r io.Reader, start, end int) ([]dataset.FlowOutcome, []traci
 	if terminal.Unit == nil || len(terminal.Unit.Flows) != end-start {
 		return nil, terminal.Spans, fmt.Errorf("malformed unit result for [%d, %d)", start, end)
 	}
+	outs := make([]dataset.FlowOutcome, len(terminal.Unit.Flows))
 	for i, f := range terminal.Unit.Flows {
 		switch {
 		case f.Index != start+i:
@@ -129,11 +128,13 @@ func readUnitResult(r io.Reader, start, end int) ([]dataset.FlowOutcome, []traci
 		case f.WallNS < 0:
 			return nil, terminal.Spans, fmt.Errorf("flow %d arrived with wall time %d", f.Index, f.WallNS)
 		}
-		if err := f.Flow.CheckComplete(); err != nil {
+		flow, err := dataset.DecodeFlowPayload(f.Flow)
+		if err != nil {
 			return nil, terminal.Spans, fmt.Errorf("flow %d: %w", f.Index, err)
 		}
+		outs[i] = dataset.FlowOutcome{Index: f.Index, Flow: flow, Cached: f.Cached, WallNS: f.WallNS}
 	}
-	return terminal.Unit.Flows, terminal.Spans, nil
+	return outs, terminal.Spans, nil
 }
 
 // faultsDSL renders a campaign's fault schedule back to the wire DSL the

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/dataset"
 	"repro/internal/serve"
+	"repro/internal/telemetry"
 )
 
 // defectiveWorker serves jobs through a real worker but rewrites the
@@ -49,11 +53,23 @@ func firstFlow(unit map[string]any) map[string]any {
 	return unit["flows"].([]any)[0].(map[string]any)
 }
 
-// firstTCP returns the TCP telemetry section of a decoded unit result's
-// first flow.
-func firstTCP(unit map[string]any) map[string]any {
-	tel := firstFlow(unit)["flow"].(map[string]any)["telemetry"].(map[string]any)
-	return tel["tcp"].(map[string]any)
+// editFirstFlow decodes the first flow's payload, lets edit change it and
+// ships the re-encoded payload in its place.
+func editFirstFlow(unit map[string]any, edit func(f *dataset.CachedFlow)) {
+	flow := firstFlow(unit)
+	raw, err := base64.StdEncoding.DecodeString(flow["flow"].(string))
+	if err != nil {
+		panic(err)
+	}
+	f, err := dataset.DecodeFlowPayload(raw)
+	if err != nil {
+		panic(err)
+	}
+	edit(&f)
+	if raw, err = f.MarshalBinary(); err != nil {
+		panic(err)
+	}
+	flow["flow"] = base64.StdEncoding.EncodeToString(raw)
 }
 
 // TestCoordinatorRetriesMalformedUnitResults has a worker ship one defective
@@ -67,20 +83,22 @@ func TestCoordinatorRetriesMalformedUnitResults(t *testing.T) {
 			firstFlow(unit)["index"] = 99
 		},
 		"missing metrics": func(unit map[string]any) {
-			firstFlow(unit)["flow"].(map[string]any)["metrics"] = nil
+			editFirstFlow(unit, func(f *dataset.CachedFlow) { f.Metrics = nil })
 		},
 		"missing telemetry": func(unit map[string]any) {
-			delete(firstFlow(unit)["flow"].(map[string]any), "telemetry")
+			editFirstFlow(unit, func(f *dataset.CachedFlow) { f.Telemetry = nil })
 		},
 		"undecodable flow": func(unit map[string]any) {
-			firstFlow(unit)["flow"].(map[string]any)["stats"] = "garbage"
+			firstFlow(unit)["flow"] = base64.StdEncoding.EncodeToString([]byte(`{"stats":"garbage"}`))
 		},
 		"mismatched histogram": func(unit map[string]any) {
-			h := firstTCP(unit)["cwnd_hist"].(map[string]any)
-			h["counts"] = h["counts"].([]any)[1:]
+			editFirstFlow(unit, func(f *dataset.CachedFlow) {
+				h := &f.Telemetry.TCP.CwndHist
+				h.Counts = h.Counts[1:]
+			})
 		},
 		"negative histogram count": func(unit map[string]any) {
-			firstTCP(unit)["backoff_hist"].(map[string]any)["counts"].([]any)[0] = -1
+			editFirstFlow(unit, func(f *dataset.CachedFlow) { f.Telemetry.TCP.BackoffHist.Counts[0] = -1 })
 		},
 		"missing flow": func(unit map[string]any) {
 			unit["flows"] = unit["flows"].([]any)[1:]
@@ -112,12 +130,29 @@ func TestCoordinatorRetriesMalformedUnitResults(t *testing.T) {
 // FuzzUnitStream feeds hostile NDJSON streams to the coordinator's unit
 // result reader: it must return an error or a well-formed unit (one flow
 // per index of the range, in order, each with metrics and telemetry that
-// passes FlowState.Validate), never panic. The checked-in corpus holds a
-// valid stream and one stream per defect the reader rejects.
+// passes FlowState.Validate), never panic. The seeds added here carry
+// binary flow payloads in base64; the checked-in corpus holds streams of
+// the older JSON flow objects, which must all be rejected.
 func FuzzUnitStream(f *testing.F) {
+	state := telemetry.NewFlow().State()
+	for _, flow := range []dataset.CachedFlow{
+		{Metrics: &analysis.FlowMetrics{}, Telemetry: &state},
+		{Metrics: &analysis.FlowMetrics{}},
+	} {
+		payload, err := flow.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, p := range [][]byte{payload, append(payload, 0)} {
+			line := `{"event":"result","unit":{"flows":[{"index":3,"flow":"` + base64.StdEncoding.EncodeToString(p) + `"}]}}` + "\n"
+			f.Add([]byte(line), uint8(3), uint8(1))
+		}
+	}
+	f.Add([]byte(`{"event":"result","unit":{"flows":[{"index":0,"flow":"AAE$"}]}}`), uint8(0), uint8(1))
 	f.Fuzz(func(t *testing.T, stream []byte, start, count uint8) {
-		if len(stream) > 512 {
-			t.Skip("inputs over 512 bytes spend the fuzz time in the minimizer")
+		// The smallest accepted line (one minimal flow) is ~530 bytes.
+		if len(stream) > 768 {
+			t.Skip("inputs over 768 bytes spend the fuzz time in the minimizer")
 		}
 		lo, hi := int(start), int(start)+int(count)
 		flows, _, err := readUnitResult(bytes.NewReader(stream), lo, hi)

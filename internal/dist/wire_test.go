@@ -21,19 +21,15 @@ func realFlow(tb testing.TB, i int) (dataset.CachedFlow, []byte) {
 	if err != nil {
 		tb.Fatalf("plan: %v", err)
 	}
-	outs, err := dataset.RunPlan(quickCampaign(11), plan[i:i+1], false)
+	outs, err := dataset.RunPlan(quickCampaign(11), plan[i:i+1], true)
 	if err != nil {
 		tb.Fatalf("flow %d: %v", i, err)
 	}
-	js, err := json.Marshal(outs[0].Flow)
+	dec, err := dataset.DecodeFlowPayload(outs[0].Payload)
 	if err != nil {
-		tb.Fatalf("encode flow %d: %v", i, err)
-	}
-	var dec dataset.CachedFlow
-	if err := json.Unmarshal(js, &dec); err != nil {
 		tb.Fatalf("decode flow %d: %v", i, err)
 	}
-	return dec, js
+	return dec, outs[0].Payload
 }
 
 // unitStream writes the stream a worker sends for a unit job over
@@ -141,29 +137,18 @@ func TestReadUnitResultCallsIndependent(t *testing.T) {
 	assertFlows(t, second, 2, b, b)
 }
 
-// TestReadUnitResultWhitespacePayload ships payloads carrying insignificant
-// whitespace — still valid JSON, so a cache entry could hold one — through
-// the verbatim writer. Indented JSON spans several lines and is compacted
-// to keep the stream line-framed; spaces and tabs alone are copied as they
-// are. Either way the line decodes to the same CachedFlow.
-func TestReadUnitResultWhitespacePayload(t *testing.T) {
-	ent, js := realFlow(t, 0)
-	indented, err := json.MarshalIndent(ent, "", "\t")
+// TestReadUnitResultRejectsJSONFlow reads a unit line whose flow is a JSON
+// object, as older workers shipped it: the line is rejected as a whole, not
+// half-decoded.
+func TestReadUnitResultRejectsJSONFlow(t *testing.T) {
+	ent, _ := realFlow(t, 0)
+	js, err := json.Marshal(ent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spaced := append(append([]byte(" \t"), js...), " \r\t "...)
-	for name, p := range map[string][]byte{"indented": indented, "spaced": spaced} {
-		var buf bytes.Buffer
-		unitStream(t, &buf, 3, p, js)
-		if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != 2 {
-			t.Fatalf("%s: stream has %d lines, want 2", name, lines)
-		}
-		flows, _, err := readUnitResult(&buf, 3, 5)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		assertFlows(t, flows, 3, ent, ent)
+	line := []byte(`{"event":"result","unit":{"start":0,"end":1,"flows":[{"index":0,"flow":` + string(js) + `}]}}` + "\n")
+	if flows, _, err := readUnitResult(bytes.NewReader(line), 0, 1); err == nil || flows != nil {
+		t.Fatalf("JSON flow object accepted: %d flows, err %v", len(flows), err)
 	}
 }
 

@@ -487,10 +487,9 @@ func (s *Server) runFlowJob(spec *JobSpec, meta *jobMeta) Event {
 // the job's context and span, with this server's flow parallelism and
 // cache. With a cache, a reassigned or hedged duplicate of this unit
 // re-serves bit-identical payloads from disk instead of simulating again.
-// Each flow ships as encoded payload bytes: a hit forwards the verified
-// entry bytes without decoding them, a computed flow is encoded once, and
-// WriteEvent copies both onto the wire verbatim, next to the flow's wall
-// time. A unit job streams no progress: its only reader, the coordinator,
+// Each flow ships as its binary payload, base64 in the line, next to the
+// flow's wall time: a hit forwards the entry payload that DecodeFlowPayload
+// has just checked, a computed flow is encoded once. A unit job streams no progress: its only reader, the coordinator,
 // waits for the terminal line.
 func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, meta *jobMeta) Event {
 	cfg, err := spec.Unit.campaignConfig()
@@ -520,7 +519,7 @@ func (s *Server) runUnitJob(ctx context.Context, spec *JobSpec, meta *jobMeta) E
 	}
 	res := &UnitResult{Start: start, End: end, Flows: make([]UnitFlow, len(outs))}
 	for i, o := range outs {
-		res.Flows[i] = UnitFlow{Index: o.Index, Flow: o.Payload.JSON, Cached: o.Cached, WallNS: o.WallNS}
+		res.Flows[i] = UnitFlow{Index: o.Index, Flow: o.Payload, Cached: o.Cached, WallNS: o.WallNS}
 		if o.Cached {
 			res.CacheHits++
 		}

@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"strconv"
 	"sync"
 
 	"repro/internal/dataset"
@@ -69,18 +66,19 @@ type UnitResult struct {
 }
 
 // UnitFlow is one flow of a unit result (a dataset.FlowOutcome in wire
-// form): its global plan index, the full cache-entry payload (a
-// dataset.CachedFlow with metrics, endpoint stats and exact telemetry state)
-// as the encoded bytes a cache entry stores — a cached flow ships its
-// verified entry bytes unchanged, an uncached one the same bytes encoded
-// once — and the host wall time the worker spent simulating it (0 for a
-// cached flow). WriteEvent copies Flow onto the wire verbatim, so it must
-// already be valid JSON.
+// form): its global plan index, its binary flow payload (a
+// dataset.CachedFlow with metrics, endpoint stats and exact telemetry
+// state, as the bytes a cache entry stores — a cached flow ships its
+// verified entry payload unchanged, an uncached one the same bytes encoded
+// once), and the host wall time the worker spent simulating it (0 for a
+// cached flow). On the wire the payload is a base64 string, as
+// encoding/json writes a []byte; a reader checks it with
+// dataset.DecodeFlowPayload.
 type UnitFlow struct {
-	Index  int             `json:"index"`
-	Flow   json.RawMessage `json:"flow"`
-	Cached bool            `json:"cached,omitempty"`
-	WallNS int64           `json:"wall_ns,omitempty"`
+	Index  int    `json:"index"`
+	Flow   []byte `json:"flow"`
+	Cached bool   `json:"cached,omitempty"`
+	WallNS int64  `json:"wall_ns,omitempty"`
 }
 
 // Summary counts a scheduled job's task outcomes.
@@ -96,113 +94,11 @@ type TaskOutput struct {
 	Output string `json:"output"`
 }
 
-// WriteEvent writes e to w as one NDJSON line: the bytes
-// json.NewEncoder(w).Encode(e) writes, except that a unit result's flow
-// payloads are copied verbatim instead of being re-validated and compacted
-// by the encoder. They need neither: a cached payload passed the cache's
-// checksum and json.Valid on its way out, and a computed one is what
-// json.Marshal just wrote, which is already compact. A payload holding a
-// newline (insignificant whitespace an entry could carry) is compacted so
-// it cannot split the line. The envelope goes through encoding/json, and
-// the pieces go to w as they are built, so a buffered w never holds the
-// whole line.
+// WriteEvent writes e to w as one NDJSON line. A unit result's flow
+// payloads are []byte, which the encoder writes as base64 strings without
+// scanning them, so the plain encoder is the fast path too.
 func WriteEvent(w io.Writer, e *Event) error {
-	if e.Unit == nil {
-		return json.NewEncoder(w).Encode(e)
-	}
-	// Unit and Spans are Event's last two fields: encode the rest, reopen
-	// the object and append them in field order.
-	env := *e
-	env.Unit, env.Spans = nil, nil
-	head, err := json.Marshal(&env)
-	if err != nil {
-		return err
-	}
-	var spans []byte
-	if len(e.Spans) > 0 {
-		if spans, err = json.Marshal(e.Spans); err != nil {
-			return err
-		}
-	}
-	lw := lineWriter{w: w}
-	lw.write(head[:len(head)-1])
-	u := e.Unit
-	buf := make([]byte, 0, 64)
-	buf = append(buf, `,"unit":{"start":`...)
-	buf = strconv.AppendInt(buf, int64(u.Start), 10)
-	buf = append(buf, `,"end":`...)
-	buf = strconv.AppendInt(buf, int64(u.End), 10)
-	buf = append(buf, `,"flows":`...)
-	if u.Flows == nil {
-		buf = append(buf, "null"...)
-	} else {
-		buf = append(buf, '[')
-		for i, f := range u.Flows {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, `{"index":`...)
-			buf = strconv.AppendInt(buf, int64(f.Index), 10)
-			buf = append(buf, `,"flow":`...)
-			lw.write(buf)
-			buf = buf[:0]
-			lw.payload(f.Flow)
-			if f.Cached {
-				buf = append(buf, `,"cached":true`...)
-			}
-			if f.WallNS != 0 {
-				buf = append(buf, `,"wall_ns":`...)
-				buf = strconv.AppendInt(buf, f.WallNS, 10)
-			}
-			buf = append(buf, '}')
-		}
-		buf = append(buf, ']')
-	}
-	if u.CacheHits != 0 {
-		buf = append(buf, `,"cache_hits":`...)
-		buf = strconv.AppendInt(buf, int64(u.CacheHits), 10)
-	}
-	buf = append(buf, '}')
-	if spans != nil {
-		buf = append(buf, `,"spans":`...)
-		lw.write(buf)
-		buf = buf[:0]
-		lw.write(spans)
-	}
-	lw.write(append(buf, "}\n"...))
-	return lw.err
-}
-
-// lineWriter writes the pieces of one event line, keeping the first error.
-type lineWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (lw *lineWriter) write(p []byte) {
-	if lw.err == nil {
-		_, lw.err = lw.w.Write(p)
-	}
-}
-
-// payload writes one flow's encoded bytes: null when empty, like
-// json.RawMessage; compacted when a newline would split the line.
-func (lw *lineWriter) payload(p []byte) {
-	switch {
-	case len(p) == 0:
-		lw.write([]byte("null"))
-	case bytes.IndexByte(p, '\n') >= 0:
-		var c bytes.Buffer
-		if err := json.Compact(&c, p); err != nil {
-			if lw.err == nil {
-				lw.err = fmt.Errorf("serve: unit flow payload: %w", err)
-			}
-			return
-		}
-		lw.write(c.Bytes())
-	default:
-		lw.write(p)
-	}
+	return json.NewEncoder(w).Encode(e)
 }
 
 // stream carries a job's events from the worker goroutine to the HTTP

@@ -88,12 +88,9 @@ func TestUnitJobByteIdentity(t *testing.T) {
 		if uf.Index != i {
 			t.Fatalf("flow %d shipped with index %d", i, uf.Index)
 		}
-		var ent dataset.CachedFlow
-		if err := json.Unmarshal(uf.Flow, &ent); err != nil {
+		ent, err := dataset.DecodeFlowPayload(uf.Flow)
+		if err != nil {
 			t.Fatalf("flow %d payload: %v", i, err)
-		}
-		if ent.Telemetry == nil {
-			t.Fatalf("flow %d shipped without telemetry", i)
 		}
 		merged.AddFlow(ent.Telemetry.Restore())
 		if a, _ := json.Marshal(ent.Metrics); true {
@@ -149,11 +146,11 @@ func TestUnitJobCachedReplayIdentical(t *testing.T) {
 		if !bytes.Equal(a, c) {
 			t.Fatalf("uncached flow %d diverged from the cached one:\n%s\nvs\n%s", i, c, a)
 		}
-		var cc dataset.CachedFlow
-		if err := json.Unmarshal(c, &cc); err != nil {
+		cc, err := dataset.DecodeFlowPayload(c)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if enc, _ := json.Marshal(cc); !bytes.Equal(enc, c) {
+		if enc, _ := cc.MarshalBinary(); !bytes.Equal(enc, c) {
 			t.Fatalf("uncached flow %d is not the encoder's bytes for its value", i)
 		}
 		if first.Flows[i].WallNS <= 0 || plain.Flows[i].WallNS <= 0 || second.Flows[i].WallNS != 0 {
@@ -241,7 +238,7 @@ func TestWriteEventMatchesEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	payload := func(i int) []byte { return outs[i].Payload.JSON }
+	payload := func(i int) []byte { return outs[i].Payload }
 	wall := func(i int) int64 { return outs[i].WallNS }
 	computed := []UnitFlow{{Index: 0, Flow: payload(0), WallNS: wall(0)}, {Index: 1, Flow: payload(1), WallNS: wall(1)}}
 	hit := []UnitFlow{{Index: 0, Flow: payload(0), Cached: true}, {Index: 1, Flow: payload(1), Cached: true}}
@@ -254,12 +251,13 @@ func TestWriteEventMatchesEncoder(t *testing.T) {
 	spans := tr.Spans()
 
 	units := map[string]*UnitResult{
-		"computed":    {Start: 0, End: 2, Flows: computed},
-		"all hits":    {Start: 0, End: 2, Flows: hit, CacheHits: 2},
-		"mixed":       {Start: 0, End: 2, Flows: mixed, CacheHits: 1},
-		"empty":       {Start: 5, End: 5, Flows: []UnitFlow{}},
-		"nil flows":   {Start: 5, End: 5},
-		"nil payload": {Start: 9, End: 10, Flows: []UnitFlow{{Index: 9}}},
+		"computed":      {Start: 0, End: 2, Flows: computed},
+		"all hits":      {Start: 0, End: 2, Flows: hit, CacheHits: 2},
+		"mixed":         {Start: 0, End: 2, Flows: mixed, CacheHits: 1},
+		"empty":         {Start: 5, End: 5, Flows: []UnitFlow{}},
+		"nil flows":     {Start: 5, End: 5},
+		"nil payload":   {Start: 9, End: 10, Flows: []UnitFlow{{Index: 9}}},
+		"empty payload": {Start: 9, End: 10, Flows: []UnitFlow{{Index: 9, Flow: []byte{}}}},
 	}
 	for name, u := range units {
 		for _, withSpans := range []bool{false, true} {
