@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,8 +27,9 @@ import (
 // written under the previous layout. Schema 2 added the congestion-control
 // variant name to the key; schema 3 added the checksummed completeness flag
 // and virtual duration to the entry header; schema 4 replaced the JSON
-// payload with the binary flow payload (codec.go).
-const cacheSchema = 4
+// payload with the binary flow payload (codec.go); schema 5 dropped the
+// header's flag and duration, so the header is the checksum alone.
+const cacheSchema = 5
 
 // entryMagic is the first token of every cache entry file.
 const entryMagic = "hsrflowcache"
@@ -54,7 +52,7 @@ const (
 // re-running it, telemetry included.
 //
 // Entries are written atomically (temp file + rename) and carry a SHA-256
-// checksum covering their header flags and payload; a truncated, corrupted
+// checksum covering their payload; a truncated, corrupted
 // or stale-schema entry is detected on read, counted in Errors, deleted
 // best-effort, and treated as a miss — the flow simply simulates again and
 // rewrites the entry. All methods are safe for concurrent use by campaign
@@ -79,8 +77,8 @@ type FlowCache struct {
 	evictMu   sync.Mutex
 
 	// flightMu/flight deduplicate concurrent computations of the same key:
-	// the first caller (GetOrSimulate or RunPlan) for a missing key
-	// simulates, everyone else waits for its result.
+	// the first RunPlan flow for a missing key simulates, everyone else
+	// waits for its result.
 	flightMu sync.Mutex
 	flight   map[string]*flightCall
 }
@@ -115,7 +113,7 @@ func OpenFlowCacheVersion(dir, version string) (*FlowCache, error) {
 
 // CachedFlow is one cache entry's payload: a flow's metrics, its endpoint
 // stats and its exact telemetry bundle in wire form. Every entry that
-// GetOrSimulate and RunPlan write carries Telemetry, so a campaign restores
+// RunPlan writes carries Telemetry, so a campaign restores
 // a hit's kernel/TCP/link counters bit for bit, exactly as if the flow had
 // simulated again. Only Put writes entries without it; those decode for Get
 // and are a miss for the telemetry-complete reads. Entries and unit lines
@@ -218,7 +216,7 @@ func (c *FlowCache) Get(sc Scenario) (CachedFlow, bool) {
 	if !ok {
 		return CachedFlow{}, false
 	}
-	_, _, ent, err := decodeEntry(raw)
+	_, ent, err := decodeEntry(raw)
 	if err != nil {
 		c.reject(key)
 		return CachedFlow{}, false
@@ -243,12 +241,12 @@ func (c *FlowCache) getFull(key string) (flowResult, bool) {
 	if !ok {
 		return flowResult{}, false
 	}
-	h, payload, ent, err := decodeEntry(raw)
+	payload, ent, err := decodeEntry(raw)
 	switch {
 	case err != nil:
 		c.reject(key)
 		return flowResult{}, false
-	case !h.full:
+	case ent.Telemetry == nil:
 		c.misses.Add(1)
 		return flowResult{}, false
 	}
@@ -281,21 +279,8 @@ func (c *FlowCache) served(raw []byte) {
 	c.hits.Add(1)
 }
 
-// GetOrSimulate returns one scenario's telemetry-complete result, served
-// from a verified full entry when the cache holds one and simulated (then
-// stored) otherwise. Concurrent misses of one key simulate once: shared
-// reports that the result came from the cache or another caller's
-// simulation rather than this call's own (no simulation work of its own
-// happened). A nil cache simulates directly (shared is then false). A
-// simulation error is returned to the leader and every waiter, and nothing
-// is stored. Flows of a campaign plan go through RunPlan instead.
-func (c *FlowCache) GetOrSimulate(sc Scenario) (CachedFlow, bool, error) {
-	r, shared, err := c.getOrCompute(sc, false, func() (CachedFlow, error) { return runFlowFull(sc) })
-	return r.ent, shared, err
-}
-
-// getOrCompute is the one cached read-or-compute, under GetOrSimulate and
-// RunPlan. compute must return a telemetry-complete result. A full entry
+// getOrCompute is the one cached read-or-compute, under RunPlan's flows.
+// compute must return a telemetry-complete result. A full entry
 // that passes DecodeFlowPayload is a hit, served decoded and as its payload
 // bytes. Otherwise compute runs as the key's only in-flight computation,
 // its result is encoded once and stored, and the leader and every follower
@@ -330,8 +315,7 @@ func (c *FlowCache) getOrCompute(sc Scenario, wire bool, compute func() (CachedF
 	return c.share(key, func() (flowResult, error) {
 		r, err := run(true)
 		if err == nil {
-			h := entryHeader{full: true, virtualNS: r.ent.Telemetry.Kernel.VirtualNS}
-			c.writeEntry(key, sealEntry(h, r.payload))
+			c.writeEntry(key, sealEntry(r.payload))
 		}
 		return r, err
 	})
@@ -383,7 +367,7 @@ func (c *FlowCache) Put(sc Scenario, m *analysis.FlowMetrics, st tcp.Stats) {
 		c.errors.Add(1)
 		return
 	}
-	c.writeEntry(key, sealEntry(entryHeader{}, payload))
+	c.writeEntry(key, sealEntry(payload))
 }
 
 // writeEntry atomically stores a sealed entry file under key.
@@ -544,92 +528,63 @@ func (c *FlowCache) Counters() telemetry.Cache {
 
 // An entry file is one header line, then the binary flow payload:
 //
-//	hsrflowcache <sha256> <full|thin> <virtual_ns>\n<payload>
+//	hsrflowcache <sha256>\n<payload>
 //
-// The flag says whether the payload carries telemetry ("full", every entry
-// the telemetry-complete calls write) or metrics only ("thin", written by
-// Put); virtual_ns is the flow's simulated duration from its telemetry (0
-// for thin entries). The checksum covers every byte after it
-// (flag, duration and payload), so a tampered flag fails verification like a
-// damaged payload.
+// The checksum covers the payload. The payload's own telemetry-presence
+// byte says which kind an entry is: with telemetry (every entry RunPlan
+// writes) or metrics only (written by Put).
 
-// entryHeader is the checksummed part of an entry's header line.
-type entryHeader struct {
-	full      bool
-	virtualNS int64
-}
-
-// checksumOffset is where the checksummed bytes begin: after the magic, the
-// hex digest and their separating spaces.
+// checksumOffset is where the checksummed payload begins: after the magic,
+// the hex digest and the space and newline around it.
 const checksumOffset = len(entryMagic) + 1 + 2*sha256.Size + 1
 
-// sealEntry renders an entry file from its header fields and payload.
-func sealEntry(h entryHeader, payload []byte) []byte {
-	flag := "thin"
-	if h.full {
-		flag = "full"
-	}
-	raw := make([]byte, checksumOffset, checksumOffset+32+len(payload))
-	raw = fmt.Appendf(raw, "%s %d\n", flag, h.virtualNS)
+// sealEntry renders an entry file from its payload.
+func sealEntry(payload []byte) []byte {
+	raw := make([]byte, checksumOffset, checksumOffset+len(payload))
 	raw = append(raw, payload...)
-	sum := sha256.Sum256(raw[checksumOffset:])
+	sum := sha256.Sum256(payload)
 	copy(raw, entryMagic+" ")
 	hex.Encode(raw[len(entryMagic)+1:], sum[:])
-	raw[checksumOffset-1] = ' '
+	raw[checksumOffset-1] = '\n'
 	return raw
 }
 
-// verifyEntry checks an entry file's magic, checksum and header flags and
-// returns the header and the (undecoded) payload.
-func verifyEntry(raw []byte) (entryHeader, []byte, error) {
-	if len(raw) < checksumOffset || string(raw[:len(entryMagic)+1]) != entryMagic+" " || raw[checksumOffset-1] != ' ' {
-		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: bad header")
+// verifyEntry checks an entry file's magic and checksum and returns the
+// (undecoded) payload.
+func verifyEntry(raw []byte) ([]byte, error) {
+	if len(raw) < checksumOffset || string(raw[:len(entryMagic)+1]) != entryMagic+" " || raw[checksumOffset-1] != '\n' {
+		return nil, fmt.Errorf("dataset: cache entry: bad header")
 	}
 	var want [sha256.Size]byte
 	if _, err := hex.Decode(want[:], raw[len(entryMagic)+1:checksumOffset-1]); err != nil {
-		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: bad checksum encoding")
+		return nil, fmt.Errorf("dataset: cache entry: bad checksum encoding")
 	}
-	body := raw[checksumOffset:]
-	if sha256.Sum256(body) != want {
-		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: checksum mismatch (truncated or corrupted)")
+	payload := raw[checksumOffset:]
+	if sha256.Sum256(payload) != want {
+		return nil, fmt.Errorf("dataset: cache entry: checksum mismatch (truncated or corrupted)")
 	}
-	nl := bytes.IndexByte(body, '\n')
-	if nl < 0 {
-		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: missing header flags")
-	}
-	flag, vns, _ := strings.Cut(string(body[:nl]), " ")
-	var h entryHeader
-	var err error
-	if h.virtualNS, err = strconv.ParseInt(vns, 10, 64); err != nil {
-		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: bad virtual duration %q", vns)
-	}
-	switch flag {
-	case "full":
-		h.full = true
-	case "thin":
-	default:
-		return entryHeader{}, nil, fmt.Errorf("dataset: cache entry: bad completeness flag %q", flag)
-	}
-	return h, body[nl+1:], nil
+	return payload, nil
 }
 
 // decodeEntry verifies an entry file and decodes its payload by kind: a
-// full entry must pass DecodeFlowPayload, a thin one must carry metrics. It
-// returns the header and the payload bytes with the decoded flow. Both read
+// flow with telemetry must pass CheckComplete, one without must carry
+// metrics. It returns the payload bytes with the decoded flow. Both read
 // paths start here.
-func decodeEntry(raw []byte) (entryHeader, []byte, CachedFlow, error) {
-	h, payload, err := verifyEntry(raw)
+func decodeEntry(raw []byte) ([]byte, CachedFlow, error) {
+	payload, err := verifyEntry(raw)
 	if err != nil {
-		return entryHeader{}, nil, CachedFlow{}, err
+		return nil, CachedFlow{}, err
 	}
-	var ent CachedFlow
-	if h.full {
-		ent, err = DecodeFlowPayload(payload)
-	} else if ent, err = decodeFlow(payload); err == nil && ent.Metrics == nil {
-		err = errors.New("dataset: cache entry: thin entry without metrics")
+	ent, err := decodeFlow(payload)
+	switch {
+	case err != nil:
+	case ent.Telemetry != nil:
+		err = ent.CheckComplete()
+	case ent.Metrics == nil:
+		err = errors.New("metrics-only entry without metrics")
 	}
 	if err != nil {
-		return entryHeader{}, nil, CachedFlow{}, err
+		return nil, CachedFlow{}, fmt.Errorf("dataset: cache entry: %w", err)
 	}
-	return h, payload, ent, nil
+	return payload, ent, nil
 }

@@ -130,7 +130,7 @@ func TestFlowCacheVersionInvalidates(t *testing.T) {
 }
 
 // entryCorruptions damage a stored entry file in ways the read paths must
-// detect: each one breaks the checksum or the header it guards.
+// detect: each one breaks the checksum or the header line.
 var entryCorruptions = map[string]func([]byte) []byte{
 	"bit flip in payload": func(raw []byte) []byte {
 		raw[len(raw)-2] ^= 0x40
@@ -144,19 +144,6 @@ var entryCorruptions = map[string]func([]byte) []byte{
 	},
 	"emptied": func([]byte) []byte {
 		return nil
-	},
-	"flipped completeness flag": func(raw []byte) []byte {
-		flag := raw[checksumOffset : checksumOffset+4]
-		if string(flag) == "full" {
-			copy(flag, "thin")
-		} else {
-			copy(flag, "full")
-		}
-		return raw
-	},
-	"tampered virtual duration": func(raw []byte) []byte {
-		raw[checksumOffset+len("full ")] ^= 1 // one decimal digit to another
-		return raw
 	},
 }
 
@@ -203,7 +190,7 @@ func TestFlowCacheDetectsCorruption(t *testing.T) {
 			}
 			// The campaign path must recover transparently: simulate, rewrite,
 			// then serve the fresh entry.
-			ent, hit, err := cache.GetOrSimulate(sc)
+			ent, hit, err := runOne(cache, sc)
 			got := ent.Metrics
 			if err != nil {
 				t.Fatal(err)
@@ -221,6 +208,17 @@ func TestFlowCacheDetectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runOne runs sc as a one-flow plan through RunPlan with cache c, as a
+// sweep or a flow job does, and returns its decoded result and whether it
+// was served from the cache or another caller's simulation.
+func runOne(c *FlowCache, sc Scenario) (CachedFlow, bool, error) {
+	outs, err := RunPlan(CampaignConfig{Cache: c}, []PlannedFlow{{Scenario: sc}}, false)
+	if err != nil {
+		return CachedFlow{}, false, err
+	}
+	return outs[0].Flow, outs[0].Cached, nil
 }
 
 // getOrComputeFull is the wire-form read-or-compute RunPlan makes, with the
@@ -249,8 +247,8 @@ func fullFlow(t *testing.T, sc Scenario) (CachedFlow, func() (CachedFlow, error)
 // the wire-form read-or-compute and serves it back: the warm payload is the
 // cold one byte for byte, equals the binary encoding of both the original
 // and the decoded entry (so shipping the entry bytes is shipping what the
-// encoder would write), and the entry header carries the flow's virtual
-// duration.
+// encoder would write), and the entry file is that payload under its
+// checksum line.
 func TestFlowCacheFullRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenFlowCacheVersion(dir, "test")
@@ -274,9 +272,8 @@ func TestFlowCacheFullRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, _, err := verifyEntry(raw)
-	if err != nil || !h.full || h.virtualNS <= 0 || h.virtualNS != want.Telemetry.Kernel.VirtualNS {
-		t.Errorf("entry header %+v (err %v), want full with virtual duration %d", h, err, want.Telemetry.Kernel.VirtualNS)
+	if payload, err := verifyEntry(raw); err != nil || !bytes.Equal(payload, cold) {
+		t.Errorf("entry file does not hold the cold payload (err %v)", err)
 	}
 	encoded, err := want.MarshalBinary()
 	if err != nil {
@@ -292,17 +289,17 @@ func TestFlowCacheFullRoundTrip(t *testing.T) {
 	if reencoded, err := got.MarshalBinary(); err != nil || !bytes.Equal(warm, reencoded) {
 		t.Errorf("payload bytes differ from the encoding of the decoded entry (err %v)", err)
 	}
-	// The metrics-only reader serves the same entry, and GetOrSimulate
-	// decodes it to the same result without simulating.
+	// The metrics-only reader serves the same entry, and a decoded RunPlan
+	// read decodes it to the same result without simulating.
 	if ent, ok := cache.Get(sc); !ok || !reflect.DeepEqual(want.Metrics, ent.Metrics) {
 		t.Error("Get did not serve the telemetry-complete entry's metrics")
 	}
-	ent, hit, err := cache.GetOrSimulate(sc)
+	ent, hit, err := runOne(cache, sc)
 	if err != nil || !hit {
-		t.Fatalf("GetOrSimulate: hit=%v err=%v, want a hit", hit, err)
+		t.Fatalf("RunPlan: hit=%v err=%v, want a hit", hit, err)
 	}
 	if decoded, err := ent.MarshalBinary(); err != nil || !bytes.Equal(decoded, warm) {
-		t.Errorf("GetOrSimulate's decoded entry does not re-encode to the payload (err %v)", err)
+		t.Errorf("RunPlan's decoded entry does not re-encode to the payload (err %v)", err)
 	}
 	if c := cache.Counters(); c.Hits != 3 || c.Misses != 1 || c.Errors != 0 {
 		t.Errorf("counters %+v, want 3 hits / 1 miss / 0 errors", c)
@@ -350,9 +347,9 @@ func TestColdCachesByteIdentical(t *testing.T) {
 }
 
 // TestFlowCacheFullUpgradesThinEntry checks a metrics-only entry (as Put
-// writes it, and as older builds' flow runs left on disk) is a plain miss
-// for both telemetry-complete reads (no error, nothing served), and the
-// recompute upgrades the entry so the next full read hits.
+// writes it) is a plain miss for both forms of RunPlan's read (no error,
+// nothing served), and the recompute upgrades the entry so the next full
+// read hits.
 func TestFlowCacheFullUpgradesThinEntry(t *testing.T) {
 	sc := cachedScenario(t, 7)
 	want, compute, calls := fullFlow(t, sc)
@@ -364,10 +361,10 @@ func TestFlowCacheFullUpgradesThinEntry(t *testing.T) {
 			}
 			return outs[0].Cached, nil
 		},
-		"GetOrSimulate": func(c *FlowCache) (bool, error) {
-			ent, hit, err := c.GetOrSimulate(sc)
+		"RunPlanDecoded": func(c *FlowCache) (bool, error) {
+			ent, hit, err := runOne(c, sc)
 			if err == nil && ent.Telemetry == nil {
-				t.Error("GetOrSimulate returned no telemetry")
+				t.Error("RunPlan returned no telemetry")
 			}
 			return hit, err
 		},
@@ -487,7 +484,7 @@ func TestFlowCacheConcurrentWriters(t *testing.T) {
 // TestFlowCacheGetOrComputeDeduplicates launches many concurrent misses of
 // the same key through both forms of getOrCompute and checks they share
 // one in-flight computation: a held wire-form leader reports shared=false,
-// every follower — GetOrSimulate and wire-form reads alike —
+// every follower — decoded RunPlan and wire-form reads alike —
 // shares its result (shared=true, counted in Dedups) without simulating,
 // and afterwards the entry is on disk.
 func TestFlowCacheGetOrComputeDeduplicates(t *testing.T) {
@@ -543,7 +540,7 @@ func TestFlowCacheGetOrComputeDeduplicates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			if i%2 == 0 {
-				check(cache.GetOrSimulate(sc))
+				check(runOne(cache, sc))
 			} else {
 				full1()
 			}
@@ -565,8 +562,8 @@ func TestFlowCacheGetOrComputeDeduplicates(t *testing.T) {
 }
 
 // TestFlowCacheGetOrComputeErrorPropagates checks a failing computation
-// in getOrCompute reaches the leader and every waiter of either form, and
-// stores nothing.
+// in getOrCompute reaches the leader and every waiter, RunPlan's included,
+// and stores nothing.
 func TestFlowCacheGetOrComputeErrorPropagates(t *testing.T) {
 	cache, err := OpenFlowCacheVersion(t.TempDir(), "test")
 	if err != nil {
@@ -595,8 +592,8 @@ func TestFlowCacheGetOrComputeErrorPropagates(t *testing.T) {
 	go full()
 	go func() {
 		defer wg.Done()
-		if _, _, err := cache.GetOrSimulate(sc); !errors.Is(err, wantErr) {
-			t.Errorf("GetOrSimulate error = %v, want %v", err, wantErr)
+		if _, _, err := runOne(cache, sc); !errors.Is(err, wantErr) {
+			t.Errorf("RunPlan error = %v, want %v", err, wantErr)
 		}
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -738,9 +735,10 @@ func TestFlowCacheEvictionCountsLegacyEntries(t *testing.T) {
 	}
 }
 
-// TestFlowCacheIncompleteFullEntry plants a sealed full entry whose payload
-// decodes but fails CheckComplete (a cwnd histogram with the wrong bounds).
-// RunPlan's wire-form read and GetOrSimulate must treat it alike: one error
+// TestFlowCacheIncompleteFullEntry plants a sealed entry whose payload
+// carries telemetry and decodes but fails CheckComplete (a cwnd histogram
+// with the wrong bounds). RunPlan's wire-form and decoded reads must treat
+// it alike: one error
 // and one miss, a recompute, and a rewritten entry that the next read
 // serves.
 func TestFlowCacheIncompleteFullEntry(t *testing.T) {
@@ -778,8 +776,8 @@ func TestFlowCacheIncompleteFullEntry(t *testing.T) {
 			}
 			return outs[0].Cached, nil
 		},
-		"GetOrSimulate": func(c *FlowCache) (bool, error) {
-			_, hit, err := c.GetOrSimulate(sc)
+		"RunPlanDecoded": func(c *FlowCache) (bool, error) {
+			_, hit, err := runOne(c, sc)
 			return hit, err
 		},
 	}
@@ -794,7 +792,7 @@ func TestFlowCacheIncompleteFullEntry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cache.writeEntry(key, sealEntry(entryHeader{full: true, virtualNS: state.Kernel.VirtualNS}, badPayload))
+			cache.writeEntry(key, sealEntry(badPayload))
 			if hit, err := read(cache); err != nil || hit {
 				t.Fatalf("incomplete entry: hit=%v err=%v, want a computed miss", hit, err)
 			}
@@ -805,7 +803,7 @@ func TestFlowCacheIncompleteFullEntry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, payload, _, err := decodeEntry(raw); err != nil || !bytes.Equal(payload, wantPayload) {
+			if payload, _, err := decodeEntry(raw); err != nil || !bytes.Equal(payload, wantPayload) {
 				t.Errorf("entry not rewritten with the recomputed payload (err %v)", err)
 			}
 			if hit, err := read(cache); err != nil || !hit {
@@ -835,18 +833,18 @@ func mustMarshal(tb testing.TB, f CachedFlow) []byte {
 }
 
 // FuzzFlowCacheEntry plants arbitrary bytes at an entry's path and reads
-// them through every read path: Get, and the full read under GetOrSimulate
-// and under RunPlan's wire form. None may panic; a served metrics-only
-// result carries metrics; a full hit carries a result that passes
-// CheckComplete and payload bytes that pass DecodeFlowPayload; anything
-// else is a counted miss that recomputes. The seeds added here are sealed
-// by the current writer; the checked-in corpus adds damaged, flag-flipped,
-// schema-2 and schema-3 (JSON payload) entries, which must all be rejected.
+// them through every read path: Get, and the full read under RunPlan's
+// decoded and wire forms. None may panic; a served metrics-only result
+// carries metrics; a full hit carries a result that passes CheckComplete
+// and payload bytes that pass DecodeFlowPayload; anything else is a counted
+// miss that recomputes. The seeds added here are sealed by the current
+// writer; the checked-in corpus adds damaged entries and entries of
+// schemas 2 to 4 (flagged headers, JSON payloads), which must all be
+// rejected.
 func FuzzFlowCacheEntry(f *testing.F) {
 	complete, thin := minimalFlows()
-	f.Add(sealEntry(entryHeader{full: true, virtualNS: 7}, mustMarshal(f, complete)))
-	f.Add(sealEntry(entryHeader{}, mustMarshal(f, thin)))
-	f.Add(sealEntry(entryHeader{full: true, virtualNS: 7}, mustMarshal(f, thin)))
+	f.Add(sealEntry(mustMarshal(f, complete)))
+	f.Add(sealEntry(mustMarshal(f, thin)))
 
 	cache, err := OpenFlowCacheVersion(f.TempDir(), "fuzz")
 	if err != nil {

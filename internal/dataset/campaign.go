@@ -128,7 +128,8 @@ func (c *Campaign) Metrics() []*analysis.FlowMetrics {
 // plan is a pure function of the CampaignConfig — every node planning the
 // same config derives the same flows with the same seeds, which is what
 // lets a coordinator shard a campaign by flow index and workers rebuild
-// their assigned scenarios independently.
+// their assigned scenarios independently. A plan built by hand (a sweep's
+// or a flow job's) leaves Row zero.
 type PlannedFlow struct {
 	Index    int
 	Row      TableRow
@@ -215,7 +216,8 @@ type FlowOutcome struct {
 // RunPlan runs a contiguous range of a campaign plan with telemetry attached
 // to every flow and returns one outcome per flow, in plan order. It is the
 // one loop that executes planned flows, for a local campaign, a worker's
-// unit and a coordinator's fallback alike: at most cfg.Parallelism flows run
+// unit, a coordinator's fallback, an experiment sweep and a flow job
+// alike: at most cfg.Parallelism flows run
 // at once, each through cfg.Cache (nil simulates), and once cfg.Ctx is
 // cancelled no further flow starts. cfg.Progress counts finished flows of
 // the range. With cfg.Trace, each flow gets a "flow" span under
@@ -269,7 +271,7 @@ func runPlanned(cfg CampaignConfig, j PlannedFlow, wire bool) (FlowOutcome, erro
 	if cfg.Trace != nil {
 		fsp = cfg.Trace.StartSpan(cfg.TraceParent, "flow", id)
 		fsp.SetAttr("index", strconv.Itoa(j.Index))
-		fsp.SetAttr("operator", j.Row.Operator.Name)
+		fsp.SetAttr("operator", j.Scenario.Operator.Name)
 		under = fsp
 		if cfg.Cache != nil {
 			csp = cfg.Trace.StartSpan(fsp.ID(), "cache", id)

@@ -6,9 +6,11 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/telemetry"
 )
 
@@ -241,11 +243,18 @@ func decodeAllocs(b []byte) uint64 {
 // bytes, decoding must not panic, must not allocate more than the input
 // length can justify, and must accept only canonical encodings, so an
 // accepted payload re-encodes to exactly its bytes. DecodeFlowPayload must
-// accept exactly the decoded flows that pass CheckComplete.
+// accept exactly the decoded flows that pass CheckComplete, and a flow it
+// accepts must restore and merge into a campaign, twice, next to an honest
+// flow with a per-variant breakdown, without panicking.
 func FuzzFlowPayload(f *testing.F) {
+	honest := telemetry.NewFlow()
+	honest.TCP.CwndHist.Add(10)
+	honest.TCP.CC("reno").CwndHist.Add(10)
+	state := honest.State()
 	complete, thin := minimalFlows()
 	f.Add(mustMarshal(f, complete))
 	f.Add(mustMarshal(f, thin))
+	f.Add(mustMarshal(f, CachedFlow{Metrics: &analysis.FlowMetrics{}, Telemetry: &state}))
 	f.Add([]byte(`{"metrics":{}}`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -266,10 +275,22 @@ func FuzzFlowPayload(f *testing.F) {
 		if !bytes.Equal(re, b) {
 			t.Fatalf("decoded flow re-encodes to other bytes:\nin  %x\nout %x", b, re)
 		}
+		if ent.Telemetry != nil {
+			if err := ent.Telemetry.Validate(); err != nil && !strings.HasPrefix(err.Error(), "telemetry: ") {
+				t.Fatalf("unprefixed error %q", err)
+			}
+		}
 		_, err = DecodeFlowPayload(b)
 		if complete := ent.CheckComplete() == nil; complete != (err == nil) {
 			t.Fatalf("DecodeFlowPayload err %v, CheckComplete passes: %v", err, complete)
 		}
+		if err != nil {
+			return
+		}
+		c := telemetry.NewCampaign()
+		c.AddFlow(honest)
+		c.AddFlow(ent.Telemetry.Restore())
+		c.AddFlow(ent.Telemetry.Restore())
 	})
 }
 

@@ -343,11 +343,3 @@ func harvestLink(dst *telemetry.LinkCounters, st netem.LinkStats) {
 	dst.VectorBursts += int64(st.VectorBursts)
 	dst.VectorPackets += int64(st.VectorPackets)
 }
-
-// AnalyzeFlow runs a scenario and reduces it to metrics through the
-// streaming pipeline (campaigns over hundreds of flows would otherwise hold
-// gigabytes of events).
-func AnalyzeFlow(sc Scenario) (*analysis.FlowMetrics, error) {
-	m, _, err := RunFlowMetrics(sc)
-	return m, err
-}

@@ -91,9 +91,9 @@ func TestRunFlowStationaryIsClean(t *testing.T) {
 }
 
 func TestRunFlowHSRShowsPaperEffects(t *testing.T) {
-	m, err := AnalyzeFlow(hsrScenario(t, cellular.ChinaMobileLTE, 7, 90*time.Second))
+	m, _, err := RunFlowMetrics(hsrScenario(t, cellular.ChinaMobileLTE, 7, 90*time.Second))
 	if err != nil {
-		t.Fatalf("AnalyzeFlow: %v", err)
+		t.Fatalf("RunFlowMetrics: %v", err)
 	}
 	if m.TimeoutSequences < 3 {
 		t.Errorf("HSR flow had %d timeout sequences, want several", m.TimeoutSequences)
@@ -117,9 +117,9 @@ func TestRunFlowHSRShowsPaperEffects(t *testing.T) {
 
 func TestRunFlowDeterministic(t *testing.T) {
 	run := func() float64 {
-		m, err := AnalyzeFlow(hsrScenario(t, cellular.ChinaUnicom3G, 11, 30*time.Second))
+		m, _, err := RunFlowMetrics(hsrScenario(t, cellular.ChinaUnicom3G, 11, 30*time.Second))
 		if err != nil {
-			t.Fatalf("AnalyzeFlow: %v", err)
+			t.Fatalf("RunFlowMetrics: %v", err)
 		}
 		return m.ThroughputPps
 	}
@@ -129,13 +129,13 @@ func TestRunFlowDeterministic(t *testing.T) {
 }
 
 func TestRunFlowSeedsDiffer(t *testing.T) {
-	a, err := AnalyzeFlow(hsrScenario(t, cellular.ChinaMobileLTE, 1, 30*time.Second))
+	a, _, err := RunFlowMetrics(hsrScenario(t, cellular.ChinaMobileLTE, 1, 30*time.Second))
 	if err != nil {
-		t.Fatalf("AnalyzeFlow: %v", err)
+		t.Fatalf("RunFlowMetrics: %v", err)
 	}
-	b, err := AnalyzeFlow(hsrScenario(t, cellular.ChinaMobileLTE, 2, 30*time.Second))
+	b, _, err := RunFlowMetrics(hsrScenario(t, cellular.ChinaMobileLTE, 2, 30*time.Second))
 	if err != nil {
-		t.Fatalf("AnalyzeFlow: %v", err)
+		t.Fatalf("RunFlowMetrics: %v", err)
 	}
 	if a.ThroughputPps == b.ThroughputPps && a.DataLost == b.DataLost {
 		t.Error("different seeds produced identical flows")

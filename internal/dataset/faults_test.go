@@ -16,11 +16,11 @@ func TestFaultedFlowDiffersFromBaseline(t *testing.T) {
 	faulted := base
 	faulted.Faults = faults.Stress(d)
 
-	mb, err := AnalyzeFlow(base)
+	mb, _, err := RunFlowMetrics(base)
 	if err != nil {
 		t.Fatalf("baseline flow: %v", err)
 	}
-	mf, err := AnalyzeFlow(faulted)
+	mf, _, err := RunFlowMetrics(faulted)
 	if err != nil {
 		t.Fatalf("faulted flow: %v", err)
 	}
@@ -39,11 +39,11 @@ func TestEmptyScheduleIsExactBaseline(t *testing.T) {
 	withEmpty := base
 	withEmpty.Faults = &faults.Schedule{}
 
-	mb, err := AnalyzeFlow(base)
+	mb, _, err := RunFlowMetrics(base)
 	if err != nil {
 		t.Fatalf("baseline flow: %v", err)
 	}
-	me, err := AnalyzeFlow(withEmpty)
+	me, _, err := RunFlowMetrics(withEmpty)
 	if err != nil {
 		t.Fatalf("empty-schedule flow: %v", err)
 	}

@@ -8,8 +8,10 @@
 // Identity holds by construction, not by luck. The flow plan is a pure
 // function of the campaign config, so coordinator and workers agree on what
 // every flow index means without shipping scenarios. Workers always simulate
-// with telemetry attached and ship each flow's exact accumulator state over
-// a lossless wire form (telemetry.FlowState). The coordinator replays
+// with telemetry attached and ship each flow's exact accumulator state
+// (telemetry.FlowState) inside its binary flow payload, the bytes of its
+// cache entry, which carry every float's exact bits
+// (dataset.DecodeFlowPayload checks them on arrival). The coordinator replays
 // AddFlow strictly in global flow order — the same call sequence a
 // single-node campaign makes — so even the order-sensitive floating-point
 // aggregates land bit for bit. Retries and duplicated (hedged or reassigned)

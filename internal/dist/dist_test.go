@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -171,15 +172,32 @@ func TestCoordinatorWarmCampaignWallTime(t *testing.T) {
 	}
 }
 
-// TestCoordinatorWorkerKilledMidCampaign closes one of two workers while
+// TestCoordinatorWorkerKilledMidCampaign kills one of two workers while
 // the campaign runs: its in-flight and queued units must be retried onto
-// the survivor (or locally) and the output must stay byte-identical.
+// the survivor (or locally) and the output must stay byte-identical. The
+// worker kills itself when its second unit request arrives, aborting that
+// request, so a unit is always in flight on the dead worker however fast
+// the machine finishes the rest of the campaign.
 func TestCoordinatorWorkerKilledMidCampaign(t *testing.T) {
 	w1, _ := testWorker(t)
-	w2, _ := testWorker(t)
+	srv := serve.New(serve.Config{Workers: 2, QueueDepth: 8})
+	h := srv.Handler()
+	var units atomic.Int32
+	var killed atomic.Bool
+	var w2 *httptest.Server
+	w2 = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/jobs" && units.Add(1) == 2 {
+			killed.Store(true)
+			go w2.Close() // waits for this handler, so it cannot run inline
+			panic(http.ErrAbortHandler)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	w2.Start()
+	t.Cleanup(func() { w2.Close(); srv.Drain() })
 	c, err := New(Config{
 		Workers:           []string{w1.URL, w2.URL},
-		UnitFlows:         1, // many small units: the kill always lands mid-campaign
+		UnitFlows:         1, // many small units: both of w2's slots get one
 		UnitTimeout:       30 * time.Second,
 		MaxAttempts:       4,
 		BackoffBase:       10 * time.Millisecond,
@@ -192,15 +210,7 @@ func TestCoordinatorWorkerKilledMidCampaign(t *testing.T) {
 	}
 	defer c.Close()
 
-	cfg := quickCampaign(13)
-	var killed atomic.Bool
-	cfg.Progress = func(done, total int) {
-		if done >= total/4 && killed.CompareAndSwap(false, true) {
-			w2.CloseClientConnections()
-			w2.Close()
-		}
-	}
-	assertIdentical(t, c, cfg)
+	assertIdentical(t, c, quickCampaign(13))
 	if !killed.Load() {
 		t.Fatal("worker was never killed mid-campaign")
 	}

@@ -222,16 +222,18 @@ func BackupQ(cfg Config) (*BackupQResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	res := &BackupQResult{Operator: cellular.ChinaMobileLTE.Name}
-	for i := 0; i < cfg.PairsPerOperator; i++ {
-		sc := cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("backupq-%d", i),
+	flow := func(_, i int) dataset.Scenario {
+		return cruiseFlow(cfg, cellular.ChinaMobileLTE, fmt.Sprintf("backupq-%d", i),
 			cfg.Seed*389+int64(i), time.Duration(i)*47*time.Second)
-		ent, _, err := cfg.Cache.GetOrSimulate(sc)
-		if err != nil {
-			return nil, err
-		}
+	}
+	levels, err := runSweep(cfg, 1, cfg.PairsPerOperator, flow)
+	if err != nil {
+		return nil, err
+	}
+	res := &BackupQResult{Operator: cellular.ChinaMobileLTE.Name}
+	for i, ent := range levels[0] {
 		plain := ent.Metrics
-		backup, err := mptcp.RunBackup(sc)
+		backup, err := mptcp.RunBackup(flow(0, i))
 		if err != nil {
 			return nil, err
 		}

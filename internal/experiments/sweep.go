@@ -35,21 +35,27 @@ func cruiseFlow(cfg Config, op cellular.Operator, id string, seed int64, offset 
 	}
 }
 
-// runSweep runs a levels × flows study through the flow cache (cfg.Cache;
-// nil simulates every flow), one flow after another, level by level and
-// within a level by flow index; flow builds the scenario of one cell. It
-// returns each level's flows in index order.
+// runSweep runs a levels × flows study through dataset.RunPlan, with the
+// flow cache (cfg.Cache; nil simulates every flow) and cfg.Parallelism
+// flows at once; flow builds the scenario of one cell, and is called level
+// by level and within a level by flow index. It returns each level's flows
+// in index order.
 func runSweep(cfg Config, levels, flows int, flow func(level, i int) dataset.Scenario) ([][]dataset.CachedFlow, error) {
+	plan := make([]dataset.PlannedFlow, 0, levels*flows)
+	for l := 0; l < levels; l++ {
+		for i := 0; i < flows; i++ {
+			plan = append(plan, dataset.PlannedFlow{Index: len(plan), Scenario: flow(l, i)})
+		}
+	}
+	outs, err := dataset.RunPlan(dataset.CampaignConfig{Parallelism: cfg.Parallelism, Cache: cfg.Cache}, plan, false)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	out := make([][]dataset.CachedFlow, levels)
 	for l := range out {
 		out[l] = make([]dataset.CachedFlow, flows)
-		for i := range out[l] {
-			sc := flow(l, i)
-			ent, _, err := cfg.Cache.GetOrSimulate(sc)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: flow %s: %w", sc.ID, err)
-			}
-			out[l][i] = ent
+		for i, o := range outs[l*flows : (l+1)*flows] {
+			out[l][i] = o.Flow
 		}
 	}
 	return out, nil

@@ -453,31 +453,27 @@ func (s *Server) runJob(ctx context.Context, jobID string, spec *JobSpec, st *st
 	st.emit(terminal)
 }
 
-// runFlowJob simulates (or serves from cache) one flow.
+// runFlowJob simulates (or serves from cache) one flow: a one-flow plan
+// through dataset.RunPlan, with this server's cache and, for a traced job,
+// its flow span under the job's root span.
 func (s *Server) runFlowJob(spec *JobSpec, meta *jobMeta) Event {
 	sc, err := spec.flowScenario(s.cfg.Limits)
 	if err != nil {
 		return Event{Event: "error", Status: "error", Error: err.Error()}
 	}
-	var sp *tracing.Span
+	cfg := dataset.CampaignConfig{Cache: s.cfg.Cache}
 	if meta.tr != nil {
-		sp = meta.tr.StartSpan(meta.root.ID(), "flow", sc.ID)
+		cfg.Trace, cfg.TraceParent = meta.tr, meta.root.ID()
 	}
-	ent, shared, err := s.cfg.Cache.GetOrSimulate(sc)
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.SetAttr("cached", strconv.FormatBool(shared))
-		sp.End()
-	}
+	outs, err := dataset.RunPlan(cfg, []dataset.PlannedFlow{{Scenario: sc}}, false)
 	if err != nil {
 		return Event{Event: "error", Status: "error", Error: err.Error()}
 	}
 	// A flow job reports metrics and stats; the entry's telemetry stays out
 	// of the response.
+	ent := outs[0].Flow
 	ent.Telemetry = nil
-	return Event{Event: "result", Status: "ok", Flow: &ent, Cached: shared}
+	return Event{Event: "result", Status: "ok", Flow: &ent, Cached: outs[0].Cached}
 }
 
 // runUnitJob executes one flow-range work unit of a distributed campaign:

@@ -143,14 +143,6 @@ func (s *Simulator) Executed() int64 { return s.executed }
 // the budget ran out. Pending events are preserved.
 func (s *Simulator) Exhausted() bool { return s.exhausted }
 
-// SetInvariantChecks toggles the kernel's self-check mode: after every
-// executed event the clock and live-event counter are verified, and the
-// whole wheel (slot placement, occupancy bitmaps, live accounting, due-batch
-// ordering) is audited periodically. Violations panic — the mode exists to
-// turn silent kernel corruption into an immediate, attributable failure
-// during stress campaigns, not to be recovered from.
-func (s *Simulator) SetInvariantChecks(on bool) { s.selfCheck = on }
-
 // New returns a Simulator with the clock at zero and no pending events.
 func New() *Simulator {
 	return &Simulator{}

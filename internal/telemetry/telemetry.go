@@ -542,20 +542,21 @@ func NewFlow() *Flow {
 	return f
 }
 
-// FlowState is the exact wire form of a Flow bundle. The embedded Flow
-// carries every integer counter and histogram verbatim (both survive a JSON
-// round trip bit for bit), and CwndState carries the one floating-point
-// accumulator (TCP.Cwnd) in its exact internal representation, because the
-// Dist summary form is deliberately lossy. Restore reconstructs a Flow that
-// merges into a Campaign byte-identically to the original, which is what
-// lets a distributed campaign ship per-flow telemetry across workers and
-// still produce a report bit-identical to a single-node run.
+// FlowState is the exact snapshot of a Flow bundle. The embedded Flow
+// carries every integer counter and histogram verbatim, and CwndState
+// carries the one floating-point accumulator (TCP.Cwnd) in its exact
+// internal representation, because the Dist summary form is deliberately
+// lossy. Restore reconstructs a Flow that merges into a Campaign
+// byte-identically to the original, which is what lets a distributed
+// campaign ship per-flow telemetry across workers (inside the binary flow
+// payload of internal/dataset) and still produce a report bit-identical to
+// a single-node run.
 type FlowState struct {
 	Flow
 	CwndState stats.RunningState `json:"cwnd_state"`
 }
 
-// State snapshots the flow bundle into its exact wire form.
+// State snapshots the flow bundle exactly.
 func (f *Flow) State() FlowState {
 	s := FlowState{Flow: *f, CwndState: f.TCP.Cwnd.State()}
 	s.Flow.TCP.CwndHist = cloneHist(f.TCP.CwndHist)

@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -62,35 +60,4 @@ func TestFlowStateValidate(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-}
-
-// FuzzFlowState feeds arbitrary wire bytes to the checks a coordinator
-// makes on a worker's per-flow telemetry: decoding and Validate. A state
-// that passes must restore and merge into a campaign, twice, next to an
-// honest flow with a per-variant breakdown, without panicking. The
-// checked-in corpus holds one valid state and one per defect Validate
-// rejects (JSON cannot carry NaN, so the NaN entry fails to decode).
-func FuzzFlowState(f *testing.F) {
-	honest := NewFlow()
-	honest.TCP.CwndHist.Add(10)
-	honest.TCP.CC("reno").CwndHist.Add(10)
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		if len(raw) > 512 {
-			t.Skip("inputs over 512 bytes spend the fuzz time in the minimizer")
-		}
-		var s FlowState
-		if json.Unmarshal(raw, &s) != nil {
-			return
-		}
-		if err := s.Validate(); err != nil {
-			if !strings.HasPrefix(err.Error(), "telemetry: ") {
-				t.Fatalf("unprefixed error %q", err)
-			}
-			return
-		}
-		c := NewCampaign()
-		c.AddFlow(honest)
-		c.AddFlow(s.Restore())
-		c.AddFlow(s.Restore())
-	})
 }
