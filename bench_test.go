@@ -327,45 +327,44 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkScheduleFire measures the pooled fire-and-forget event path
-// (sim.Handler + ScheduleFire): the per-packet delivery mechanism. After the
-// free list warms up this path is allocation-free.
-func BenchmarkScheduleFire(b *testing.B) {
+// BenchmarkLanePush measures the lane path (sim.Handler + Lane.Push): the
+// per-packet delivery mechanism of every link. One entry is in flight at a
+// time; after the lane's ring buffer warms up the path is allocation-free.
+func BenchmarkLanePush(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
-	h := &benchHandler{s: s}
-	h.n = b.N
+	h := &benchHandler{s: s, lane: s.NewLane(), n: b.N}
 	b.ResetTimer()
-	s.ScheduleFire(time.Microsecond, h)
+	h.lane.Push(time.Microsecond, h)
 	s.Run()
 }
 
-// benchHandler reschedules itself n times through the pooled event path.
+// benchHandler pushes itself back onto its lane n times.
 type benchHandler struct {
-	s *sim.Simulator
-	n int
-	i int
+	s    *sim.Simulator
+	lane *sim.Lane
+	n    int
+	i    int
 }
 
 func (h *benchHandler) Fire() {
 	h.i++
 	if h.i < h.n {
-		h.s.ScheduleFire(time.Microsecond, h)
+		h.lane.Push(h.s.Now()+time.Microsecond, h)
 	}
 }
 
 // BenchmarkTimerRescheduleChurn measures the sender.armTimer pattern: one
-// long-lived timer rearmed on every ACK. Reschedule re-slots the timer in
-// place — usually without even moving it between wheel slots — instead of
-// allocating a replacement per rearm.
+// long-lived timer rearmed on every ACK. Reschedule moves the timer within
+// the heap instead of allocating a replacement per rearm.
 func BenchmarkTimerRescheduleChurn(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
 	fired := 0
 	t := s.Schedule(time.Second, func() { fired++ })
-	drive := &rescheduleDriver{s: s, t: t, n: b.N}
+	drive := &rescheduleDriver{s: s, lane: s.NewLane(), t: t, n: b.N}
 	b.ResetTimer()
-	s.ScheduleFire(time.Microsecond, drive)
+	drive.lane.Push(time.Microsecond, drive)
 	s.Run()
 	if fired != 1 {
 		b.Fatalf("RTO timer fired %d times, want 1", fired)
@@ -374,23 +373,24 @@ func BenchmarkTimerRescheduleChurn(b *testing.B) {
 
 // rescheduleDriver rearms the timer n times, then lets it expire.
 type rescheduleDriver struct {
-	s *sim.Simulator
-	t *sim.Timer
-	n int
-	i int
+	s    *sim.Simulator
+	lane *sim.Lane
+	t    *sim.Timer
+	n    int
+	i    int
 }
 
 func (d *rescheduleDriver) Fire() {
 	d.t.Reschedule(time.Second)
 	d.i++
 	if d.i < d.n {
-		d.s.ScheduleFire(time.Microsecond, d)
+		d.lane.Push(d.s.Now()+time.Microsecond, d)
 	}
 }
 
 // BenchmarkCancelHeavy measures the Stop-heavy workload: schedule a far-out
-// timer, cancel it, repeat. Stop unlinks the timer from its wheel slot in
-// O(1), so cancelled events never accumulate.
+// timer, cancel it, repeat. Stop takes the timer out of the heap at once,
+// so cancelled events never accumulate.
 func BenchmarkCancelHeavy(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
@@ -404,55 +404,36 @@ func BenchmarkCancelHeavy(b *testing.B) {
 	s.Run()
 }
 
-// nopHandler is an empty pooled-event callback for pure kernel benchmarks.
+// nopHandler is an empty lane callback for pure kernel benchmarks.
 type nopHandler struct{}
 
 func (*nopHandler) Fire() {}
 
-// BenchmarkRunBatchDispatch measures dense batched dispatch: rounds of 256
-// events submitted into one wheel tick and drained by RunBatch — the shape a
-// window-sized TCP burst produces. After warmup the path is allocation-free.
-func BenchmarkRunBatchDispatch(b *testing.B) {
+// BenchmarkLaneBurst measures window-sized bursts through a few busy links:
+// rounds of 256 entries pushed onto four lanes, 10 µs apart on each, then
+// drained in one Run, so the heap interleaves the lanes' heads. After
+// warmup the path is allocation-free.
+func BenchmarkLaneBurst(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
 	h := &nopHandler{}
-	const round = 256
-	for i := 0; i < round; i++ {
-		s.ScheduleFire(time.Millisecond, h) // warm the event pool
+	var lanes [4]*sim.Lane
+	for i := range lanes {
+		lanes[i] = s.NewLane()
 	}
-	s.Run()
+	const round = 256
+	burst := func() {
+		now := s.Now()
+		for i := 0; i < round; i++ {
+			k := i % len(lanes)
+			lanes[k].Push(now+time.Duration(i/len(lanes)+k)*10*time.Microsecond, h)
+		}
+		s.Run()
+	}
+	burst() // warm the lanes' ring buffers
 	b.ResetTimer()
 	for done := 0; done < b.N; done += round {
-		for i := 0; i < round; i++ {
-			s.ScheduleFire(time.Millisecond, h)
-		}
-		for s.RunBatch() > 0 {
-		}
-	}
-}
-
-// BenchmarkCascadeFarFuture measures coarse-level placement plus cascade
-// cost: each event is scheduled five minutes ahead, so it parks two wheel
-// levels up and is redistributed twice before firing.
-func BenchmarkCascadeFarFuture(b *testing.B) {
-	b.ReportAllocs()
-	s := sim.New()
-	h := &farHandler{s: s, n: b.N}
-	b.ResetTimer()
-	s.ScheduleFire(5*time.Minute, h)
-	s.Run()
-}
-
-// farHandler reschedules itself n times, five virtual minutes out each time.
-type farHandler struct {
-	s    *sim.Simulator
-	n, i int
-}
-
-func (h *farHandler) Fire() {
-	h.i++
-	if h.i < h.n {
-		h.s.ScheduleFire(5*time.Minute, h)
+		burst()
 	}
 }
 
@@ -472,7 +453,7 @@ func BenchmarkRunFlowStreaming(b *testing.B) {
 		sc := dataset.Scenario{
 			ID: "bench", Operator: cellular.ChinaMobileLTE, Trip: trip,
 			TripOffset: start, FlowDuration: 30 * time.Second,
-			Seed: int64(i), TCP: tcp.DefaultConfig(), Scenario: "hsr",
+			Seed: benchFlowSeed(i), TCP: tcp.DefaultConfig(), Scenario: "hsr",
 		}
 		if _, _, err := dataset.RunFlowMetrics(sc); err != nil {
 			b.Fatal(err)
@@ -496,7 +477,7 @@ func BenchmarkRunFlowMaterialized(b *testing.B) {
 		sc := dataset.Scenario{
 			ID: "bench", Operator: cellular.ChinaMobileLTE, Trip: trip,
 			TripOffset: start, FlowDuration: 30 * time.Second,
-			Seed: int64(i), TCP: tcp.DefaultConfig(), Scenario: "hsr",
+			Seed: benchFlowSeed(i), TCP: tcp.DefaultConfig(), Scenario: "hsr",
 		}
 		ft, _, err := dataset.RunFlow(sc)
 		if err != nil {
@@ -507,6 +488,11 @@ func BenchmarkRunFlowMaterialized(b *testing.B) {
 		}
 	}
 }
+
+// benchFlowSeed cycles the per-flow benchmarks through a fixed pool of
+// eight seeds, so every b.N averages the same flows and ns/op compares
+// across builds.
+func benchFlowSeed(i int) int64 { return 1 + int64(i%8) }
 
 // benchCampaign is the small campaign the cache benchmarks run: big enough
 // to amortize fixed costs, small enough to keep the cold iterations sane.
@@ -574,7 +560,7 @@ func BenchmarkTCPFlowSimulation(b *testing.B) {
 		sc := dataset.Scenario{
 			ID: "bench", Operator: cellular.ChinaMobileLTE, Trip: trip,
 			TripOffset: start, FlowDuration: 30 * time.Second,
-			Seed: int64(i), TCP: tcp.DefaultConfig(), Scenario: "hsr",
+			Seed: benchFlowSeed(i), TCP: tcp.DefaultConfig(), Scenario: "hsr",
 		}
 		if _, _, err := dataset.RunFlow(sc); err != nil {
 			b.Fatal(err)
@@ -597,7 +583,7 @@ func BenchmarkTCPFlowSimulationTelemetry(b *testing.B) {
 		sc := dataset.Scenario{
 			ID: "bench", Operator: cellular.ChinaMobileLTE, Trip: trip,
 			TripOffset: start, FlowDuration: 30 * time.Second,
-			Seed: int64(i), TCP: tcp.DefaultConfig(), Scenario: "hsr",
+			Seed: benchFlowSeed(i), TCP: tcp.DefaultConfig(), Scenario: "hsr",
 			Telemetry: tel,
 		}
 		if _, _, err := dataset.RunFlow(sc); err != nil {

@@ -9,16 +9,17 @@ import (
 	"repro/internal/sim"
 )
 
-// spinner reschedules itself delay ahead on every firing. One nanosecond
-// is a billion events per simulated second, 500 times the rate the budget
-// grants; zero pins the kernel on one wheel tick that never drains. Either
-// way only the budget can end the run.
+// spinner pushes itself back onto its lane delay ahead on every firing.
+// One nanosecond is a billion events per simulated second, 500 times the
+// rate the budget grants; zero pins the kernel on one instant that never
+// drains. Either way only the budget can end the run.
 type spinner struct {
 	s     *sim.Simulator
+	lane  *sim.Lane
 	delay time.Duration
 }
 
-func (sp spinner) Fire() { sp.s.ScheduleFire(sp.delay, sp) }
+func (sp *spinner) Fire() { sp.lane.Push(sp.s.Now()+sp.delay, sp) }
 
 // TestRunBudgetedStopsRunawaySchedule checks that RunBudgeted returns an
 // error naming the flow instead of hanging or running out of memory. One
@@ -32,7 +33,8 @@ func TestRunBudgetedStopsRunawaySchedule(t *testing.T) {
 	for _, delay := range []time.Duration{1, 0} {
 		t.Run(fmt.Sprintf("delay=%dns", delay), func(t *testing.T) {
 			simulator := sim.New()
-			simulator.ScheduleFire(0, spinner{simulator, delay})
+			sp := &spinner{simulator, simulator.NewLane(), delay}
+			sp.lane.Push(0, sp)
 			start := time.Now()
 			budget, err := RunBudgeted(simulator, "spin-0", time.Second, 1)
 			t.Logf("exhausted %d events in %v", budget, time.Since(start))

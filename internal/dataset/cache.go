@@ -28,8 +28,9 @@ import (
 // variant name to the key; schema 3 added the checksummed completeness flag
 // and virtual duration to the entry header; schema 4 replaced the JSON
 // payload with the binary flow payload (codec.go); schema 5 dropped the
-// header's flag and duration, so the header is the checksum alone.
-const cacheSchema = 5
+// header's flag and duration, so the header is the checksum alone; schema 6
+// dropped the timing-wheel and event-pool kernel counters from the payload.
+const cacheSchema = 6
 
 // entryMagic is the first token of every cache entry file.
 const entryMagic = "hsrflowcache"

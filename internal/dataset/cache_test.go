@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -838,9 +840,14 @@ func mustMarshal(tb testing.TB, f CachedFlow) []byte {
 // carries metrics; a full hit carries a result that passes CheckComplete
 // and payload bytes that pass DecodeFlowPayload; anything else is a counted
 // miss that recomputes. The seeds added here are sealed by the current
-// writer; the checked-in corpus adds damaged entries and entries of
-// schemas 2 to 4 (flagged headers, JSON payloads), which must all be
-// rejected.
+// writer. The checked-in corpus holds current-schema entries: a full and a
+// thin entry, which decode and pass the kind checks; a sealed entry without
+// metrics and a sealed truncated payload, which reach the payload decoder
+// and the kind checks and are rejected there; sealed entries of older
+// schemas (a schema-2 JSON payload, a schema-5 payload that carries the
+// kernel counters schema 6 dropped), which the payload decoder rejects; and
+// damaged headers (magic only, a non-hex or flipped checksum, a cut header
+// or payload).
 func FuzzFlowCacheEntry(f *testing.F) {
 	complete, thin := minimalFlows()
 	f.Add(sealEntry(mustMarshal(f, complete)))
@@ -908,4 +915,34 @@ func FuzzFlowCacheEntry(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFlowCacheEntryCorpusIsCurrent keeps FuzzFlowCacheEntry's checked-in
+// corpus in the current entry format: its full and thin entries must be
+// exactly what the current writer seals for minimalFlows, so a change to
+// the payload layout that leaves the corpus behind fails here instead of
+// silently turning every corpus entry into a header-check reject.
+func TestFlowCacheEntryCorpusIsCurrent(t *testing.T) {
+	complete, thin := minimalFlows()
+	for name, want := range map[string][]byte{
+		"full-entry": sealEntry(mustMarshal(t, complete)),
+		"thin-entry": sealEntry(mustMarshal(t, thin)),
+	} {
+		blob, err := os.ReadFile(filepath.Join("testdata/fuzz/FuzzFlowCacheEntry", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(string(blob), "go test fuzz v1\n[]byte(")
+		lit, ok2 := strings.CutSuffix(strings.TrimSpace(lit), ")")
+		if !ok || !ok2 {
+			t.Fatalf("%s: not a one-value []byte corpus file", name)
+		}
+		got, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != string(want) {
+			t.Errorf("%s is not the current writer's entry; regenerate it from sealEntry(mustMarshal(minimalFlows()))", name)
+		}
+	}
 }

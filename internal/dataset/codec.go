@@ -259,15 +259,9 @@ func (c *flowCodec) flowState(s *telemetry.FlowState) {
 	k := &s.Kernel
 	c.i64(&k.Events)
 	c.i64(&k.Scheduled)
-	c.i64(&k.PoolHits)
-	c.i64(&k.PoolMisses)
 	c.i64(&k.MaxPending)
-	c.i64(&k.Cascades)
-	c.i64(&k.RearmsInPlace)
 	c.i64(&k.Batches)
-	c.i64(&k.BatchEvents)
 	c.i64(&k.MaxBatch)
-	c.i64(&k.MaxSlot)
 	c.i64(&k.TimerStops)
 	c.i64(&k.TimerReschedules)
 	c.i64(&k.VirtualNS)

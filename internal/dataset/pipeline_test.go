@@ -263,7 +263,6 @@ func canonicalFlowCounts(tel *telemetry.Flow, traceEvents int) map[string]int64 
 		"kernel.batches":           k.Batches,
 		"kernel.timer_reschedules": k.TimerReschedules,
 		"kernel.timer_stops":       k.TimerStops,
-		"kernel.cascades":          k.Cascades,
 		"channel.segments":         ch.Segments,
 		"channel.cursor_queries":   ch.CursorQueries,
 		"channel.cursor_advances":  ch.CursorAdvances,

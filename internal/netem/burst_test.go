@@ -93,15 +93,7 @@ func (b *scalarBurst) send(deliver Handler) (bool, DropKind) {
 		arrival = l.lastDelivery // preserve FIFO delivery
 	}
 	l.lastDelivery = arrival
-	ev := l.free
-	if ev == nil {
-		ev = &linkEvent{l: l}
-	} else {
-		l.free = ev.next
-		ev.next = nil
-	}
-	ev.deliver = deliver
-	l.simulator.AtFire(arrival, ev)
+	l.inFlight.Push(arrival, deliver)
 	return true, 0
 }
 

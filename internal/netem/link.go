@@ -99,7 +99,7 @@ type Link struct {
 
 	nextFree     time.Duration // when the serializer becomes idle
 	lastDelivery time.Duration // monotone delivery horizon (no reordering)
-	free         *linkEvent    // pooled in-flight delivery events
+	inFlight     *sim.Lane     // scheduled deliveries, in arrival order
 
 	scratch     []burstOutcome // reused primed-burst outcome buffer
 	scratchLive int            // primed outcomes not yet consumed by Send
@@ -113,25 +113,6 @@ type Link struct {
 type burstOutcome struct {
 	arrival time.Duration
 	kind    DropKind // 0 = delivered
-}
-
-// linkEvent is the pooled in-flight state of one packet: it bumps the
-// delivered counter and hands off to the caller's handler when the emulated
-// arrival time comes.
-type linkEvent struct {
-	l       *Link
-	deliver Handler
-	next    *linkEvent
-}
-
-// Fire implements sim.Handler.
-func (e *linkEvent) Fire() {
-	l, deliver := e.l, e.deliver
-	e.deliver = nil
-	e.next = l.free
-	l.free = e
-	l.stats.Delivered++
-	deliver.Fire()
 }
 
 // NewLink builds a link on top of the given simulator.
@@ -148,13 +129,19 @@ func NewLink(simulator *sim.Simulator, cfg LinkConfig) *Link {
 	if cfg.Loss == nil {
 		cfg.Loss = NoLoss{}
 	}
-	l := &Link{simulator: simulator, cfg: cfg}
+	l := &Link{simulator: simulator, cfg: cfg, inFlight: simulator.NewLane()}
 	l.scratch = l.one[:]
 	return l
 }
 
-// Stats returns a copy of the link's counters.
-func (l *Link) Stats() LinkStats { return l.stats }
+// Stats returns a copy of the link's counters. Every packet that survives
+// the queue and the channel is in flight until its delivery fires, so the
+// delivered count is what has left the in-flight lane.
+func (l *Link) Stats() LinkStats {
+	st := l.stats
+	st.Delivered = st.Offered - st.ChannelDrops - st.QueueDrops - l.inFlight.Len()
+	return st
+}
 
 // QueueDepth returns the current serialization backlog in seconds of
 // transmission time (0 when the line is idle or infinitely fast).
@@ -331,15 +318,7 @@ func (b *Burst) Send(deliver Handler) (bool, DropKind) {
 		arrival = l.lastDelivery // preserve FIFO delivery
 	}
 	l.lastDelivery = arrival
-	ev := l.free
-	if ev == nil {
-		ev = &linkEvent{l: l}
-	} else {
-		l.free = ev.next
-		ev.next = nil
-	}
-	ev.deliver = deliver
-	l.simulator.AtFire(arrival, ev)
+	l.inFlight.Push(arrival, deliver)
 	return true, 0
 }
 

@@ -1,14 +1,15 @@
 package sim
 
-// Differential testing of the timing-wheel kernel against a comparison-based
-// reference scheduler. The reference is the binary heap the wheel replaced,
-// reduced to its ordering essence: a (at, seq) min-heap with lazy deletion.
-// Both kernels consume the same randomized schedule of operations —
-// Schedule/ScheduleFire (including zero delays and handler-chained events),
-// Stop, Reschedule, Step, RunBatch, RunUntil, and budget exhaustion — and
-// must produce the identical global fire order and identical accounting.
-// Any wheel bug that reorders, drops, duplicates, or resurrects an event
-// shows up as a log divergence.
+// Differential testing of the kernel against a reference scheduler. The
+// reference is the ordering essence of the kernel's contract: one (at, seq)
+// min-heap with lazy deletion that holds every event, lane entries included,
+// built on container/heap. Both kernels consume the same randomized schedule
+// of operations — Schedule and lane pushes (monotone per lane, with zero
+// delays, ties and handler-chained events), Stop, Reschedule, Step,
+// RunUntil, and event and virtual-time budgets — and must produce the
+// identical global fire order and identical accounting. Any kernel bug that
+// reorders, drops, duplicates, or resurrects an event shows up as a log
+// divergence.
 
 import (
 	"container/heap"
@@ -75,7 +76,11 @@ func (r *refSched) push(e *refEvent) {
 }
 
 func (r *refSched) schedule(delay time.Duration, id int) *refEvent {
-	e := &refEvent{at: r.now + delay, id: id}
+	return r.at(r.now+delay, id)
+}
+
+func (r *refSched) at(at time.Duration, id int) *refEvent {
+	e := &refEvent{at: at, id: id}
 	r.push(e)
 	return e
 }
@@ -177,7 +182,7 @@ type fireRec struct {
 	at time.Duration
 }
 
-// fireLogger implements Handler for the wheel side's fire-and-forget events.
+// fireLogger implements Handler for the kernel side's lane entries.
 type fireLogger struct {
 	h  *diffHarness
 	id int
@@ -185,54 +190,90 @@ type fireLogger struct {
 
 func (f *fireLogger) Fire() { f.h.realFired(f.id) }
 
-// diffHarness drives the wheel kernel and the reference scheduler through
-// one operation schedule and collects both fire logs.
+// diffLanes is how many lanes the harness pushes onto.
+const diffLanes = 3
+
+// diffHarness drives the kernel and the reference scheduler through one
+// operation schedule and collects both fire logs.
 type diffHarness struct {
 	t *testing.T
 
 	s *Simulator
 	r *refSched
 
-	// Stoppable timers, parallel by index. Fire-and-forget events are not
-	// listed: they have no handle.
+	// Stoppable timers, parallel by index. Lane entries are not listed:
+	// they have no handle.
 	realTimers []*Timer
 	refEvents  []*refEvent
+
+	// The kernel's lanes, and the reference's record of each lane's latest
+	// push time (a lane's times never decrease).
+	lanes   [diffLanes]*Lane
+	refLast [diffLanes]time.Duration
 
 	realLog []fireRec
 	refLog  []fireRec
 
 	// Per-side chain state: fired events with id%3==0 schedule a follow-up
-	// while chain budget remains, exercising scheduling from inside dispatch
-	// (including zero delays into the tick being drained).
+	// timer and ones with id%3==1 push a follow-up onto a lane while chain
+	// budget remains, exercising scheduling from inside dispatch (including
+	// zero delays at the instant being dispatched).
 	realChain, refChain   int
 	realNextID, refNextID int
 }
 
 // chainDelay derives a deterministic follow-up delay from the firing event's
-// id; id%5==0 yields zero (a same-tick event born mid-batch).
+// id; id%5==0 yields zero (an event born at the instant being dispatched).
 func chainDelay(id int) time.Duration {
 	return time.Duration(id%5) * 300 * time.Microsecond
 }
 
 func (h *diffHarness) realFired(id int) {
 	h.realLog = append(h.realLog, fireRec{id: id, at: h.s.Now()})
-	if id%3 == 0 && h.realChain > 0 {
-		h.realChain--
+	if id%3 == 2 || h.realChain == 0 {
+		return
+	}
+	h.realChain--
+	if id%3 == 0 {
 		nid := h.realNextID
 		h.realNextID++
 		tm := h.s.Schedule(chainDelay(id), func() { h.realFired(nid) })
 		h.realTimers = append(h.realTimers, tm)
+		return
 	}
+	h.realPush(id%diffLanes, chainDelay(id))
 }
 
 func (h *diffHarness) refFired(e *refEvent) {
 	h.refLog = append(h.refLog, fireRec{id: e.id, at: h.r.now})
-	if e.id%3 == 0 && h.refChain > 0 {
-		h.refChain--
+	if e.id%3 == 2 || h.refChain == 0 {
+		return
+	}
+	h.refChain--
+	if e.id%3 == 0 {
 		nid := h.refNextID
 		h.refNextID++
 		h.refEvents = append(h.refEvents, h.r.schedule(chainDelay(e.id), nid))
+		return
 	}
+	h.refPush(e.id%diffLanes, chainDelay(e.id))
+}
+
+// realPush pushes an entry onto kernel lane k at now+delay, or at the
+// lane's latest push time when that is later.
+func (h *diffHarness) realPush(k int, delay time.Duration) {
+	l := h.lanes[k]
+	id := h.realNextID
+	h.realNextID++
+	l.Push(max(h.s.Now()+delay, l.last), &fireLogger{h: h, id: id})
+}
+
+// refPush is realPush on the reference: a plain event at the same time.
+func (h *diffHarness) refPush(k int, delay time.Duration) {
+	at := max(h.r.now+delay, h.refLast[k])
+	h.refLast[k] = at
+	h.r.at(at, h.refNextID)
+	h.refNextID++
 }
 
 // checkState compares the cheap invariants after every op so a divergence is
@@ -252,7 +293,7 @@ func (h *diffHarness) checkState(op string) {
 		h.t.Fatalf("after %s: Exhausted() = %v, reference = %v", op, h.s.Exhausted(), h.r.exhausted)
 	}
 	if len(h.realLog) != len(h.refLog) {
-		h.t.Fatalf("after %s: %d fires on wheel, %d on reference", op, len(h.realLog), len(h.refLog))
+		h.t.Fatalf("after %s: %d fires on kernel, %d on reference", op, len(h.realLog), len(h.refLog))
 	}
 }
 
@@ -264,19 +305,18 @@ func (h *diffHarness) checkLogs() {
 	}
 	for i := 0; i < n; i++ {
 		if h.realLog[i] != h.refLog[i] {
-			h.t.Fatalf("fire %d diverged: wheel fired id=%d at %v, reference id=%d at %v",
+			h.t.Fatalf("fire %d diverged: kernel fired id=%d at %v, reference id=%d at %v",
 				i, h.realLog[i].id, h.realLog[i].at, h.refLog[i].id, h.refLog[i].at)
 		}
 	}
 	if len(h.realLog) != len(h.refLog) {
-		h.t.Fatalf("fire counts diverged: wheel %d, reference %d", len(h.realLog), len(h.refLog))
+		h.t.Fatalf("fire counts diverged: kernel %d, reference %d", len(h.realLog), len(h.refLog))
 	}
 }
 
-// decodeDelay maps two schedule bytes to a delay spanning several wheel
-// levels: the common case stays within the finest two levels (up to ~5.7 s),
-// and every seventh value is stretched ~4096x to land in the coarse levels
-// and force multi-hop cascades.
+// decodeDelay maps two schedule bytes to a delay: the common case stays
+// within ~5.7 s, and every seventh value is stretched ~4096x into the far
+// future, so short and long horizons interleave in the queue.
 func decodeDelay(hi, lo byte) time.Duration {
 	v := int64(hi)<<8 | int64(lo)
 	d := time.Duration(v) * 87 * time.Microsecond
@@ -300,6 +340,9 @@ func runDifferential(t *testing.T, ops []byte) {
 		refChain:  256,
 	}
 	h.r = &refSched{fire: h.refFired}
+	for k := range h.lanes {
+		h.lanes[k] = h.s.NewLane()
+	}
 	h.s.SetInvariantChecks(true)
 
 	i := 0
@@ -313,7 +356,7 @@ func runDifferential(t *testing.T, ops []byte) {
 	}
 	for i < len(ops) {
 		op := next()
-		switch op % 9 {
+		switch op % 10 {
 		case 0: // Schedule a stoppable timer
 			d := decodeDelay(next(), next())
 			id := h.realNextID
@@ -324,15 +367,12 @@ func runDifferential(t *testing.T, ops []byte) {
 			h.refNextID++
 			h.refEvents = append(h.refEvents, h.r.schedule(d, rid))
 			h.checkState("schedule")
-		case 1: // ScheduleFire through the pooled fire-and-forget path
+		case 1: // Push onto a lane, no earlier than its latest push
+			k := int(next()) % diffLanes
 			d := decodeDelay(next(), next())
-			id := h.realNextID
-			h.realNextID++
-			h.s.ScheduleFire(d, &fireLogger{h: h, id: id})
-			rid := h.refNextID
-			h.refNextID++
-			h.r.schedule(d, rid)
-			h.checkState("schedulefire")
+			h.realPush(k, d)
+			h.refPush(k, d)
+			h.checkState("lane-push")
 		case 2: // Zero-delay schedule: fires after everything already due now
 			id := h.realNextID
 			h.realNextID++
@@ -351,7 +391,7 @@ func runDifferential(t *testing.T, ops []byte) {
 				rs := h.realTimers[k].Stop()
 				fs := h.r.stop(h.refEvents[k])
 				if rs != fs {
-					t.Fatalf("Stop(timer %d) = %v on wheel, %v on reference", k, rs, fs)
+					t.Fatalf("Stop(timer %d) = %v on kernel, %v on reference", k, rs, fs)
 				}
 			}
 			h.checkState("stop")
@@ -362,7 +402,7 @@ func runDifferential(t *testing.T, ops []byte) {
 				ra := h.realTimers[k].Active()
 				fa := !h.refEvents[k].fired && !h.refEvents[k].cancelled
 				if ra != fa {
-					t.Fatalf("Active(timer %d) = %v on wheel, %v on reference", k, ra, fa)
+					t.Fatalf("Active(timer %d) = %v on kernel, %v on reference", k, ra, fa)
 				}
 				h.realTimers[k].Reschedule(d)
 				h.r.reschedule(h.refEvents[k], d)
@@ -372,17 +412,14 @@ func runDifferential(t *testing.T, ops []byte) {
 			rs := h.s.Step()
 			fs := h.r.step()
 			if rs != fs {
-				t.Fatalf("Step() = %v on wheel, %v on reference", rs, fs)
+				t.Fatalf("Step() = %v on kernel, %v on reference", rs, fs)
 			}
 			h.checkState("step")
-		case 6: // RunBatch a tick's worth; the reference replays the count
-			n := h.s.RunBatch()
-			for j := 0; j < n; j++ {
-				if !h.r.step() {
-					t.Fatalf("RunBatch fired %d events but reference drained after %d", n, j)
-				}
-			}
-			h.checkState("runbatch")
+		case 6: // Zero-delay lane push: ties with everything due now
+			k := int(next()) % diffLanes
+			h.realPush(k, 0)
+			h.refPush(k, 0)
+			h.checkState("lane-zero-delay")
 		case 7: // RunUntil a nearby deadline
 			d := decodeDelay(next(), next())
 			h.s.RunUntil(h.s.Now() + d)
@@ -401,6 +438,15 @@ func runDifferential(t *testing.T, ops []byte) {
 			h.checkState("budget-run")
 			h.s.SetBudget(Budget{})
 			h.r.budget, h.r.exhausted = Budget{}, false
+		case 9: // Virtual-time budget: refuse events past a nearby horizon
+			b := Budget{MaxVirtualTime: h.s.Now() + decodeDelay(next(), next())}
+			h.s.SetBudget(b)
+			h.r.budget, h.r.exhausted = b, false
+			h.s.Run()
+			h.r.run()
+			h.checkState("horizon-run")
+			h.s.SetBudget(Budget{})
+			h.r.budget, h.r.exhausted = Budget{}, false
 		}
 		h.checkLogs()
 	}
@@ -413,13 +459,13 @@ func runDifferential(t *testing.T, ops []byte) {
 	h.checkState("final-drain")
 	h.checkLogs()
 	if h.s.Pending() != 0 {
-		t.Fatalf("wheel kernel left %d events pending after full drain", h.s.Pending())
+		t.Fatalf("kernel left %d events pending after full drain", h.s.Pending())
 	}
 }
 
 // TestKernelDifferentialRandom feeds seeded random op schedules through the
-// differential harness: the wheel kernel must match the reference heap on
-// every one.
+// differential harness: the kernel must match the reference heap on every
+// one.
 func TestKernelDifferentialRandom(t *testing.T) {
 	iters := 150
 	if testing.Short() {
@@ -436,20 +482,26 @@ func TestKernelDifferentialRandom(t *testing.T) {
 }
 
 // FuzzKernelDifferential lets the fuzzer search for op schedules on which
-// the wheel kernel and the reference heap disagree.
+// the kernel and the reference heap disagree.
 func FuzzKernelDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
-	// A schedule mixing coarse-level placements (delay values divisible by 7
-	// are stretched into the upper wheel levels), cancellation, reschedule
-	// churn, and budget stops.
+	// A schedule mixing far-future events (delay values divisible by 7 are
+	// stretched ~4096x), cancellation, reschedule churn, and budget stops.
 	f.Add([]byte{
 		0, 0, 7, 1, 0, 14, 0, 255, 255, 2, 2, 2,
 		3, 1, 4, 0, 0, 49, 5, 5, 6, 7, 0, 28,
 		8, 3, 0, 0, 0, 1, 7, 0, 8, 6, 5,
 	})
 	f.Add([]byte{2, 2, 2, 2, 5, 5, 5, 5, 3, 0, 4, 0, 0, 0, 5})
+	// Lane pushes on all three lanes (with zero-delay ties) interleaved with
+	// timers, Stop/Reschedule churn, steps, a RunUntil and both budgets.
+	f.Add([]byte{
+		1, 0, 0, 9, 1, 1, 0, 3, 6, 0, 6, 2, 0, 0, 5, 2,
+		1, 2, 1, 0, 4, 0, 0, 2, 3, 0, 5, 6, 1, 15, 1, 0, 4,
+		5, 5, 8, 2, 9, 0, 40, 7, 0, 10, 5, 1, 2, 0, 0, 5,
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		runDifferential(t, ops)
 	})

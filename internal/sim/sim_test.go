@@ -237,7 +237,7 @@ func TestPendingCounter(t *testing.T) {
 		tms = append(tms, s.Schedule(time.Duration(i)*time.Millisecond, func() {}))
 	}
 	h := &fireCounter{}
-	s.ScheduleFire(time.Millisecond, h)
+	s.NewLane().Push(time.Millisecond, h)
 	if got := s.Pending(); got != 11 {
 		t.Fatalf("Pending = %d, want 11", got)
 	}
@@ -266,15 +266,15 @@ func TestPendingCounter(t *testing.T) {
 
 func TestCancelledEventsDoNotAccumulate(t *testing.T) {
 	// The cancelled-event leak regression test: stopping far-future timers
-	// over and over must not grow the queue — a stopped wheel timer is
-	// unlinked from its slot immediately, so only the survivor remains.
+	// over and over must not grow the queue — a stopped timer leaves the
+	// heap immediately, so only the survivor remains.
 	s := New()
 	keep := s.Schedule(time.Hour, func() {})
 	const churn = 100_000
 	for i := 0; i < churn; i++ {
 		s.Schedule(time.Hour, func() {}).Stop()
 	}
-	if got := s.queuedLen(); got != 1 {
+	if got := len(s.heap); got != 1 {
 		t.Fatalf("queue holds %d entries after %d cancels, want 1", got, churn)
 	}
 	if s.Pending() != 1 {
@@ -292,7 +292,7 @@ func TestCancelChurnPreservesOrder(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		i := i
 		s.Schedule(time.Duration(i)*time.Millisecond, func() { order = append(order, i) })
-		// Interleave doomed timers so every slot sees mid-build unlinks.
+		// Interleave doomed timers so Stop removes from every heap position.
 		cancel = append(cancel, s.Schedule(time.Duration(i)*time.Millisecond, func() { t.Error("cancelled timer fired") }))
 	}
 	for _, tm := range cancel {
@@ -399,12 +399,13 @@ func TestRescheduleNegativeDelayPanics(t *testing.T) {
 	tm.Reschedule(-time.Millisecond)
 }
 
-func TestScheduleFirePooledEventsAreRecycled(t *testing.T) {
+func TestLaneReusesItsBuffer(t *testing.T) {
 	s := New()
+	l := s.NewLane()
 	h := &fireCounter{}
 	const rounds = 1000
 	for i := 0; i < rounds; i++ {
-		s.ScheduleFire(time.Microsecond, h)
+		l.Push(s.Now()+time.Microsecond, h)
 		if !s.Step() {
 			t.Fatal("Step found no event")
 		}
@@ -412,27 +413,32 @@ func TestScheduleFirePooledEventsAreRecycled(t *testing.T) {
 	if h.n != rounds {
 		t.Fatalf("fired %d, want %d", h.n, rounds)
 	}
-	// Steady state keeps exactly one pooled event on the free list.
-	free := 0
-	for ev := s.free; ev != nil; ev = ev.freeNext {
-		free++
-	}
-	if free != 1 {
-		t.Errorf("free list holds %d events, want 1", free)
+	// A lane that never holds more than one entry keeps its first ring
+	// buffer and leaves the heap empty once drained.
+	if len(l.buf) != 8 || l.Len() != 0 || len(s.heap) != 0 {
+		t.Errorf("ring buffer %d, lane length %d, heap %d; want 8, 0, 0", len(l.buf), l.Len(), len(s.heap))
 	}
 }
 
-func TestScheduleFireOrderingMatchesSchedule(t *testing.T) {
+func TestLaneOrderingMatchesSchedule(t *testing.T) {
 	s := New()
 	var order []int
 	record := func(i int) Handler { return &orderHandler{order: &order, i: i} }
-	s.ScheduleFire(time.Millisecond, record(1))
+	a, b := s.NewLane(), s.NewLane()
+	a.Push(time.Millisecond, record(1))
 	s.Schedule(time.Millisecond, func() { order = append(order, 2) })
-	s.ScheduleFire(time.Millisecond, record(3))
+	b.Push(time.Millisecond, record(3))
+	a.Push(time.Millisecond, record(4))
+	b.Push(2*time.Millisecond, record(6))
+	s.Schedule(time.Millisecond, func() { order = append(order, 5) })
 	s.Run()
-	for i, want := range []int{1, 2, 3} {
-		if order[i] != want {
-			t.Fatalf("order = %v, want [1 2 3]", order)
+	want := []int{1, 2, 3, 4, 5, 6}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
 }
@@ -444,13 +450,66 @@ type orderHandler struct {
 
 func (h *orderHandler) Fire() { *h.order = append(*h.order, h.i) }
 
-func TestScheduleFireNilHandlerPanics(t *testing.T) {
+func TestLaneRingWrapsInOrder(t *testing.T) {
+	// Interleave pushes and dispatches so the ring's head wraps past the end
+	// of the buffer while it grows: entries must still fire in push order.
+	s := New()
+	l := s.NewLane()
+	var order []int
+	pushed := 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < round%13+1; i++ {
+			l.Push(s.Now()+time.Duration(pushed)*time.Microsecond, &orderHandler{order: &order, i: pushed})
+			pushed++
+		}
+		for i := 0; i < round%7; i++ {
+			s.Step()
+		}
+	}
+	s.Run()
+	if len(order) != pushed {
+		t.Fatalf("fired %d of %d entries", len(order), pushed)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("entry %d fired as %d", i, v)
+		}
+	}
+}
+
+func TestLaneNilHandlerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("ScheduleFire with nil handler did not panic")
+			t.Error("Lane.Push with nil handler did not panic")
 		}
 	}()
-	New().ScheduleFire(time.Second, nil)
+	New().NewLane().Push(time.Second, nil)
+}
+
+func TestLanePushOutOfOrderPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		push func(s *Simulator, l *Lane)
+	}{
+		{"before last push", func(s *Simulator, l *Lane) {
+			l.Push(2*time.Second, &fireCounter{})
+			l.Push(time.Second, &fireCounter{})
+		}},
+		{"before now", func(s *Simulator, l *Lane) {
+			s.RunUntil(time.Second)
+			l.Push(time.Millisecond, &fireCounter{})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("push did not panic")
+				}
+			}()
+			s := New()
+			tc.push(s, s.NewLane())
+		})
+	}
 }
 
 func TestNewRandDeterministic(t *testing.T) {
@@ -526,24 +585,32 @@ func TestBudgetMaxEventsStopsRunawayLoop(t *testing.T) {
 	}
 }
 
-// TestZeroDelayLoopKeepsDueBounded pins the kernel's memory on a tick that
-// never drains: three interleaved zero-delay self-rescheduling chains
-// dispatch 100k events on one wheel tick. They must keep firing in
-// round-robin (at, seq) order across every compaction of the due batch,
-// and the batch must hold only its pending entries plus a bounded
-// dispatched prefix rather than every event it dispatched.
+// TestZeroDelayLoopKeepsDueBounded pins the kernel's memory on an instant
+// that never drains: three interleaved zero-delay self-rescheduling timer
+// chains and one zero-delay lane chain dispatch 100k events at time zero.
+// They must keep firing in round-robin (at, seq) order, and the queue must
+// hold only their pending events rather than every event it dispatched.
 func TestZeroDelayLoopKeepsDueBounded(t *testing.T) {
 	s := New()
 	s.SetBudget(Budget{MaxEvents: 100_000})
-	const chains = 3
+	const chains = 4
 	var fired []int
+	lane := s.NewLane()
 	var chain [chains]func()
 	for c := range chain {
 		chain[c] = func() {
 			fired = append(fired, c)
+			if c == chains-1 {
+				lane.Push(s.Now(), fireFunc(chain[c]))
+				return
+			}
 			s.Schedule(0, chain[c])
 		}
-		s.Schedule(0, chain[c])
+		if c == chains-1 {
+			lane.Push(0, fireFunc(chain[c]))
+		} else {
+			s.Schedule(0, chain[c])
+		}
 	}
 	s.Run()
 	if !s.Exhausted() || len(fired) != 100_000 {
@@ -554,8 +621,11 @@ func TestZeroDelayLoopKeepsDueBounded(t *testing.T) {
 			t.Fatalf("event %d came from chain %d, want %d", i, c, i%chains)
 		}
 	}
-	if n := cap(s.due); n > 4*dueCompactMin {
-		t.Errorf("due batch grew to capacity %d, want at most %d", n, 4*dueCompactMin)
+	if n := cap(s.heap); n > 2*chains {
+		t.Errorf("heap grew to capacity %d, want at most %d", n, 2*chains)
+	}
+	if n := len(lane.buf); n > 8 {
+		t.Errorf("lane ring grew to %d entries, want at most 8", n)
 	}
 }
 
@@ -637,20 +707,21 @@ func (f fireFunc) Fire() { f() }
 
 func TestInvariantChecksPassOnNormalWorkload(t *testing.T) {
 	// Self-check mode must be silent on a healthy kernel, across scheduling,
-	// cancellation, rescheduling and pooled fire-and-forget events — enough
-	// churn to cross the periodic full-audit boundary.
+	// cancellation, rescheduling and lane pushes.
 	s := New()
 	s.SetInvariantChecks(true)
 	rng := NewRand(3, StreamWorkload)
 	var timers []*Timer
+	lanes := [3]*Lane{s.NewLane(), s.NewLane(), s.NewLane()}
 	n := 0
-	for i := 0; i < 3*invariantAuditPeriod; i++ {
+	for i := 0; i < 12_000; i++ {
 		d := time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
 		switch i % 4 {
 		case 0:
 			timers = append(timers, s.Schedule(d, func() { n++ }))
 		case 1:
-			s.ScheduleFire(d, fireFunc(func() { n++ }))
+			l := lanes[i%len(lanes)]
+			l.Push(max(s.Now()+d, l.last), fireFunc(func() { n++ }))
 		case 2:
 			if len(timers) > 0 {
 				timers[len(timers)-1].Stop()
@@ -661,8 +732,7 @@ func TestInvariantChecksPassOnNormalWorkload(t *testing.T) {
 				timers[0].Reschedule(d)
 			}
 		}
-		// Drain periodically so the wheel sees advances interleaved with
-		// insertions.
+		// Drain periodically so dispatch interleaves with insertions.
 		if i%64 == 63 {
 			for j := 0; j < 32; j++ {
 				if !s.Step() {

@@ -7,19 +7,26 @@ import (
 	"repro/internal/telemetry"
 )
 
-// countingHandler reschedules itself n times through the pooled
-// fire-and-forget path.
+// countingHandler pushes itself back onto its lane, one millisecond out,
+// n times.
 type countingHandler struct {
 	s     *Simulator
+	lane  *Lane
 	left  int
 	fired int
 }
+
+func newCountingHandler(s *Simulator, left int) *countingHandler {
+	return &countingHandler{s: s, lane: s.NewLane(), left: left}
+}
+
+func (h *countingHandler) push() { h.lane.Push(h.s.Now()+time.Millisecond, h) }
 
 func (h *countingHandler) Fire() {
 	h.fired++
 	if h.left > 0 {
 		h.left--
-		h.s.ScheduleFire(time.Millisecond, h)
+		h.push()
 	}
 }
 
@@ -28,8 +35,12 @@ func TestKernelTelemetryCounters(t *testing.T) {
 	var k telemetry.Kernel
 	s.SetTelemetry(&k)
 
-	h := &countingHandler{s: s, left: 9}
-	s.ScheduleFire(time.Millisecond, h)
+	h := newCountingHandler(s, 9)
+	h.push()
+	// Three events share the instant 20ms: one batch of three.
+	for i := 0; i < 3; i++ {
+		s.Schedule(20*time.Millisecond, func() {})
+	}
 
 	timer := s.Schedule(time.Hour, func() {})
 	timer.Reschedule(2 * time.Hour)
@@ -43,10 +54,10 @@ func TestKernelTelemetryCounters(t *testing.T) {
 	if k.Events != s.Executed() {
 		t.Errorf("Events = %d, want Executed() = %d", k.Events, s.Executed())
 	}
-	// 10 fire-and-forget schedules + 1 timer schedule; the Reschedule is
-	// counted separately.
-	if k.Scheduled != 11 {
-		t.Errorf("Scheduled = %d, want 11", k.Scheduled)
+	// 10 lane pushes + 4 timer schedules; the Reschedule is counted
+	// separately.
+	if k.Scheduled != 14 {
+		t.Errorf("Scheduled = %d, want 14", k.Scheduled)
 	}
 	if k.TimerReschedules != 1 {
 		t.Errorf("TimerReschedules = %d, want 1", k.TimerReschedules)
@@ -54,19 +65,14 @@ func TestKernelTelemetryCounters(t *testing.T) {
 	if k.TimerStops != 1 {
 		t.Errorf("TimerStops = %d, want 1", k.TimerStops)
 	}
-	// The first fire-and-forget schedule allocates its event object; all nine
-	// self-reschedules reuse it from the free list.
-	if k.PoolMisses != 1 || k.PoolHits != 9 {
-		t.Errorf("PoolMisses/PoolHits = %d/%d, want 1/9", k.PoolMisses, k.PoolHits)
+	// The lane entry, three 20ms timers and the hour timer.
+	if k.MaxPending != 5 {
+		t.Errorf("MaxPending = %d, want 5", k.MaxPending)
 	}
-	if k.MaxPending < 1 {
-		t.Errorf("MaxPending = %d, want >= 1", k.MaxPending)
-	}
-	if k.Batches < 1 || k.BatchEvents < k.Batches || k.MaxBatch < 1 {
-		t.Errorf("batch counters = %d/%d/%d, want all positive", k.Batches, k.BatchEvents, k.MaxBatch)
-	}
-	if rate := k.PoolHitRate(); rate != 0.9 {
-		t.Errorf("PoolHitRate = %v, want 0.9", rate)
+	// Ten lane events at 1..10ms fire alone; the 20ms timers share one
+	// instant.
+	if k.Batches != 11 || k.MaxBatch != 3 {
+		t.Errorf("Batches/MaxBatch = %d/%d, want 11/3", k.Batches, k.MaxBatch)
 	}
 }
 
@@ -76,8 +82,7 @@ func TestTelemetryDoesNotChangeExecution(t *testing.T) {
 		if k != nil {
 			s.SetTelemetry(k)
 		}
-		h := &countingHandler{s: s, left: 99}
-		s.ScheduleFire(time.Millisecond, h)
+		newCountingHandler(s, 99).push()
 		s.Run()
 		return s.Executed(), s.Now()
 	}
@@ -90,9 +95,10 @@ func TestTelemetryDoesNotChangeExecution(t *testing.T) {
 	}
 }
 
-// TestScheduleFireZeroAlloc is the CI zero-alloc gate: the warmed
-// fire-and-forget path must not allocate, with telemetry off AND on.
-func TestScheduleFireZeroAlloc(t *testing.T) {
+// TestLaneZeroAlloc is the CI zero-alloc gate: the warmed lane
+// push/dispatch path — the per-packet delivery path of every link — must
+// not allocate, with telemetry off AND on.
+func TestLaneZeroAlloc(t *testing.T) {
 	for _, tel := range []bool{false, true} {
 		name := "telemetry-off"
 		if tel {
@@ -104,16 +110,22 @@ func TestScheduleFireZeroAlloc(t *testing.T) {
 			if tel {
 				s.SetTelemetry(&k)
 			}
-			h := &countingHandler{s: s}
-			// Warm the event free list.
-			s.ScheduleFire(time.Millisecond, h)
-			s.Run()
+			// A timer keeps the heap non-empty, so the lane enters and
+			// leaves a heap that already has room for it.
+			s.Schedule(time.Hour, func() {})
+			h := newCountingHandler(s, 0)
+			// Warm the lane's ring buffer and the heap.
+			for i := 0; i < 4; i++ {
+				h.push()
+			}
+			s.RunUntil(s.Now() + time.Millisecond)
 			allocs := testing.AllocsPerRun(1000, func() {
-				s.ScheduleFire(time.Millisecond, h)
-				s.Run()
+				h.push()
+				h.push()
+				s.RunUntil(s.Now() + time.Millisecond)
 			})
 			if allocs != 0 {
-				t.Fatalf("warmed ScheduleFire+Run allocates %v allocs/op, want 0", allocs)
+				t.Fatalf("warmed Lane.Push+dispatch allocates %v allocs/op, want 0", allocs)
 			}
 		})
 	}

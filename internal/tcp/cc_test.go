@@ -111,8 +111,8 @@ func hostileConn(t *testing.T, cfg Config, seed int64, dataLoss, ackLoss float64
 // traces to agree event for event, including every recorded cwnd.
 func TestRenoBehindInterfaceMatchesReference(t *testing.T) {
 	corpus := []struct {
-		seed               int64
-		dataLoss, ackLoss  float64
+		seed              int64
+		dataLoss, ackLoss float64
 	}{
 		{1, 0, 0},
 		{2, 0.05, 0},

@@ -130,12 +130,8 @@ func (e *TextExposer) Campaign(c *Campaign) {
 	e.Int("kernel_events_total", k.Events)
 	e.Int("kernel_scheduled_total", k.Scheduled)
 	e.Int("kernel_virtual_ns_total", k.VirtualNS)
-	e.Int("kernel_cascades_total", k.Cascades)
-	e.Int("kernel_rearms_in_place_total", k.RearmsInPlace)
 	e.Int("kernel_batches_total", k.Batches)
-	e.Int("kernel_batch_events_total", k.BatchEvents)
 	e.Int("kernel_max_batch", k.MaxBatch)
-	e.Int("kernel_max_slot_occupancy", k.MaxSlot)
 	e.Int("kernel_max_pending", k.MaxPending)
 	e.Int("tcp_flows_total", t.Flows)
 	e.Int("tcp_data_sent_total", t.DataSent)

@@ -81,7 +81,7 @@ type CCGroup struct {
 	Label      string `json:"label"`
 	// JainIndex is Jain's fairness index over the group's per-flow
 	// throughputs: 1 is perfectly fair, 1/n maximally unfair.
-	JainIndex float64 `json:"jain_index"`
+	JainIndex float64        `json:"jain_index"`
 	Flows     []CCFlowResult `json:"flows"`
 }
 

@@ -150,33 +150,18 @@ func (d *Dist) UnmarshalJSON(raw []byte) error {
 
 // Kernel collects event-kernel metrics for one simulation (or, after
 // merging, a whole campaign). Events counts executed events; Scheduled
-// counts timing-wheel insertions (not Reschedule re-arms); PoolHits/
-// PoolMisses track the fire-and-forget event free list; the wheel counters
-// (Cascades, RearmsInPlace, Batches, MaxBatch, MaxSlot) describe scheduler
-// health: how often events were redistributed from coarse wheel levels, how
-// often a periodic timer re-armed without moving, and how dense the per-tick
-// dispatch batches ran.
+// counts new events — Schedule/At calls and lane pushes, not Reschedule
+// re-arms.
 type Kernel struct {
-	Events     int64 `json:"events"`
-	Scheduled  int64 `json:"scheduled"`
-	PoolHits   int64 `json:"pool_hits"`
-	PoolMisses int64 `json:"pool_misses"`
+	Events    int64 `json:"events"`
+	Scheduled int64 `json:"scheduled"`
 	// MaxPending is the peak number of scheduled, not-yet-fired events.
 	MaxPending int64 `json:"max_pending"`
-	// Cascades counts events redistributed from a coarse wheel level toward
-	// the finest one as virtual time advanced past their slot.
-	Cascades int64 `json:"cascades"`
-	// RearmsInPlace counts Reschedule calls that kept the timer in its
-	// current wheel slot, skipping the unlink/relink entirely.
-	RearmsInPlace int64 `json:"rearms_in_place"`
-	// Batches counts non-empty per-tick dispatch batches; BatchEvents is the
-	// events dispatched through them (BatchEvents/Batches = mean density).
-	Batches     int64 `json:"batches"`
-	BatchEvents int64 `json:"batch_events"`
-	// MaxBatch is the largest single dispatch batch; MaxSlot the largest
-	// single wheel-slot occupancy observed while draining.
+	// Batches counts runs of consecutive events that fire at one virtual
+	// instant (the clock does not move inside a batch), so Events/Batches is
+	// the mean number of events per instant. MaxBatch is the longest run.
+	Batches          int64 `json:"batches"`
 	MaxBatch         int64 `json:"max_batch"`
-	MaxSlot          int64 `json:"max_slot_occupancy"`
 	TimerStops       int64 `json:"timer_stops"`
 	TimerReschedules int64 `json:"timer_reschedules"`
 	// VirtualNS is the total virtual time simulated, in nanoseconds.
@@ -184,16 +169,6 @@ type Kernel struct {
 	// BudgetEvents is the sum of configured kernel event budgets
 	// (0 = unlimited); BudgetHeadroom derives from it.
 	BudgetEvents int64 `json:"budget_events"`
-}
-
-// PoolHitRate returns the fraction of fire-and-forget schedules served from
-// the free list, or 0 when none were scheduled.
-func (k *Kernel) PoolHitRate() float64 {
-	total := k.PoolHits + k.PoolMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(k.PoolHits) / float64(total)
 }
 
 // BudgetHeadroom returns the unused fraction of the event budget
@@ -213,20 +188,12 @@ func (k *Kernel) BudgetHeadroom() float64 {
 func (k *Kernel) Merge(other *Kernel) {
 	k.Events += other.Events
 	k.Scheduled += other.Scheduled
-	k.PoolHits += other.PoolHits
-	k.PoolMisses += other.PoolMisses
 	if other.MaxPending > k.MaxPending {
 		k.MaxPending = other.MaxPending
 	}
-	k.Cascades += other.Cascades
-	k.RearmsInPlace += other.RearmsInPlace
 	k.Batches += other.Batches
-	k.BatchEvents += other.BatchEvents
 	if other.MaxBatch > k.MaxBatch {
 		k.MaxBatch = other.MaxBatch
-	}
-	if other.MaxSlot > k.MaxSlot {
-		k.MaxSlot = other.MaxSlot
 	}
 	k.TimerStops += other.TimerStops
 	k.TimerReschedules += other.TimerReschedules
@@ -234,16 +201,14 @@ func (k *Kernel) Merge(other *Kernel) {
 	k.BudgetEvents += other.BudgetEvents
 }
 
-// MarshalJSON adds the derived pool_hit_rate and budget_headroom fields to
-// the raw counters; both derive from deterministic integers, so the JSON is
-// reproducible.
+// MarshalJSON adds the derived budget_headroom field to the raw counters;
+// it derives from deterministic integers, so the JSON is reproducible.
 func (k Kernel) MarshalJSON() ([]byte, error) {
 	type raw Kernel // shed the method to avoid recursion
 	return json.Marshal(struct {
 		raw
-		PoolHitRate    float64 `json:"pool_hit_rate"`
 		BudgetHeadroom float64 `json:"budget_headroom"`
-	}{raw(k), k.PoolHitRate(), k.BudgetHeadroom()})
+	}{raw(k), k.BudgetHeadroom()})
 }
 
 // TCP collects per-flow endpoint metrics mirroring the paper's measured

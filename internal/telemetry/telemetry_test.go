@@ -99,30 +99,22 @@ func TestHistBucketsAndMerge(t *testing.T) {
 }
 
 func TestKernelMergeAndDerived(t *testing.T) {
-	a := Kernel{Events: 10, Scheduled: 12, PoolHits: 8, PoolMisses: 2,
-		MaxPending: 5, Cascades: 3, RearmsInPlace: 2, Batches: 4, BatchEvents: 9,
-		MaxBatch: 6, MaxSlot: 2, VirtualNS: 100, BudgetEvents: 40}
-	b := Kernel{Events: 20, Scheduled: 21, PoolHits: 0, PoolMisses: 10,
-		MaxPending: 9, Cascades: 1, RearmsInPlace: 5, Batches: 2, BatchEvents: 11,
-		MaxBatch: 3, MaxSlot: 7, VirtualNS: 50, BudgetEvents: 60}
+	a := Kernel{Events: 10, Scheduled: 12, MaxPending: 5, Batches: 4,
+		MaxBatch: 6, TimerStops: 1, TimerReschedules: 3, VirtualNS: 100, BudgetEvents: 40}
+	b := Kernel{Events: 20, Scheduled: 21, MaxPending: 9, Batches: 2,
+		MaxBatch: 3, TimerStops: 2, TimerReschedules: 4, VirtualNS: 50, BudgetEvents: 60}
 	a.Merge(&b)
 	if a.Events != 30 || a.Scheduled != 33 || a.MaxPending != 9 {
 		t.Fatalf("merged Kernel = %+v", a)
 	}
-	if a.Cascades != 4 || a.RearmsInPlace != 7 || a.Batches != 6 || a.BatchEvents != 20 {
-		t.Fatalf("merged wheel counters = %+v", a)
+	if a.Batches != 6 || a.MaxBatch != 6 {
+		t.Fatalf("merged batch counters = %+v", a)
 	}
-	if a.MaxBatch != 6 || a.MaxSlot != 7 {
-		t.Fatalf("merged wheel gauges = %+v", a)
-	}
-	if got := a.PoolHitRate(); got != 0.4 {
-		t.Errorf("PoolHitRate = %v, want 0.4", got)
+	if a.TimerStops != 3 || a.TimerReschedules != 7 || a.VirtualNS != 150 || a.BudgetEvents != 100 {
+		t.Fatalf("merged timer and budget counters = %+v", a)
 	}
 	if got := a.BudgetHeadroom(); got != 0.7 {
 		t.Errorf("BudgetHeadroom = %v, want 0.7", got)
-	}
-	if (&Kernel{}).PoolHitRate() != 0 {
-		t.Error("empty PoolHitRate not 0")
 	}
 	if (&Kernel{}).BudgetHeadroom() != 1 {
 		t.Error("unbudgeted BudgetHeadroom not 1")
@@ -131,7 +123,7 @@ func TestKernelMergeAndDerived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"pool_hit_rate", "budget_headroom", "events"} {
+	for _, key := range []string{"budget_headroom", "events", "batches", "max_batch"} {
 		if !strings.Contains(string(blob), key) {
 			t.Errorf("Kernel JSON missing %q: %s", key, blob)
 		}

@@ -14,7 +14,7 @@ func randomFlow(rng *rand.Rand) *Flow {
 	f.Kernel.Events = rng.Int63n(1 << 40)
 	f.Kernel.Scheduled = rng.Int63n(1 << 40)
 	f.Kernel.MaxPending = rng.Int63n(1 << 20)
-	f.Kernel.Cascades = rng.Int63n(1 << 20)
+	f.Kernel.Batches = rng.Int63n(1 << 20)
 	f.Kernel.VirtualNS = rng.Int63n(1 << 50)
 	f.TCP.Flows = 1
 	f.TCP.DataSent = rng.Int63n(1 << 30)
