@@ -13,10 +13,10 @@
 // loss, rate collapses, delay spikes, handoff storms) into every generated
 // flow; the DSL is documented in docs/ROBUSTNESS.md.
 //
-// -flightrec N additionally runs a bounded flight recorder per flow: the
-// last N state-transition events (timeouts, fast retransmits, recoveries,
-// drops) are written next to the full trace as <id>.flightrec.jsonl, in the
-// regular JSONL trace format traceanalyze reads.
+// -flightrec N additionally writes a flight-recorder view of each flow: the
+// last N state-transition events of its trace (timeouts, fast retransmits,
+// recoveries, drops) go next to the full trace as <id>.flightrec.jsonl, in
+// the regular JSONL trace format traceanalyze reads.
 package main
 
 import (
@@ -32,7 +32,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/railway"
 	"repro/internal/tcp"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -123,10 +122,6 @@ func run(args []string) error {
 		return fmt.Errorf("create output dir: %w", err)
 	}
 
-	var rec *telemetry.FlightRecorder
-	if *flightrec > 0 {
-		rec = telemetry.NewFlightRecorder(*flightrec)
-	}
 	start, end := trip.CruiseWindow()
 	for i := 0; i < *flows; i++ {
 		offset := time.Duration(0)
@@ -147,10 +142,6 @@ func run(args []string) error {
 			Scenario:     *scenario,
 			Faults:       sched,
 		}
-		if rec != nil {
-			rec.Reset()
-			sc.FlightRecorder = rec
-		}
 		ft, st, err := dataset.RunFlow(sc)
 		if err != nil {
 			return fmt.Errorf("flow %d: %w", i, err)
@@ -169,13 +160,14 @@ func run(args []string) error {
 		}
 		fmt.Printf("%s: %d events, %d segments delivered, %.1f pps\n",
 			path, len(ft.Events), st.UniqueDelivered, st.ThroughputPps())
-		if rec != nil {
+		if *flightrec > 0 {
+			kept, overwritten := lastTransitions(ft.Events, *flightrec)
 			frPath := filepath.Join(*out, sc.ID+".flightrec.jsonl")
 			ff, err := os.Create(frPath)
 			if err != nil {
 				return fmt.Errorf("create %s: %w", frPath, err)
 			}
-			if err := trace.WriteJSONL(ff, rec.Trace(ft.Meta)); err != nil {
+			if err := trace.WriteJSONL(ff, &trace.FlowTrace{Meta: ft.Meta, Events: kept}); err != nil {
 				ff.Close()
 				return fmt.Errorf("write %s: %w", frPath, err)
 			}
@@ -183,8 +175,29 @@ func run(args []string) error {
 				return fmt.Errorf("close %s: %w", frPath, err)
 			}
 			fmt.Printf("%s: %d transition events retained (%d overwritten)\n",
-				frPath, rec.Len(), rec.Overwritten())
+				frPath, len(kept), overwritten)
 		}
 	}
 	return nil
+}
+
+// lastTransitions returns the last n state-transition and loss events of
+// evs in chronological order, and how many earlier ones it left out. The
+// kept kinds are congestion-control phase changes (timeout-recovery entry
+// via EvTimeout/EvFastRetx, with the RTO backoff exponent riding on the
+// timeout events; recovery exit via EvRecovered) and losses (EvDataDrop,
+// EvAckDrop; an ACK-burst-loss episode is a run of consecutive ack-drops).
+func lastTransitions(evs []trace.Event, n int) (kept []trace.Event, overwritten int) {
+	for _, ev := range evs {
+		switch ev.Type {
+		case trace.EvTimeout, trace.EvFastRetx, trace.EvRecovered,
+			trace.EvDataDrop, trace.EvAckDrop:
+			kept = append(kept, ev)
+		}
+	}
+	if len(kept) > n {
+		overwritten = len(kept) - n
+		kept = kept[overwritten:]
+	}
+	return kept, overwritten
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -127,6 +129,46 @@ func TestRunFlightRecorder(t *testing.T) {
 		if !transition[ev.Type] {
 			t.Errorf("non-transition event %v leaked into the flight recorder", ev.Type)
 		}
+	}
+}
+
+// TestLastTransitions checks the flight-recorder filter: only transition
+// events are kept, a full window keeps the newest n in chronological order,
+// and the count of older ones left out is exact.
+func TestLastTransitions(t *testing.T) {
+	evs := []trace.Event{{Type: trace.EvDataSend, At: time.Second}}
+	if kept, over := lastTransitions(evs, 3); len(kept) != 0 || over != 0 {
+		t.Fatalf("non-transition event kept: %d kept, %d overwritten", len(kept), over)
+	}
+	for i := 0; i < 5; i++ {
+		evs = append(evs,
+			trace.Event{Type: trace.EvTimeout, At: time.Duration(i) * time.Second, Seq: int64(i)},
+			trace.Event{Type: trace.EvAckRecv, At: time.Duration(i) * time.Second, Seq: -1})
+	}
+	kept, over := lastTransitions(evs, 3)
+	if len(kept) != 3 || over != 2 {
+		t.Fatalf("kept %d, overwritten %d; want 3 and 2", len(kept), over)
+	}
+	for i, ev := range kept {
+		if want := int64(i + 2); ev.Type != trace.EvTimeout || ev.Seq != want {
+			t.Errorf("kept event %d = %v seq %d, want timeout seq %d (chronological order)", i, ev.Type, ev.Seq, want)
+		}
+	}
+	if kept, over := lastTransitions(evs, 64); len(kept) != 5 || over != 0 {
+		t.Errorf("window larger than the matches: kept %d, overwritten %d; want 5 and 0", len(kept), over)
+	}
+
+	// The dump round-trips through the standard JSONL codec.
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, &trace.FlowTrace{Meta: trace.FlowMeta{ID: "fr-test", Seed: 7}, Events: kept}); err != nil {
+		t.Fatal(err)
+	}
+	back, err := trace.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Meta.ID != "fr-test" || len(back.Events) != 3 {
+		t.Fatalf("roundtrip = %q with %d events", back.Meta.ID, len(back.Events))
 	}
 }
 

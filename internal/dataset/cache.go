@@ -29,8 +29,9 @@ import (
 // and virtual duration to the entry header; schema 4 replaced the JSON
 // payload with the binary flow payload (codec.go); schema 5 dropped the
 // header's flag and duration, so the header is the checksum alone; schema 6
-// dropped the timing-wheel and event-pool kernel counters from the payload.
-const cacheSchema = 6
+// dropped the timing-wheel and event-pool kernel counters from the payload;
+// schema 7 dropped the per-direction vector-burst link counters.
+const cacheSchema = 7
 
 // entryMagic is the first token of every cache entry file.
 const entryMagic = "hsrflowcache"
@@ -155,7 +156,7 @@ func encodeFlowPayload(ent CachedFlow) ([]byte, error) {
 // Every field that can change a flow's outcome appears here; the struct is
 // marshalled with encoding/json, whose output is deterministic for a given
 // binary, and the schema and version fields fence off layout and model
-// changes. Telemetry and FlightRecorder sinks deliberately do not
+// changes. The Telemetry sink deliberately does not
 // participate: they observe a flow, they never alter it.
 type cacheKey struct {
 	Schema       int               `json:"schema"`

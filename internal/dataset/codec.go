@@ -327,8 +327,6 @@ func (c *flowCodec) link(l *telemetry.LinkCounters) {
 	c.i64(&l.ChannelDrops)
 	c.i64(&l.QueueDrops)
 	c.i64(&l.PeakBacklog)
-	c.i64(&l.VectorBursts)
-	c.i64(&l.VectorPackets)
 }
 
 func (c *flowCodec) ccStats(s *telemetry.CCStats) {

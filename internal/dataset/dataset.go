@@ -47,10 +47,6 @@ type Scenario struct {
 	// changes the packet trace: live instrumentation is nil-gated integer
 	// increments and everything else is harvested after the run.
 	Telemetry *telemetry.Flow
-	// FlightRecorder, when non-nil, additionally records the flow's events
-	// into a bounded ring (state transitions only by default) that can be
-	// dumped as a JSONL trace after the run.
-	FlightRecorder *telemetry.FlightRecorder
 }
 
 // Validate checks the scenario.
@@ -218,9 +214,6 @@ func runScenario(sc Scenario, rec trace.Recorder) (tcp.Stats, error) {
 	if err != nil {
 		return tcp.Stats{}, err
 	}
-	if sc.FlightRecorder != nil {
-		rec = trace.Tee{rec, sc.FlightRecorder}
-	}
 	conn, err := tcp.New(simulator, path, sc.TCP, rec)
 	if err != nil {
 		return tcp.Stats{}, err
@@ -340,6 +333,4 @@ func harvestLink(dst *telemetry.LinkCounters, st netem.LinkStats) {
 	if pb := int64(st.PeakBacklog); pb > dst.PeakBacklog {
 		dst.PeakBacklog = pb
 	}
-	dst.VectorBursts += int64(st.VectorBursts)
-	dst.VectorPackets += int64(st.VectorPackets)
 }

@@ -206,11 +206,12 @@ func TestDefaultCampaignPipelineEquivalence(t *testing.T) {
 }
 
 // TestRunFlowMetricsAllocs is the repository's allocation gate: the warmed
-// streaming pipeline may allocate at most 168 times per 30-second flow, or
-// 180 under the race detector. The endpoints keep their per-segment state
-// in ring buffers and the analyzer comes from a pool, so the bound leaves a
-// little headroom over the measurement without letting map churn or a
-// per-flow trace creep back in.
+// streaming pipeline may allocate at most 103 times per 30-second flow, or
+// 119 under the race detector. The endpoints keep their per-segment state
+// in ring buffers and the analyzer comes from a pool, so each gate is the
+// warmed count measured (100, occasionally 101; 102-116 under -race) plus
+// about 3%: enough for run-to-run jitter, too little for map churn or a
+// per-flow trace to creep back in.
 func TestRunFlowMetricsAllocs(t *testing.T) {
 	sc := hsrScenario(t, cellular.ChinaMobileLTE, 0, 30*time.Second)
 	n := 0
@@ -224,20 +225,21 @@ func TestRunFlowMetricsAllocs(t *testing.T) {
 	// Warm every code path before measuring: the first flows populate the
 	// arena pools, and under the race detector the first traversal of each
 	// path also allocates one-time shadow state. Measuring only warmed
-	// iterations makes the count deterministic in both build modes.
+	// iterations keeps the count stable without -race; under -race it
+	// still varies by about 10% from run to run.
 	for i := 0; i < 5; i++ {
 		run()
 	}
 	avg := testing.AllocsPerRun(20, run)
-	gate := 168.0
+	gate := 103.0
 	if raceEnabled {
 		// The race runtime adds a bounded per-flow overhead (goroutine
 		// shadow stacks and sync-event buffers) on top of the pipeline's own
-		// allocations; the warmed count measures a flat 174/flow.
-		gate = 180.0
+		// allocations, and it varies from run to run.
+		gate = 119.0
 	}
 	if avg > gate {
-		t.Errorf("RunFlowMetrics allocates %.1f/flow, gate is %.0f (168, or 180 under -race)", avg, gate)
+		t.Errorf("RunFlowMetrics allocates %.1f/flow, gate is %.0f (103, or 119 under -race)", avg, gate)
 	}
 	t.Logf("RunFlowMetrics: %.1f allocs/flow (gate %.0f)", avg, gate)
 }
@@ -268,7 +270,6 @@ func canonicalFlowCounts(tel *telemetry.Flow, traceEvents int) map[string]int64 
 		"channel.cursor_advances":  ch.CursorAdvances,
 		"net.data.offered":         n.Data.Offered,
 		"net.data.channel_drops":   n.Data.ChannelDrops,
-		"net.data.vector_packets":  n.Data.VectorPackets,
 		"net.ack.offered":          n.Ack.Offered,
 		"net.ack.channel_drops":    n.Ack.ChannelDrops,
 		"tcp.data_sent":            tc.DataSent,

@@ -13,8 +13,7 @@ import (
 )
 
 // TestTelemetryDoesNotPerturbFlow verifies the nil-sink contract end to end:
-// attaching a full telemetry bundle (and a flight recorder) must leave the
-// packet trace byte-identical to an uninstrumented run of the same seed.
+// attaching a full telemetry bundle must leave the packet trace byte-identical to an uninstrumented run of the same seed.
 func TestTelemetryDoesNotPerturbFlow(t *testing.T) {
 	base := hsrScenario(t, cellular.ChinaMobileLTE, 42, 20*time.Second)
 	base.Faults = faults.Stress(base.FlowDuration)
@@ -26,7 +25,6 @@ func TestTelemetryDoesNotPerturbFlow(t *testing.T) {
 
 	instrumented := base
 	instrumented.Telemetry = telemetry.NewFlow()
-	instrumented.FlightRecorder = telemetry.NewFlightRecorder(256)
 	traced, tracedStats, err := RunFlow(instrumented)
 	if err != nil {
 		t.Fatalf("RunFlow (instrumented): %v", err)
@@ -41,27 +39,62 @@ func TestTelemetryDoesNotPerturbFlow(t *testing.T) {
 }
 
 // TestFlowTelemetryConsistency checks the harvested bundle against the
-// flow's own counters and basic cross-section invariants.
+// flow's own counters and basic cross-section invariants on every carrier,
+// with and without faults.Stress, and on a hand-placed schedule whose
+// episodes must each be attributed drops. The link counters must balance
+// the endpoint counters exactly: Link.Send is the only place offered
+// packets and drops are counted.
 func TestFlowTelemetryConsistency(t *testing.T) {
-	sc := hsrScenario(t, cellular.ChinaMobileLTE, 7, 30*time.Second)
-	// Hand-placed, non-overlapping episodes: under faults.Stress a storm
-	// outage can cover the blackout window, in which case the inner channel
-	// model (consulted first) claims every drop and no drop is attributable
-	// to the schedule.
-	sched, err := faults.New(
-		faults.Episode{Kind: faults.Blackout, Start: 10 * time.Second, Dur: 3 * time.Second},
-		faults.Episode{Kind: faults.AckBurst, Start: 20 * time.Second, Dur: 2 * time.Second, P: 0.9},
-		faults.Episode{Kind: faults.Storm, Start: 25 * time.Second, Dur: 4 * time.Second, Count: 1, Outage: 2 * time.Second},
-	)
-	if err != nil {
-		t.Fatalf("faults.New: %v", err)
+	for _, op := range []cellular.Operator{cellular.ChinaMobileLTE, cellular.ChinaUnicom3G, cellular.ChinaTelecom3G} {
+		for _, stress := range []bool{false, true} {
+			sc := hsrScenario(t, op, 7, 45*time.Second)
+			name := op.Name + "/no-faults"
+			if stress {
+				sc.Faults = faults.Stress(sc.FlowDuration)
+				name = op.Name + "/stress"
+			}
+			t.Run(name, func(t *testing.T) { checkFlowTelemetry(t, sc) })
+		}
 	}
-	sc.Faults = sched
+
+	t.Run("hand-placed", func(t *testing.T) {
+		sc := hsrScenario(t, cellular.ChinaMobileLTE, 7, 30*time.Second)
+		// Non-overlapping episodes: under faults.Stress a storm outage can
+		// cover the blackout window, in which case the inner channel model
+		// (consulted first) claims every drop and no drop is attributable
+		// to the schedule.
+		sched, err := faults.New(
+			faults.Episode{Kind: faults.Blackout, Start: 10 * time.Second, Dur: 3 * time.Second},
+			faults.Episode{Kind: faults.AckBurst, Start: 20 * time.Second, Dur: 2 * time.Second, P: 0.9},
+			faults.Episode{Kind: faults.Storm, Start: 25 * time.Second, Dur: 4 * time.Second, Count: 1, Outage: 2 * time.Second},
+		)
+		if err != nil {
+			t.Fatalf("faults.New: %v", err)
+		}
+		sc.Faults = sched
+		tel := checkFlowTelemetry(t, sc)
+		if tel.TCP.RecoveryPhases == 0 || tel.TCP.RecoveryNS <= 0 {
+			t.Errorf("faulted flow recorded no recovery phases (%d, %dns)",
+				tel.TCP.RecoveryPhases, tel.TCP.RecoveryNS)
+		}
+		if tel.Faults.DataDrops == 0 {
+			t.Errorf("blackout episode attributed no data drops")
+		}
+		if tel.Faults.AckDrops == 0 {
+			t.Errorf("ACK-burst episode attributed no ACK drops")
+		}
+	})
+}
+
+// checkFlowTelemetry runs sc with a telemetry bundle attached, checks the
+// invariants that hold for any flow and returns the bundle.
+func checkFlowTelemetry(t *testing.T, sc Scenario) *telemetry.Flow {
+	t.Helper()
 	tel := telemetry.NewFlow()
 	sc.Telemetry = tel
-	_, st, runErr := RunFlow(sc)
-	if runErr != nil {
-		t.Fatalf("RunFlow: %v", runErr)
+	_, st, err := RunFlow(sc)
+	if err != nil {
+		t.Fatalf("RunFlow: %v", err)
 	}
 
 	if tel.TCP.Flows != 1 {
@@ -80,10 +113,6 @@ func TestFlowTelemetryConsistency(t *testing.T) {
 	if tel.TCP.BackoffHist.Total() != st.Timeouts {
 		t.Errorf("BackoffHist total %d != timeouts %d", tel.TCP.BackoffHist.Total(), st.Timeouts)
 	}
-	if tel.TCP.RecoveryPhases == 0 || tel.TCP.RecoveryNS <= 0 {
-		t.Errorf("stressed flow recorded no recovery phases (%d, %dns)",
-			tel.TCP.RecoveryPhases, tel.TCP.RecoveryNS)
-	}
 
 	if tel.Kernel.Events == 0 || tel.Kernel.Scheduled == 0 {
 		t.Errorf("kernel counters empty: %+v", tel.Kernel)
@@ -95,32 +124,41 @@ func TestFlowTelemetryConsistency(t *testing.T) {
 		t.Errorf("BudgetHeadroom = %v; a normal flow should barely touch the budget", tel.Kernel.BudgetHeadroom())
 	}
 
-	if tel.Net.Data.Offered != st.DataSent {
-		t.Errorf("Net.Data.Offered = %d, want DataSent %d", tel.Net.Data.Offered, st.DataSent)
+	data, ack := tel.Net.Data, tel.Net.Ack
+	if data.Offered != st.DataSent {
+		t.Errorf("Net.Data.Offered = %d, want DataSent %d", data.Offered, st.DataSent)
 	}
-	if drops := tel.Net.Data.ChannelDrops + tel.Net.Data.QueueDrops; drops != st.DataDropped {
+	if drops := data.ChannelDrops + data.QueueDrops; drops != st.DataDropped {
 		t.Errorf("data drops %d != Stats.DataDropped %d", drops, st.DataDropped)
 	}
-	if tel.Net.Ack.Offered != st.AcksSent {
-		t.Errorf("Net.Ack.Offered = %d, want AcksSent %d", tel.Net.Ack.Offered, st.AcksSent)
+	if received := st.UniqueDelivered + st.DupDelivered; data.Delivered != received {
+		t.Errorf("Net.Data.Delivered = %d, want UniqueDelivered + DupDelivered %d", data.Delivered, received)
+	}
+	if ack.Offered != st.AcksSent {
+		t.Errorf("Net.Ack.Offered = %d, want AcksSent %d", ack.Offered, st.AcksSent)
+	}
+	if drops := ack.ChannelDrops + ack.QueueDrops; drops != st.AcksDropped {
+		t.Errorf("ACK drops %d != Stats.AcksDropped %d", drops, st.AcksDropped)
+	}
+	if ack.Delivered != st.AcksReceived {
+		t.Errorf("Net.Ack.Delivered = %d, want AcksReceived %d", ack.Delivered, st.AcksReceived)
 	}
 
-	if tel.Faults.Schedules != 1 {
-		t.Errorf("Faults.Schedules = %d, want 1", tel.Faults.Schedules)
+	wantSchedules := int64(1)
+	if sc.Faults.Empty() {
+		wantSchedules = 0
+	}
+	if tel.Faults.Schedules != wantSchedules {
+		t.Errorf("Faults.Schedules = %d, want %d", tel.Faults.Schedules, wantSchedules)
 	}
 	episodes, storms := sc.Faults.Counts()
 	if tel.Faults.Episodes != int64(episodes) || tel.Faults.StormOutages != int64(storms) {
 		t.Errorf("Faults counts = %+v, want %d episodes / %d storm outages", tel.Faults, episodes, storms)
 	}
-	if tel.Faults.DataDrops == 0 {
-		t.Errorf("blackout episode attributed no data drops")
-	}
-	if tel.Faults.AckDrops == 0 {
-		t.Errorf("ACK-burst episode attributed no ACK drops")
-	}
 	if tel.WallNS <= 0 {
 		t.Errorf("WallNS = %d, want > 0", tel.WallNS)
 	}
+	return tel
 }
 
 // TestCampaignTelemetryReproducibleAcrossParallelism is the acceptance

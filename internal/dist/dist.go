@@ -90,7 +90,6 @@ type worker struct {
 	url       string
 	healthy   atomic.Bool
 	fails     atomic.Int32
-	wasLost   atomic.Bool
 	unitsDone atomic.Int64
 }
 
@@ -245,7 +244,6 @@ func (c *Coordinator) heartbeat(w *worker) {
 			w.fails.Store(0)
 			if !w.healthy.Swap(true) {
 				c.workersReadmitted.Add(1)
-				w.wasLost.Store(false)
 				c.cfg.Log.Info("worker readmitted", "worker", w.url)
 			}
 			continue
@@ -253,7 +251,6 @@ func (c *Coordinator) heartbeat(w *worker) {
 		if int(w.fails.Add(1)) >= c.cfg.FailAfter {
 			if w.healthy.Swap(false) {
 				c.workersLost.Add(1)
-				w.wasLost.Store(true)
 				c.cfg.Log.Warn("worker ejected", "worker", w.url, "fails", w.fails.Load())
 			}
 		}

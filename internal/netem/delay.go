@@ -10,13 +10,13 @@ import (
 // link at virtual time now (serialization time is handled separately by the
 // Link's rate limiter).
 //
-// Contract: Sample is invoked exactly once per packet that reaches the
-// channel (queue tail drops never sample), in submission order, with the
-// packet's entry epoch as now. Time-invariant models may ignore now, but
-// models that consume randomness must draw the same RNG sequence regardless
-// of its value — a primed burst (Link.BeginBurstN) samples a whole burst at
-// one instant and the FuzzBurstSampling differential target asserts
-// draw-order stability against a test-only per-packet sampler.
+// Contract: Link.Send invokes Sample exactly once per packet that reaches
+// the channel (queue tail drops never sample), in submission order, with the
+// packet's entry epoch as now, before the loss model's draw for the same
+// packet; FuzzLinkSend checks this. Time-invariant models may ignore now,
+// but models that consume randomness must draw the same RNG sequence
+// regardless of its value, so a window of packets sent at one instant
+// consumes the stream in submission order.
 type DelayModel interface {
 	Sample(now time.Duration) time.Duration
 }

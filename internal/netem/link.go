@@ -44,11 +44,6 @@ type LinkStats struct {
 	// arriving one, including the one in service) observed on a
 	// bounded-queue link; always 0 on unbounded or infinitely fast links.
 	PeakBacklog int
-	// VectorBursts counts BeginBurstN submissions whose admission, delay and
-	// loss outcomes were sampled in one vectorized pass; VectorPackets counts
-	// the packets primed that way.
-	VectorBursts  int
-	VectorPackets int
 }
 
 // LinkConfig describes one unidirectional link.
@@ -100,19 +95,6 @@ type Link struct {
 	nextFree     time.Duration // when the serializer becomes idle
 	lastDelivery time.Duration // monotone delivery horizon (no reordering)
 	inFlight     *sim.Lane     // scheduled deliveries, in arrival order
-
-	scratch     []burstOutcome // reused primed-burst outcome buffer
-	scratchLive int            // primed outcomes not yet consumed by Send
-	// one backs scratch until a burst needs more room, so a link that only
-	// ever sends one packet at a time (an ACK path) allocates no buffer.
-	one [1]burstOutcome
-}
-
-// burstOutcome is the precomputed fate of one packet of a primed burst:
-// its drop verdict and, for survivors, the pre-FIFO-clamp arrival epoch.
-type burstOutcome struct {
-	arrival time.Duration
-	kind    DropKind // 0 = delivered
 }
 
 // NewLink builds a link on top of the given simulator.
@@ -129,9 +111,7 @@ func NewLink(simulator *sim.Simulator, cfg LinkConfig) *Link {
 	if cfg.Loss == nil {
 		cfg.Loss = NoLoss{}
 	}
-	l := &Link{simulator: simulator, cfg: cfg, inFlight: simulator.NewLane()}
-	l.scratch = l.one[:]
-	return l
+	return &Link{simulator: simulator, cfg: cfg, inFlight: simulator.NewLane()}
 }
 
 // Stats returns a copy of the link's counters. Every packet that survives
@@ -158,76 +138,24 @@ func (l *Link) QueueDepth() time.Duration {
 // and Send returns (delivered-eventually=true, 0). Otherwise deliver is
 // never called and Send reports the drop cause. The caller observes drops
 // synchronously, which the trace recorder uses to log ground-truth losses.
-// It is a one-packet primed burst: the link has a single sampler.
+//
+// The packet's fate is decided here, in a fixed order: the effective line
+// rate at now, queue admission (a tail drop consumes no delay or loss
+// draw), the propagation delay draw, the loss draw, then the FIFO delivery
+// clamp. Same-instant runs of packets (a TCP window fill) therefore draw
+// the RNG streams in submission order.
 func (l *Link) Send(size int, deliver Handler) (bool, DropKind) {
 	if deliver == nil {
 		panic("netem: Send with nil deliver callback")
 	}
-	b := l.prime(size, 1)
-	return b.Send(deliver)
-}
-
-// Burst is a batched submission handle for a run of same-size packets
-// offered at a single virtual instant, the shape the TCP sender's window
-// fill produces. Every packet's fate — queue admission, propagation delay,
-// channel loss — is sampled when the burst is begun; Send consumes one
-// precomputed outcome per packet in submission order, leaving only the FIFO
-// delivery clamp and event scheduling per packet. A Burst is only valid at
-// the instant it was begun; Send panics if virtual time has moved on.
-type Burst struct {
-	l   *Link
-	now time.Duration
-
-	outcomes []burstOutcome // primed at begin
-	i        int            // next primed outcome to consume
-}
-
-// BeginBurstN starts a burst whose packet count is known up front and
-// samples every packet's fate in one vectorized pass over a link-owned
-// scratch buffer (see prime). The pass consumes the RNG streams in the same
-// order as n consecutive one-packet Sends, so the outcomes are bit-identical
-// to them; the differential fuzz target FuzzBurstSampling proves it against
-// a test-only per-packet sampler. Only BeginBurstN submissions count towards
-// LinkStats.VectorBursts and VectorPackets.
-//
-// Contract: the caller must invoke Send exactly n times before beginning
-// the next burst (or calling Link.Send) on this link. The serializer and RNG
-// state advance during priming, so consuming fewer (or attempting more)
-// would desynchronize them; both are detected and panic.
-func (l *Link) BeginBurstN(size, n int) Burst {
-	b := l.prime(size, n)
-	if n > 0 {
-		l.stats.VectorBursts++
-		l.stats.VectorPackets += n
-	}
-	return b
-}
-
-// prime begins a burst of n size-byte packets at the current virtual time
-// and samples each packet's fate in submission order: queue-dropped packets
-// consume no RNG draws, survivors draw delay then loss.
-func (l *Link) prime(size, n int) Burst {
 	if size <= 0 {
 		panic(fmt.Sprintf("netem: Send with non-positive size %d", size))
 	}
-	if l.scratchLive != 0 {
-		panic(fmt.Sprintf("netem: new burst begun with %d primed packets unconsumed", l.scratchLive))
-	}
 	now := l.simulator.Now()
-	b := Burst{l: l, now: now}
-	if n <= 0 {
-		return b
-	}
-	if cap(l.scratch) < n {
-		l.scratch = make([]burstOutcome, n)
-	}
-	out := l.scratch[:n]
+	l.stats.Offered++
 
-	rateLimited := l.cfg.Rate > 0
-	var txTime time.Duration
-	if rateLimited {
-		// RateScale is a pure function of virtual time, so one evaluation
-		// serves the whole burst.
+	departure := now
+	if l.cfg.Rate > 0 {
 		rate := l.cfg.Rate
 		if l.cfg.RateScale != nil {
 			f := l.cfg.RateScale(now)
@@ -236,84 +164,38 @@ func (l *Link) prime(size, n int) Burst {
 			}
 			rate *= f
 		}
-		txTime = time.Duration(float64(size*8) / rate * float64(time.Second))
+		txTime := time.Duration(float64(size*8) / rate * float64(time.Second))
 		if txTime <= 0 {
 			txTime = time.Nanosecond
 		}
+		start := now
+		if l.nextFree > start {
+			start = l.nextFree
+		}
+		if l.cfg.MaxQueue > 0 {
+			// backlog counts packets ahead of this one (including the one in
+			// service); only the waiting ones occupy queue slots.
+			backlog := int((start - now) / txTime)
+			if backlog > l.stats.PeakBacklog {
+				l.stats.PeakBacklog = backlog
+			}
+			if backlog > l.cfg.MaxQueue {
+				l.stats.QueueDrops++
+				return false, DropQueue
+			}
+		}
+		departure = start + txTime
+		l.nextFree = departure
 	}
 
-	delay, loss := l.cfg.Delay, l.cfg.Loss
-	nextFree := l.nextFree
-	maxQueue := l.cfg.MaxQueue
-	peak := l.stats.PeakBacklog
-	for i := range out {
-		departure := now
-		if rateLimited {
-			start := now
-			if nextFree > start {
-				start = nextFree
-			}
-			if maxQueue > 0 {
-				// backlog counts packets ahead of this one (including the
-				// one in service); only the waiting ones occupy queue slots.
-				backlog := int((start - now) / txTime)
-				if backlog > peak {
-					peak = backlog
-				}
-				if backlog > maxQueue {
-					// Tail drop before the channel: no delay or loss draw.
-					out[i] = burstOutcome{kind: DropQueue}
-					continue
-				}
-			}
-			departure = start + txTime
-			nextFree = departure
-		}
-		// The arrival epoch (before FIFO clamping) is computed first so the
-		// loss model can expose the packet to the channel conditions of both
-		// transit ends; the model is consulted once per packet so burst-state
-		// evolution stays per-packet.
-		arrival := departure + delay.Sample(now)
-		if loss.Drop(now, arrival) {
-			out[i] = burstOutcome{kind: DropChannel}
-			continue
-		}
-		out[i] = burstOutcome{arrival: arrival}
-	}
-	l.nextFree = nextFree
-	l.stats.PeakBacklog = peak
-	l.scratchLive = n
-	b.outcomes = out
-	return b
-}
-
-// Send offers one packet of the burst; semantics match Link.Send. It
-// consumes the next precomputed outcome; only the FIFO delivery clamp and
-// event scheduling remain per packet.
-func (b *Burst) Send(deliver Handler) (bool, DropKind) {
-	if deliver == nil {
-		panic("netem: Send with nil deliver callback")
-	}
-	l := b.l
-	if l.simulator.Now() != b.now {
-		panic(fmt.Sprintf("netem: Burst begun at %v used at %v", b.now, l.simulator.Now()))
-	}
-	if b.i >= len(b.outcomes) {
-		panic(fmt.Sprintf("netem: burst of %d overconsumed", len(b.outcomes)))
-	}
-	o := b.outcomes[b.i]
-	b.i++
-	l.scratchLive--
-	l.stats.Offered++
-	switch o.kind {
-	case DropQueue:
-		l.stats.QueueDrops++
-		return false, DropQueue
-	case DropChannel:
+	// The arrival epoch (before FIFO clamping) is computed first so the loss
+	// model can expose the packet to the channel conditions of both transit
+	// ends.
+	arrival := departure + l.cfg.Delay.Sample(now)
+	if l.cfg.Loss.Drop(now, arrival) {
 		l.stats.ChannelDrops++
 		return false, DropChannel
 	}
-	arrival := o.arrival
 	if arrival < l.lastDelivery {
 		arrival = l.lastDelivery // preserve FIFO delivery
 	}

@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/netem"
@@ -53,12 +52,6 @@ type Conn struct {
 	path      *netem.Path
 	cfg       Config
 	rec       trace.Recorder
-
-	// fwdLink is path.Forward downcast once at New: when the forward
-	// direction is a plain Link, the sender's window fill submits its
-	// segments through one netem.Burst instead of per-packet Sends. Nil for
-	// chained or fault-staged paths, which keep the per-packet interface.
-	fwdLink *netem.Link
 
 	// tel is the optional per-flow telemetry sink; nil (the default) keeps
 	// every instrumented path at a single predictable branch with zero
@@ -163,9 +156,6 @@ func New(simulator *sim.Simulator, path *netem.Path, cfg Config, rec trace.Recor
 		return nil, err
 	}
 	c := &Conn{simulator: simulator, path: path, cfg: cfg, rec: rec}
-	if l, ok := path.Forward.(*netem.Link); ok {
-		c.fwdLink = l
-	}
 	c.snd = sender{
 		c:    c,
 		wnd:  Window{Cwnd: cfg.InitialCwnd, SSThresh: cfg.InitialSSThresh},
@@ -415,58 +405,20 @@ func (s *sender) ackInfo(acked int64, rtt time.Duration, ackNo int64) Ack {
 	}
 }
 
-// sendable returns how many segments the window fill will transmit right
-// now: the iterations the per-segment loop would run before the effective
-// window closes or availability ends. Segments below sndMax are go-back-N
-// retransmissions and are always allowed; new data is only offered before
-// the flow deadline and under the segment limit. Nothing in the count's
-// inputs changes while the segments go out (transmission is synchronous and
-// advances no virtual time), so it can be computed up front and the whole
-// run submitted as one burst.
-func (s *sender) sendable() int64 {
-	w := s.effWindow()
-	if float64(s.inflight()) >= w {
-		return 0
-	}
-	n := int64(math.Ceil(w)) - s.inflight()
-	avail := s.sndMax - s.sndNxt
-	if s.now() < s.c.deadline && (s.c.segLimit == 0 || s.sndMax < s.c.segLimit) {
-		fresh := n - avail
-		if s.c.segLimit > 0 {
-			if lim := s.c.segLimit - s.sndMax; fresh > lim {
-				fresh = lim
+// trySend transmits segments while the effective window allows. Segments
+// below sndMax are go-back-N retransmissions and are always allowed; new
+// data is only offered before the flow deadline and under the segment limit.
+func (s *sender) trySend() {
+	for float64(s.inflight()) < s.effWindow() {
+		if s.sndNxt == s.sndMax {
+			if s.now() >= s.c.deadline {
+				break
+			}
+			if s.c.segLimit > 0 && s.sndMax >= s.c.segLimit {
+				break
 			}
 		}
-		if fresh > 0 {
-			avail += fresh
-		}
-	}
-	if n > avail {
-		n = avail
-	}
-	return n
-}
-
-// trySend transmits segments while the effective window allows. On a plain
-// forward link the whole window fill is submitted through one netem.Burst,
-// amortizing per-packet admission arithmetic; the per-segment bookkeeping,
-// trace events and RTO arming are unchanged either way.
-func (s *sender) trySend() {
-	n := s.sendable()
-	if n <= 0 {
-		return
-	}
-	var burst netem.Burst
-	var b *netem.Burst
-	if link := s.c.fwdLink; link != nil {
-		// The fill size is known up front, so the burst's queue admission
-		// and delay/loss draws are sampled in one vectorized pass; the
-		// per-segment loop below consumes exactly n outcomes.
-		burst = link.BeginBurstN(s.c.cfg.MSS+s.c.cfg.HeaderBytes, int(n))
-		b = &burst
-	}
-	for ; n > 0; n-- {
-		s.transmitVia(b, s.sndNxt)
+		s.transmit(s.sndNxt)
 		s.sndNxt++
 		if s.sndNxt > s.sndMax {
 			s.sndMax = s.sndNxt
@@ -477,11 +429,6 @@ func (s *sender) trySend() {
 // transmit puts one segment on the forward link and arms the RTO timer if it
 // is not running.
 func (s *sender) transmit(seq int64) {
-	s.transmitVia(nil, seq)
-}
-
-// transmitVia is transmit with an optional open burst to submit through.
-func (s *sender) transmitVia(b *netem.Burst, seq int64) {
 	txNo := s.sent.txNo(seq) + 1
 	s.sent.set(seq, s.now(), txNo)
 	s.stats.DataSent++
@@ -493,12 +440,7 @@ func (s *sender) transmitVia(b *netem.Burst, seq int64) {
 		Seq: seq, Ack: -1, TransmitNo: txNo, Cwnd: s.wnd.Cwnd,
 	})
 	ev := s.c.getDataEvent(seq, txNo)
-	var ok bool
-	if b != nil {
-		ok, _ = b.Send(ev)
-	} else {
-		ok, _ = s.c.path.Forward.Send(s.c.cfg.MSS+s.c.cfg.HeaderBytes, ev)
-	}
+	ok, _ := s.c.path.Forward.Send(s.c.cfg.MSS+s.c.cfg.HeaderBytes, ev)
 	if s.c.tel != nil && s.inTimeoutRecovery && txNo > 1 {
 		s.c.tel.RecoveryRetransmits++
 		if !ok {

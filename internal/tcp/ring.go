@@ -9,8 +9,8 @@ import (
 // ring buffers indexed by sequence number, replacing the
 // map[int64]sendInfo / map[int64]bool the sender and receiver used before.
 // The congestion window bounds live occupancy — the sender never has more
-// than WindowLimit unacknowledged segments (effWindow = min(cwnd, W_m) and
-// sendable() caps the fill), and every out-of-order segment the receiver
+// than WindowLimit unacknowledged segments (effWindow = min(cwnd, W_m) caps
+// the window fill), and every out-of-order segment the receiver
 // holds lies in (rcvNxt, rcvNxt+WindowLimit) — so a power-of-two ring of
 // capacity > WindowLimit can never alias two live sequence numbers. Each
 // slot remembers which sequence owns it; a write finding a live foreign

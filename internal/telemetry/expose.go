@@ -165,10 +165,6 @@ func (e *TextExposer) Campaign(c *Campaign) {
 	e.Int("net_ack_delivered_total", n.Ack.Delivered)
 	e.Int("net_ack_channel_drops_total", n.Ack.ChannelDrops)
 	e.Int("net_ack_queue_drops_total", n.Ack.QueueDrops)
-	e.Int("net_data_vector_bursts_total", n.Data.VectorBursts)
-	e.Int("net_data_vector_packets_total", n.Data.VectorPackets)
-	e.Int("net_ack_vector_bursts_total", n.Ack.VectorBursts)
-	e.Int("net_ack_vector_packets_total", n.Ack.VectorPackets)
 	ch := c.ChannelCounters()
 	e.Int("channel_compiles_total", ch.Compiles)
 	e.Int("channel_segments_total", ch.Segments)

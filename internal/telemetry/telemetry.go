@@ -377,11 +377,11 @@ type LinkCounters struct {
 	ChannelDrops int64 `json:"channel_drops"`
 	QueueDrops   int64 `json:"queue_drops"`
 	PeakBacklog  int64 `json:"peak_backlog"` // peak queued packets (max-merged)
-	// VectorBursts/VectorPackets count window fills whose admission and
-	// delay/loss sampling ran through the vectorized burst path
-	// (netem.Link.BeginBurstN) and the packets primed that way.
-	VectorBursts  int64 `json:"vector_bursts"`
-	VectorPackets int64 `json:"vector_packets"`
+	// VectorPackets is always 0: no code sets it, and it is neither
+	// serialized nor merged. It exists only because the perfbench module
+	// reads it for its netem.vector_frac layer metric, which therefore
+	// reads 0.
+	VectorPackets int64 `json:"-"`
 }
 
 // Merge folds other into c.
@@ -393,8 +393,6 @@ func (c *LinkCounters) Merge(other *LinkCounters) {
 	if other.PeakBacklog > c.PeakBacklog {
 		c.PeakBacklog = other.PeakBacklog
 	}
-	c.VectorBursts += other.VectorBursts
-	c.VectorPackets += other.VectorPackets
 }
 
 // Net groups link telemetry by direction: Data is the downlink (data

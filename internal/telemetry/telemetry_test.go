@@ -7,9 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/trace"
 )
 
 func TestDistMergeMatchesDirectAdds(t *testing.T) {
@@ -151,63 +148,6 @@ func TestCampaignAddFlow(t *testing.T) {
 	}
 	if tcp.Cwnd.N() != 2 || tcp.Cwnd.Mean() != 6 {
 		t.Errorf("merged Cwnd = n=%d mean=%v", tcp.Cwnd.N(), tcp.Cwnd.Mean())
-	}
-}
-
-func TestFlightRecorderRingAndTrace(t *testing.T) {
-	r := NewFlightRecorder(3)
-	// Non-transition events are filtered out.
-	r.Record(trace.Event{Type: trace.EvDataSend, At: time.Second})
-	if r.Len() != 0 {
-		t.Fatalf("non-transition event retained: Len=%d", r.Len())
-	}
-	for i := 0; i < 5; i++ {
-		r.Record(trace.Event{Type: trace.EvTimeout, At: time.Duration(i) * time.Second, Seq: int64(i)})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
-	}
-	if r.Overwritten() != 2 {
-		t.Fatalf("Overwritten = %d, want 2", r.Overwritten())
-	}
-	evs := r.Events()
-	for i, ev := range evs {
-		if want := int64(i + 2); ev.Seq != want {
-			t.Errorf("event %d Seq = %d, want %d (chronological order)", i, ev.Seq, want)
-		}
-	}
-
-	// The dump must round-trip through the standard JSONL codec.
-	ft := r.Trace(trace.FlowMeta{ID: "fr-test", Seed: 7})
-	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, ft); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Meta.ID != "fr-test" || len(back.Events) != 3 {
-		t.Fatalf("roundtrip = %q with %d events", back.Meta.ID, len(back.Events))
-	}
-
-	r.Reset()
-	if r.Len() != 0 || r.Overwritten() != 0 {
-		t.Errorf("Reset left Len=%d Overwritten=%d", r.Len(), r.Overwritten())
-	}
-
-	r.Record(trace.Event{Type: trace.EvDataSend})
-	if r.Len() != 0 {
-		t.Errorf("recorder kept a data-send event, which is no state transition")
-	}
-}
-
-func TestFlightRecorderRecordDoesNotAllocate(t *testing.T) {
-	r := NewFlightRecorder(64)
-	ev := trace.Event{Type: trace.EvTimeout, Seq: 1}
-	allocs := testing.AllocsPerRun(1000, func() { r.Record(ev) })
-	if allocs != 0 {
-		t.Fatalf("Record allocates %v allocs/op, want 0", allocs)
 	}
 }
 
